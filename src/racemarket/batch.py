@@ -81,19 +81,17 @@ class SessionSummary:
     winner_ticks: int
 
 
-def _race_job(config: RaceConfig, item: tuple[int, int]) -> RaceResult:
-    i, seed = item
+def _race_job(config: RaceConfig, master_seed: int, i: int) -> RaceResult:
     try:
-        traj: Trajectory = run_race(config, seed, record=False)
+        traj: Trajectory = run_race(config, derive_seed(master_seed, "run", i), record=False)
     except Exception as exc:
         raise BatchRunError(i, repr(exc))
     return RaceResult(i, traj.finish_order, traj.finish_ticks, traj.n_ticks)
 
 
-def _session_job(config: SessionConfig, item: tuple[int, int]) -> SessionSummary:
-    i, seed = item
+def _session_job(config: SessionConfig, master_seed: int, i: int) -> SessionSummary:
     try:
-        res = run_session(replace(config, master_seed=seed))
+        res = run_session(replace(config, master_seed=derive_seed(master_seed, "run", i)))
     except Exception as exc:
         raise BatchRunError(i, repr(exc))
     matched = sum(e["amount"] for e in res.events if e["kind"] == "match")
@@ -110,18 +108,18 @@ def _session_job(config: SessionConfig, item: tuple[int, int]) -> SessionSummary
 def run_batch(batch: BatchConfig) -> list:
     """All R results in run-index order; worker count never changes them."""
     batch.validate()
+    # Each run derives its own seed where it runs, so a worker pool
+    # parallelises the derivation too and is sent bare run indices.
     if isinstance(batch.base, SessionConfig):
-        job = partial(_session_job, batch.base)
+        job = partial(_session_job, batch.base, batch.master_seed)
     else:
-        job = partial(_race_job, batch.base)
-    items = [
-        (i, derive_seed(batch.master_seed, "run", i)) for i in range(batch.replications)
-    ]
+        job = partial(_race_job, batch.base, batch.master_seed)
+    runs = range(batch.replications)
     if batch.workers == 1:
-        return [job(item) for item in items]
+        return [job(i) for i in runs]
     chunk = max(1, batch.replications // (batch.workers * 8))
     with ProcessPoolExecutor(max_workers=batch.workers) as pool:
-        return list(pool.map(job, items, chunksize=chunk))
+        return list(pool.map(job, runs, chunksize=chunk))
 
 
 # -- outcome distributions ------------------------------------------------

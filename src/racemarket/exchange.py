@@ -61,6 +61,10 @@ class SettlementError(ExchangeError):
     pass
 
 
+class EscrowError(ExchangeError):
+    """An escrow release outside [0, reserved]: the book's money accounting broke."""
+
+
 def _build_ladder() -> tuple[int, ...]:
     bands = (
         (101, 200, 1),
@@ -154,7 +158,10 @@ class Account:
         self.reserved += amount
 
     def release(self, amount: Money) -> None:
-        assert 0 <= amount <= self.reserved
+        if not 0 <= amount <= self.reserved:
+            raise EscrowError(
+                f"{self.bettor_id}: cannot release {amount}, reserved {self.reserved}"
+            )
         self.reserved -= amount
         self.balance += amount
 

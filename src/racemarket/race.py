@@ -14,6 +14,7 @@ slowest competitor has crossed the finish line.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .seeding import make_rng
@@ -111,7 +112,7 @@ class Competitor:
         self.steps.validate()
         if self.pref_sensitivity < 0.0:
             raise RaceConfigError(f"pref_sensitivity must be >= 0, got {self.pref_sensitivity}")
-        if self.theta < 0.0:
+        if not self.theta >= 0.0:  # NaN too
             raise RaceConfigError(f"theta must be >= 0, got {self.theta}")
         self.responsiveness.validate()
 
@@ -199,11 +200,6 @@ def preference_factor(conditions: float, preference: float, sensitivity: float) 
     return f
 
 
-def draw_step(dist: StepDistribution, rng) -> float:
-    """One raw step draw; strictly positive for any valid distribution."""
-    return dist.draw(rng)
-
-
 @dataclass
 class RaceState:
     """Mutable mid-race state.  finish_ticks[c] is None while c is racing."""
@@ -241,47 +237,77 @@ def initial_state(config: RaceConfig, rng) -> RaceState:
     return RaceState(0, [0.0] * n, prev, [None] * n)
 
 
-def _front_runner(positions: list[float], finish_ticks: list, c: int) -> tuple[int, float] | None:
-    """Nearest still-racing competitor strictly ahead of c: (index, gap).
+def _compile(config: RaceConfig) -> tuple[tuple, ...]:
+    """Each competitor's per-race constants, in field order.
 
-    Equal positions do not count as ahead.  Among rivals tied at the nearest
-    front position the lowest index is chosen.  Finished competitors have
-    left the track and never block.
+    (theta, breakpoint position, early_mult, late_mult, early_free,
+    late_free, lognormal, a, b, scale): a free step is early_free (below
+    the breakpoint position) or late_free, both mult * preference factor,
+    times a + b * U(0, 1) for uniform steps (a = lo, b = hi - lo: CPython's
+    uniform) or scale * lognormvariate(a, b); a blocked step is early_mult
+    or late_mult times min(own, front runner's previous step).
     """
-    pc = positions[c]
-    best_i = -1
-    best_gap = -1.0
-    for i, p in enumerate(positions):
-        if i == c or finish_ticks[i] is not None:
-            continue
-        if p > pc:
-            gap = p - pc
-            if best_i < 0 or gap < best_gap:
-                best_i = i
-                best_gap = gap
-    if best_i < 0:
-        return None
-    return best_i, best_gap
-
-
-def _resolve_step(state: RaceState, config: RaceConfig, c: int, rng) -> tuple[float, bool]:
-    comp = config.competitors[c]
-    resp = comp.responsiveness.at(state.positions[c], config.track_length)
-    front = _front_runner(state.positions, state.finish_ticks, c)
-    if front is None or front[1] > comp.theta:
+    runners = []
+    for comp in config.competitors:
+        r, st = comp.responsiveness, comp.steps
         pref = preference_factor(config.conditions, comp.preference, comp.pref_sensitivity)
-        return resp * pref * comp.steps.draw(rng), False
-    return resp * min(state.prev_steps[c], state.prev_steps[front[0]]), True
+        ln = isinstance(st, LogNormalSteps)
+        law = (True, st.mu, st.sigma, st.scale) if ln else (False, st.lo, st.hi - st.lo, 1.0)
+        bp = r.breakpoint * config.track_length
+        mults = (r.early_mult, r.late_mult, r.early_mult * pref, r.late_mult * pref)
+        runners.append((comp.theta, bp, *mults, *law))
+    return tuple(runners)
 
 
-def step_competitor(state: RaceState, config: RaceConfig, c: int, rng) -> float:
-    """Step for competitor c this tick; does not mutate state.
+def _tick(runners, length: float, state: RaceState, racing: list[int], rng) -> list[int]:
+    """Advance the racing competitors (index order) one tick; return those still racing.
 
-    Free draw when nobody is close ahead (gap > theta or no one strictly
-    ahead); otherwise limited to the smaller of c's and the front runner's
-    previous step, scaled by responsiveness.
+    c's front runner is the first rival above c's position in the racing
+    field stably sorted by position: the lowest index at the nearest
+    position ahead.  Rivals further ahead whose gap rounds to the same float
+    tie with it.  A gap is always > 0, so theta = 0 never blocks and the
+    sort is made only once a competitor with theta > 0 needs it.
     """
-    return _resolve_step(state, config, c, rng)[0]
+    pos, prev, finish = state.positions, state.prev_steps, state.finish_ticks
+    random, lognormvariate = rng.random, rng.lognormvariate
+    ranked, steps = None, []
+    for c in racing:
+        theta, bp, early, late, early_free, late_free, lognormal, a, b, scale = runners[c]
+        p = pos[c]
+        if theta > 0.0:
+            if ranked is None:
+                order = sorted(racing, key=pos.__getitem__)
+                ranked = list(map(pos.__getitem__, order))
+                m = len(ranked)
+            j = bisect_right(ranked, p)
+            if j < m and ranked[j] - p <= theta:
+                gap, k = ranked[j] - p, j + 1
+                while k < m and ranked[k] - p == gap:
+                    k += 1
+                steps.append((early if p < bp else late) * min(prev[c], prev[min(order[j:k])]))
+                state.blocked_steps += 1
+                continue
+        draw = scale * lognormvariate(a, b) if lognormal else a + b * random()
+        steps.append((early_free if p < bp else late_free) * draw)
+    t = state.tick = state.tick + 1
+    still = []
+    for c, s in zip(racing, steps):
+        p = pos[c] + s
+        if p == pos[c]:
+            # steps are always positive but can underflow float addition
+            # in long blocked chains; keep positions strictly increasing
+            p = math.nextafter(p, math.inf)
+        pos[c] = p
+        prev[c] = s
+        if p >= length:
+            finish[c] = t
+        else:
+            still.append(c)
+    return still
+
+
+def _racing(state: RaceState) -> list[int]:
+    return [c for c, t in enumerate(state.finish_ticks) if t is None]
 
 
 def advance_race(state: RaceState, config: RaceConfig, rng) -> RaceState:
@@ -291,33 +317,20 @@ def advance_race(state: RaceState, config: RaceConfig, rng) -> RaceState:
     positions (draws in competitor-index order), then applied together.
     Competitors reaching track_length are marked finished at the new tick.
     """
-    positions = state.positions
-    finish = state.finish_ticks
-    n = len(positions)
-    steps: list[float] = [0.0] * n
-    blocked = 0
-    for c in range(n):
-        if finish[c] is None:
-            s, was_blocked = _resolve_step(state, config, c, rng)
-            steps[c] = s
-            blocked += was_blocked
-    t = state.tick + 1
-    length = config.track_length
-    prev = state.prev_steps
-    for c in range(n):
-        if finish[c] is None:
-            p = positions[c] + steps[c]
-            if p == positions[c]:
-                # steps are always positive but can underflow float addition
-                # in long blocked chains; keep positions strictly increasing
-                p = math.nextafter(p, math.inf)
-            positions[c] = p
-            prev[c] = steps[c]
-            if p >= length:
-                finish[c] = t
-    state.tick = t
-    state.blocked_steps += blocked
+    _tick(_compile(config), config.track_length, state, _racing(state), rng)
     return state
+
+
+def _run(config: RaceConfig, state: RaceState, rng, stop: int, snapshots: list | None) -> None:
+    """Tick until every competitor has finished; raise if the tick reaches stop first."""
+    runners, racing = _compile(config), _racing(state)
+    while racing:
+        if state.tick >= stop:
+            done = f"{state.finished_count()}/{config.n_competitors} finished"
+            raise RaceDivergedError(f"race exceeded tick_limit={config.tick_limit} with {done}")
+        racing = _tick(runners, config.track_length, state, racing, rng)
+        if snapshots is not None:
+            snapshots.append(tuple(state.positions))
 
 
 def _finish_order(state: RaceState, config: RaceConfig) -> tuple[int, ...]:
@@ -375,18 +388,8 @@ def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     config.validate()
     rng = make_rng(seed)
     state = initial_state(config, rng)
-    snapshots: list[tuple[float, ...]] | None = None
-    if record:
-        snapshots = [tuple(state.positions)]
-    while not state.all_finished():
-        if state.tick >= config.tick_limit:
-            raise RaceDivergedError(
-                f"race exceeded tick_limit={config.tick_limit} with "
-                f"{state.finished_count()}/{config.n_competitors} finished"
-            )
-        advance_race(state, config, rng)
-        if snapshots is not None:
-            snapshots.append(tuple(state.positions))
+    snapshots = [tuple(state.positions)] if record else None
+    _run(config, state, rng, config.tick_limit, snapshots)
     return finalize_trajectory(state, config, snapshots)
 
 
@@ -397,10 +400,5 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     repeated calls with distinct seeds give i.i.d. continuations.
     """
     st = state.clone()
-    rng = make_rng(seed)
-    start = st.tick
-    while not st.all_finished():
-        if st.tick - start >= config.tick_limit:
-            raise RaceDivergedError(f"continuation exceeded tick_limit={config.tick_limit}")
-        advance_race(st, config, rng)
+    _run(config, st, make_rng(seed), st.tick + config.tick_limit, None)
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))

@@ -15,7 +15,8 @@ fixtures, so a change here is a deliberate contract change.
  5. Decimal-odds worked examples: $1 at 11.0 returns $11.00 total,
     $5 at 1.2 returns $6.00 total.
  6. One session config run five times under --workers 1/2/8 produces
-    byte-identical events.jsonl (sha256).
+    byte-identical events.jsonl (sha256), and four sessions run in two
+    worker processes write the same logs as in-process.
  7. A 5-competitor 2,000-unit race at dt = 1 finishes in under 360 ticks
     with well-formed CSVs, and dry-run win estimates move monotonically
     with the leader's scripted gap.
@@ -37,10 +38,13 @@ import os
 import random
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from racemarket.batch import BatchConfig, compare_pmf, pmf_from_results, run_batch, bench
+from racemarket import writers
 from racemarket.cli import main as cli_main
+from racemarket.config import parse_config
 from racemarket.exchange import BACK, LAY, MarketBook, back_winnings
 from racemarket.race import (
     Competitor,
@@ -55,6 +59,7 @@ from racemarket.race import (
 )
 from racemarket.agents import rp_predict
 from racemarket.seeding import derive_seed, make_rng
+from racemarket.session import run_session
 
 from conftest import make_race
 from test_exchange_oracle import BETTORS, drive_pair
@@ -232,25 +237,27 @@ def test_criterion_05_decimal_odds_worked_examples():
 # -- 6: event logs independent of worker count -----------------------------------
 
 
+CRITERION_06_DOC = {
+    "seed": 606,
+    "race": {
+        "track_length": 250.0,
+        "competitors": [
+            {"id": f"c{i}", "steps": {"family": "uniform", "lo": 10.0, "hi": 20.0}}
+            for i in range(1, 4)
+        ],
+    },
+    "session": {
+        "agents": [
+            {"strategy": s, "count": 1, "d": 3}
+            for s in ("rp", "linex", "lw", "ud", "btf", "rb", "zi")
+        ]
+    },
+}
+
+
 def test_criterion_06_session_logs_identical_across_workers(tmp_path, capsys):
-    doc = {
-        "seed": 606,
-        "race": {
-            "track_length": 250.0,
-            "competitors": [
-                {"id": f"c{i}", "steps": {"family": "uniform", "lo": 10.0, "hi": 20.0}}
-                for i in range(1, 4)
-            ],
-        },
-        "session": {
-            "agents": [
-                {"strategy": s, "count": 1, "d": 3}
-                for s in ("rp", "linex", "lw", "ud", "btf", "rb", "zi")
-            ]
-        },
-    }
     cfg = tmp_path / "session.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(CRITERION_06_DOC))
     digests = set()
     for run, workers in enumerate(("1", "2", "8", "2", "8")):
         out = tmp_path / f"run{run}"
@@ -262,6 +269,29 @@ def test_criterion_06_session_logs_identical_across_workers(tmp_path, capsys):
     capsys.readouterr()
     assert len(digests) == 1, f"event logs diverged: {digests}"
     report(6, f"5 runs, workers 1/2/8, single events.jsonl sha256 {digests.pop()[:12]}...")
+
+
+def session_log_digest(config, seed: int, path) -> str:
+    """Run one session and write its events.jsonl to path; returns the file's sha256."""
+    writers.write_events_jsonl(path, run_session(replace(config, master_seed=seed)).events)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_criterion_06_session_logs_identical_in_worker_processes(tmp_path):
+    # The session CLI runs in-process whatever --workers says, so the test
+    # above cannot see a worker diverge.  Here the same sessions run in
+    # forked pool workers and in this process, and their logs must match.
+    config = parse_config(CRITERION_06_DOC).session_config()
+    seeds = [derive_seed(606, "worker-check", i) for i in range(4)]
+    paths = [tmp_path / f"pooled{i}.jsonl" for i in range(4)]
+    with ProcessPoolExecutor(2) as pool:
+        pooled = list(pool.map(session_log_digest, [config] * 4, seeds, paths))
+    local = [
+        session_log_digest(config, seed, tmp_path / f"local{i}.jsonl") for i, seed in enumerate(seeds)
+    ]
+    assert pooled == local
+    assert len(set(local)) == 4  # distinct seeds, distinct sessions
+    report(6, f"4 sessions in 2 worker processes match in-process sha256 {local[0][:12]}...")
 
 
 # -- 7: showcase race products and directional estimates --------------------------

@@ -8,6 +8,8 @@ from racemarket.exchange import (
     LAY,
     MAX_ODDS,
     MIN_ODDS,
+    Account,
+    EscrowError,
     ExchangeError,
     InsufficientFundsError,
     InvalidOddsError,
@@ -147,6 +149,18 @@ def test_account_rules():
     with pytest.raises(ExchangeError):
         book.open_account("dave", -1)
     assert book.free_balance("alice") == 1_000_000
+
+
+def test_release_outside_escrow_raises():
+    # a real check, not an assert: it must hold under python -O too
+    acct = Account("alice", 900, reserved=100)
+    with pytest.raises(EscrowError):
+        acct.release(-1)
+    with pytest.raises(EscrowError):
+        acct.release(101)
+    assert (acct.balance, acct.reserved) == (900, 100)
+    acct.release(100)
+    assert (acct.balance, acct.reserved) == (1000, 0)
 
 
 def test_submit_validation_order_and_rollback():

@@ -13,12 +13,10 @@ from racemarket.race import (
     Responsiveness,
     UniformSteps,
     advance_race,
-    draw_step,
     initial_state,
     preference_factor,
     run_race,
     simulate_from,
-    step_competitor,
 )
 from racemarket.seeding import make_rng
 
@@ -85,18 +83,26 @@ def test_responsiveness_profile():
     assert r.at(99.0, 100.0) == 0.5
 
 
+def one_tick_steps(steps, n, rng) -> list[float]:
+    """Steps of n neutral competitors one tick off the line: n raw draws, in order."""
+    field = tuple(Competitor(f"c{i}", steps) for i in range(n))
+    cfg = RaceConfig(track_length=1e9, competitors=field)
+    state = RaceState(0, [0.0] * n, [1.0] * n, [None] * n)
+    return advance_race(state, cfg, rng).prev_steps
+
+
 def test_draw_step_means():
-    rng = make_rng(1)
     n = 100_000
+    rng = make_rng(1)
     u = UniformSteps(10.0, 20.0)
-    mean_u = sum(draw_step(u, rng) for _ in range(n)) / n
+    mean_u = sum(one_tick_steps(u, n, rng)) / n
     assert mean_u == pytest.approx(15.0, abs=0.05)
 
     ln = LogNormalSteps(mu=0.0, sigma=0.25, scale=2.0)
     assert ln.mean == pytest.approx(2.0634868, abs=1e-6)
-    mean_ln = sum(draw_step(ln, rng) for _ in range(n)) / n
+    mean_ln = sum(one_tick_steps(ln, n, rng)) / n
     assert mean_ln == pytest.approx(ln.mean, rel=0.01)
-    assert min(draw_step(ln, rng) for _ in range(1000)) > 0.0
+    assert min(one_tick_steps(ln, 1000, rng)) > 0.0
 
 
 # -- stepping -----------------------------------------------------------------
@@ -117,29 +123,34 @@ def test_initial_state_primes_previous_steps():
     assert all(10.0 <= s <= 20.0 for s in state.prev_steps)
 
 
+def step_of_first(state: RaceState, cfg: RaceConfig) -> float:
+    """The step competitor 0 takes in one tick from state (a copy)."""
+    return advance_race(state.clone(), cfg, make_rng(0)).prev_steps[0]
+
+
 def test_blocked_step_copies_slower_previous_step():
     cfg = two_comp_config(theta0=5.0)
     state = RaceState(0, [10.0, 12.0], [11.0, 15.0], [None, None])
     # gap 2 <= theta 5: limited to min(own prev 11, front prev 15)
-    assert step_competitor(state, cfg, 0, make_rng(0)) == 11.0
+    assert step_of_first(state, cfg) == 11.0
     state.prev_steps = [15.0, 11.0]
-    assert step_competitor(state, cfg, 0, make_rng(0)) == 11.0
+    assert step_of_first(state, cfg) == 11.0
 
 
 def test_zero_theta_never_blocks():
     cfg = two_comp_config(theta0=0.0)
     state = RaceState(0, [10.0, 12.0], [1.0, 1.0], [None, None])
-    assert step_competitor(state, cfg, 0, make_rng(0)) == 5.0  # free draw
+    assert step_of_first(state, cfg) == 5.0  # free draw
     # equal positions: nobody is strictly ahead
     state = RaceState(0, [12.0, 12.0], [1.0, 1.0], [None, None])
     cfg5 = two_comp_config(theta0=5.0)
-    assert step_competitor(state, cfg5, 0, make_rng(0)) == 5.0
+    assert step_of_first(state, cfg5) == 5.0
 
 
 def test_finished_rivals_do_not_block():
     cfg = two_comp_config(theta0=50.0, length=20.0)
     state = RaceState(3, [10.0, 21.0], [1.0, 1.0], [None, 3])
-    assert step_competitor(state, cfg, 0, make_rng(0)) == 5.0
+    assert step_of_first(state, cfg) == 5.0
 
 
 def test_blocked_step_skips_preference_factor():
@@ -149,10 +160,10 @@ def test_blocked_step_skips_preference_factor():
     front = Competitor("c2", fixed(3.0))
     cfg = RaceConfig(track_length=200.0, competitors=(slow, front), conditions=1.0)
     state = RaceState(0, [8.0, 10.0], [4.0, 3.0], [None, None])
-    assert step_competitor(state, cfg, 0, make_rng(0)) == 3.0
+    assert step_of_first(state, cfg) == 3.0
     # unblocked it would be 5 * 0.01
     far = RaceState(0, [8.0, 100.0], [4.0, 3.0], [None, None])
-    assert step_competitor(far, cfg, 0, make_rng(0)) == pytest.approx(0.05)
+    assert step_of_first(far, cfg) == pytest.approx(0.05)
 
 
 def test_blocked_step_keeps_responsiveness():
@@ -161,7 +172,7 @@ def test_blocked_step_keeps_responsiveness():
     c1 = Competitor("c2", fixed(3.0))
     cfg = RaceConfig(track_length=200.0, competitors=(c0, c1))
     state = RaceState(0, [8.0, 10.0], [4.0, 3.0], [None, None])
-    assert step_competitor(state, cfg, 0, make_rng(0)) == 6.0  # 2 * min(4, 3)
+    assert step_of_first(state, cfg) == 6.0  # 2 * min(4, 3)
 
 
 def test_advance_race_is_synchronous():

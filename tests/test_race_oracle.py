@@ -1,0 +1,210 @@
+"""Equivalence of the race kernel against a brute-force reference.
+
+ScanRace re-implements one tick the plain way: for every racing competitor
+a linear scan over all rivals finds the front runner (nearest racing rival
+strictly ahead by gap, lowest index among equal gaps), then the step is a
+free draw through the step law's own draw method or a copy of the smaller
+previous step.  Random states with exact position ties, finished rivals,
+theta = 0 competitors and mixed step laws must come out bit-identical on
+both: positions, previous steps, finish ticks, blocked steps, and the
+generator state.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racemarket.race import (
+    Competitor,
+    LogNormalSteps,
+    RaceConfig,
+    RaceState,
+    Responsiveness,
+    UniformSteps,
+    advance_race,
+    finalize_trajectory,
+    initial_state,
+    preference_factor,
+    run_race,
+    simulate_from,
+)
+from racemarket.seeding import make_rng
+
+
+def scan_front_runner(positions, finish_ticks, c):
+    """Nearest still-racing competitor strictly ahead of c: (index, gap), or None."""
+    pc = positions[c]
+    best_i = -1
+    best_gap = -1.0
+    for i, p in enumerate(positions):
+        if i == c or finish_ticks[i] is not None:
+            continue
+        if p > pc:
+            gap = p - pc
+            if best_i < 0 or gap < best_gap:
+                best_i = i
+                best_gap = gap
+    if best_i < 0:
+        return None
+    return best_i, best_gap
+
+
+def scan_step(state, config, c, rng):
+    comp = config.competitors[c]
+    resp = comp.responsiveness.at(state.positions[c], config.track_length)
+    front = scan_front_runner(state.positions, state.finish_ticks, c)
+    if front is None or front[1] > comp.theta:
+        pref = preference_factor(config.conditions, comp.preference, comp.pref_sensitivity)
+        return resp * pref * comp.steps.draw(rng), False
+    return resp * min(state.prev_steps[c], state.prev_steps[front[0]]), True
+
+
+def scan_tick(state, config, rng):
+    positions, finish, prev = state.positions, state.finish_ticks, state.prev_steps
+    n = len(positions)
+    steps = [0.0] * n
+    for c in range(n):
+        if finish[c] is None:
+            steps[c], blocked = scan_step(state, config, c, rng)
+            state.blocked_steps += blocked
+    state.tick += 1
+    for c in range(n):
+        if finish[c] is None:
+            p = positions[c] + steps[c]
+            if p == positions[c]:
+                p = math.nextafter(p, math.inf)
+            positions[c] = p
+            prev[c] = steps[c]
+            if p >= config.track_length:
+                finish[c] = state.tick
+    return state
+
+
+def scan_finish(state, config, rng):
+    while not state.all_finished():
+        scan_tick(state, config, rng)
+    return state
+
+
+def bits(state):
+    return (
+        state.tick,
+        [p.hex() for p in state.positions],
+        [s.hex() for s in state.prev_steps],
+        list(state.finish_ticks),
+        state.blocked_steps,
+    )
+
+
+# -- strategies ---------------------------------------------------------------
+
+#: A few shared values make exact position ties, equal steps and gaps equal
+#: to theta common; a tiny previous step makes a blocked step vanish in the
+#: position sum.
+SHARED = (0.0, 5.0, 10.0, 12.0, 12.5)
+THETAS = (0.0, 0.5, 2.0, 5.0)
+TINY = 1e-20
+
+unit = st.floats(0.0, 1.0)
+breakpoints = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), unit)
+
+
+def step_laws(min_mu):
+    uniform = st.builds(
+        lambda lo, width: UniformSteps(lo, lo + width),
+        st.floats(0.5, 20.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    )
+    lognormal = st.builds(
+        LogNormalSteps, st.floats(min_mu, 3.0), st.floats(0.0, 1.0), st.floats(0.5, 5.0)
+    )
+    return st.one_of(uniform, lognormal)
+
+
+@st.composite
+def configs(draw, max_n=8, fast=False):
+    """Random fields; fast ones have median steps of at least 0.125 on tracks up to 80."""
+    # lengths of 20 and 25 put breakpoints 0.5 and 1.0 on shared positions
+    lengths = st.floats(10.0, 80.0 if fast else 200.0)
+    length = draw(st.one_of(st.sampled_from((20.0, 25.0)), lengths))
+    traits = st.tuples(
+        step_laws(0.0 if fast else -1.0),
+        unit,
+        st.floats(0.0, 0.5 if fast else 3.0),
+        st.one_of(st.sampled_from(THETAS), st.floats(0.0, 30.0)),
+        st.builds(Responsiveness, st.floats(0.5, 2.0), st.floats(0.5, 2.0), breakpoints),
+    )
+    field = tuple(
+        Competitor(f"c{i + 1}", steps, pref, sens, theta, resp)
+        for i, (steps, pref, sens, theta, resp) in enumerate(
+            draw(st.lists(traits, min_size=1, max_size=max_n))
+        )
+    )
+    return RaceConfig(track_length=length, competitors=field, conditions=draw(unit))
+
+
+@st.composite
+def races_mid_way(draw):
+    config = draw(configs())
+    n = config.n_competitors
+    length = config.track_length
+    tick = draw(st.integers(0, 40))
+    position = st.one_of(st.sampled_from(SHARED), st.floats(0.0, 1.2 * length))
+    positions = draw(st.lists(position, min_size=n, max_size=n))
+    step = st.one_of(st.sampled_from((TINY, *SHARED[1:])), st.floats(0.1, 30.0))
+    prev = draw(st.lists(step, min_size=n, max_size=n))
+    finished = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    finish_ticks = [draw(st.integers(1, tick)) if done and tick else None for done in finished]
+    blocked = draw(st.integers(0, 5))
+    return config, RaceState(tick, positions, prev, finish_ticks, blocked)
+
+
+# -- properties ---------------------------------------------------------------
+
+
+def test_rounded_gap_tie_picks_the_lowest_index():
+    # c2 and c3 sit one ulp apart, yet their gaps to c1 round to the same
+    # float: both are nearest ahead and the lower index (c2) is the front runner
+    pc, near = 0.24790612069092532, 1.4378875936505722
+    far = math.nextafter(near, math.inf)
+    assert near - pc == far - pc
+    field = (
+        Competitor("c1", UniformSteps(20.0, 20.0), theta=5.0),
+        Competitor("c2", UniformSteps(1.0, 1.0)),
+        Competitor("c3", UniformSteps(1.0, 1.0)),
+    )
+    config = RaceConfig(track_length=100.0, competitors=field)
+    state = RaceState(0, [pc, far, near], [10.0, 2.0, 4.0], [None, None, None])
+    reference = scan_tick(state.clone(), config, make_rng(0))
+    assert bits(advance_race(state, config, make_rng(0))) == bits(reference)
+    assert state.prev_steps[0] == 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(races_mid_way(), st.integers(0, 2**32))
+def test_one_tick_equals_scan(race, seed):
+    config, state = race
+    reference = state.clone()
+    rng_ref, rng = make_rng(seed), make_rng(seed)
+    scan_tick(reference, config, rng_ref)
+    advance_race(state, config, rng)
+    assert bits(state) == bits(reference)
+    assert rng.getstate() == rng_ref.getstate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs(max_n=6, fast=True), st.integers(0, 2**32))
+def test_run_race_and_simulate_from_equal_scan(config, seed):
+    traj = run_race(config, seed, record=False)
+    rng = make_rng(seed)
+    reference = scan_finish(initial_state(config, rng), config, rng)
+    assert list(traj.finish_ticks) == reference.finish_ticks
+    assert [p.hex() for p in traj.final_positions] == [p.hex() for p in reference.positions]
+    assert traj.blocked_steps == reference.blocked_steps
+
+    mid = initial_state(config, make_rng(seed + 1))
+    scan_tick(mid, config, make_rng(seed + 2))
+    order = simulate_from(mid, config, seed + 3)
+    rest = scan_finish(mid.clone(), config, make_rng(seed + 3))
+    assert order == finalize_trajectory(rest, config, None).finish_order
