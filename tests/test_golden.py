@@ -2,8 +2,8 @@
 
 Each digest was computed once and written here; any change to the race
 kernel, the exchange, the agents or the writers that alters a single byte
-of these outputs fails this file.  A PR that changes the bytes on purpose
-updates the literals and says why in CHANGES.md.
+of these outputs fails this file.  A change that alters the bytes on
+purpose updates the literals and says why in CHANGES.md.
 """
 
 import hashlib
