@@ -225,3 +225,78 @@ def test_config_digest_tracks_content():
     # defaults made explicit do not change the digest
     explicit = dict(MINIMAL, batch={"replications": 1000, "workers": 1, "target": "race"})
     assert config_digest(parse_config(explicit)) == config_digest(a)
+
+
+def _bounds_doc():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["session"] = {"agents": [{"strategy": "rp"}, {"strategy": "zi"}]}
+    return doc
+
+
+def _set(doc, path, value):
+    """Set the value at a key path such as race.competitors[0].steps.lo."""
+    keys = []
+    for part in path.split(".")[1:] if path.startswith("config.") else path.split("."):
+        name, _, index = part.partition("[")
+        keys.append(name)
+        if index:
+            keys.append(int(index[:-1]))
+    node = doc
+    for key in keys[:-1]:
+        if isinstance(key, str) and key not in node:
+            node[key] = {}
+        node = node[key]
+    node[keys[-1]] = value
+
+
+C0 = "race.competitors[0]"
+C1 = "race.competitors[1]"  # lognormal steps
+A1 = "session.agents[1]"
+OUT_OF_RANGE = [
+    ("config.seed", -1),
+    ("race.track_length", 0.0),
+    ("race.dt", 0.0),
+    ("race.tick_limit", 0),
+    ("race.betting_close.kth", 0),
+    (f"{C0}.pref_sensitivity", -0.001),
+    (f"{C0}.theta", -0.001),
+    (f"{C0}.steps.lo", 0.0),
+    (f"{C0}.steps.hi", 9.999),
+    (f"{C1}.steps.sigma", -0.001),
+    (f"{C1}.steps.scale", 0.0),
+    (f"{C0}.responsiveness.early_mult", 0.0),
+    (f"{C0}.responsiveness.late_mult", 0.0),
+    (f"{C0}.responsiveness.breakpoint", -0.001),
+    (f"{C0}.responsiveness.breakpoint", 1.001),
+    ("session.opening_period", -0.001),
+    ("session.commission_rate", -0.001),
+    ("session.commission_rate", 1.0),
+    ("session.grid_depth", 0),
+    (f"{A1}.count", -1),
+    (f"{A1}.d", -1),
+    (f"{A1}.window", 0.0),
+    (f"{A1}.gap_threshold", 0.0),
+    (f"{A1}.gamma", 0.0),
+    (f"{A1}.gamma", 1.001),
+    (f"{A1}.base_stake", 0),
+    (f"{A1}.max_stake", 0),
+    (f"{A1}.zi_odds_lo", 1.009),
+    (f"{A1}.zi_odds_hi", 1000.001),
+    (f"{A1}.reevaluate_every", 0.0),
+    (f"{A1}.wake_jitter", -0.001),
+    (f"{A1}.starting_balance", -1),
+    ("batch.replications", 0),
+    ("batch.workers", 0),
+    ("bench.n_competitors", [5, 0]),
+    ("bench.replications", 0),
+    ("bench.timing_reps", 0),
+]
+
+
+@pytest.mark.parametrize("path, value", OUT_OF_RANGE)
+def test_each_bound_is_reported_at_its_key_path(path, value):
+    doc = _bounds_doc()
+    _set(doc, path, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value).startswith(f"{path}: "), str(info.value)

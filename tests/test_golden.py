@@ -15,7 +15,7 @@ import pytest
 
 from racemarket.batch import BatchConfig, resize_race, run_batch
 from racemarket.cli import main as cli_main
-from racemarket.config import config_to_dict, parse_config
+from racemarket.config import config_digest, config_to_dict, emit_default_config, parse_config
 
 DERBY = Path(__file__).resolve().parent.parent / "configs" / "derby.json"
 
@@ -30,6 +30,9 @@ WIDE_FIELD_N = 160
 WIDE_FIELD_TRAJECTORY = "68f28b78f7493b0869000838e9c795a0401f7be4f9ab31b17f21426a785e231d"
 BATCH_RACES = 200
 BATCH_RESULTS = "0e0dbcf6a46c154da6762d013c3be47349651435d288264fe92429f341acc777"
+DERBY_CONFIG_DIGEST = "33578ea444e2550ecaf106e26e388f69e82e6d8f57fab051094c49e71ee77bee"
+DEFAULT_CONFIG_JSON = "15dc5fe541e3c6fb8619df8f58a688a3d2fb1ce3a5f92cfc77036b3bbf24edec"
+WIDE_FIELD_CONFIG_DIGEST = "32c72a6939ac03da3319b8bc90f7230ffbd82107fd1769a9213d1b5c4db340d6"
 
 
 def sha256(data: bytes) -> str:
@@ -65,3 +68,12 @@ def test_batch_results(workers):
     results = run_batch(BatchConfig(cfg.race, BATCH_RACES, cfg.seed, workers))
     rows = [[r.run_index, list(r.finish_order), list(r.finish_ticks), r.n_ticks] for r in results]
     assert sha256(json.dumps(rows, separators=(",", ":")).encode()) == BATCH_RESULTS
+
+
+def test_config_schema_digests():
+    cfg = derby()
+    assert config_digest(cfg) == DERBY_CONFIG_DIGEST
+    canon = json.dumps(emit_default_config(), sort_keys=True, separators=(",", ":"))
+    assert sha256(canon.encode()) == DEFAULT_CONFIG_JSON
+    wide = replace(cfg, race=resize_race(cfg.race, WIDE_FIELD_N))
+    assert config_digest(wide) == WIDE_FIELD_CONFIG_DIGEST
