@@ -40,6 +40,7 @@ from .exchange import (
     quantize_odds,
 )
 from .race import RaceConfig, RaceState, simulate_from
+from .seeding import FieldError
 
 #: Minimum ratio of fair odds to the best resting back quote before the
 #: shared policy lays an overrated competitor instead of posting a back.
@@ -48,7 +49,7 @@ LAY_VALUE_MARGIN = 1.25
 STRATEGY_NAMES = ("rp", "linex", "lw", "ud", "btf", "rb", "zi")
 
 
-class AgentConfigError(ValueError):
+class AgentConfigError(FieldError):
     """Raised when agent parameters fail validation."""
 
 
@@ -71,38 +72,37 @@ class AgentParams:
 
     def validate(self) -> None:
         if self.strategy not in STRATEGY_NAMES:
-            raise AgentConfigError(f"unknown strategy {self.strategy!r}")
+            raise AgentConfigError("strategy", f"not one of {STRATEGY_NAMES}: {self.strategy!r}")
         if self.count < 0:
-            raise AgentConfigError(f"count must be >= 0, got {self.count}")
+            raise AgentConfigError("count", f"must be >= 0, got {self.count}")
         if self.d < 0:
-            raise AgentConfigError(f"d must be >= 0, got {self.d}")
-        if self.window <= 0.0:
-            raise AgentConfigError(f"window must be > 0, got {self.window}")
-        if self.gap_threshold <= 0.0:
-            raise AgentConfigError(f"gap_threshold must be > 0, got {self.gap_threshold}")
+            raise AgentConfigError("d", f"must be >= 0, got {self.d}")
+        if not self.window > 0.0:
+            raise AgentConfigError("window", f"must be > 0, got {self.window}")
+        if not self.gap_threshold > 0.0:
+            raise AgentConfigError("gap_threshold", f"must be > 0, got {self.gap_threshold}")
         if not 0.0 < self.gamma <= 1.0:
-            raise AgentConfigError(f"gamma must be in (0, 1], got {self.gamma}")
+            raise AgentConfigError("gamma", f"must be in (0, 1], got {self.gamma}")
         if self.base_stake < 1:
-            raise AgentConfigError(f"base_stake must be >= 1, got {self.base_stake}")
+            raise AgentConfigError("base_stake", f"must be >= 1, got {self.base_stake}")
         if self.max_stake < 1:
-            raise AgentConfigError(f"max_stake must be >= 1, got {self.max_stake}")
+            raise AgentConfigError("max_stake", f"must be >= 1, got {self.max_stake}")
         if not self.stake_multiples or any(m < 1 for m in self.stake_multiples):
-            raise AgentConfigError("stake_multiples must be positive integers")
+            raise AgentConfigError("stake_multiples", "must be positive integers")
         if not stake_ladder(self.stake_multiples, self.max_stake):
-            raise AgentConfigError(
-                f"no stake multiple fits under max_stake={self.max_stake}"
-            )
+            raise AgentConfigError("stake_multiples", f"none fits under max_stake={self.max_stake}")
         if not 1.01 <= self.zi_odds_lo < self.zi_odds_hi <= 1000.0:
             raise AgentConfigError(
-                f"zi odds band must satisfy 1.01 <= lo < hi <= 1000, "
-                f"got [{self.zi_odds_lo}, {self.zi_odds_hi}]"
+                "zi_odds_lo" if not self.zi_odds_lo >= 1.01 else "zi_odds_hi",
+                f"band must satisfy 1.01 <= lo < hi <= 1000, "
+                f"got [{self.zi_odds_lo}, {self.zi_odds_hi}]",
             )
-        if self.reevaluate_every <= 0.0:
-            raise AgentConfigError(f"reevaluate_every must be > 0, got {self.reevaluate_every}")
-        if self.wake_jitter < 0.0:
-            raise AgentConfigError(f"wake_jitter must be >= 0, got {self.wake_jitter}")
+        if not self.reevaluate_every > 0.0:
+            raise AgentConfigError("reevaluate_every", f"must be > 0, got {self.reevaluate_every}")
+        if not self.wake_jitter >= 0.0:
+            raise AgentConfigError("wake_jitter", f"must be >= 0, got {self.wake_jitter}")
         if self.starting_balance < 0:
-            raise AgentConfigError(f"starting_balance must be >= 0, got {self.starting_balance}")
+            raise AgentConfigError("starting_balance", f"must be >= 0, got {self.starting_balance}")
 
 
 @dataclass(frozen=True)
@@ -448,5 +448,5 @@ _STRATEGIES: dict[str, type[Bettor]] = {
 def make_bettor(bettor_id: str, params: AgentParams, race_config: RaceConfig, rng) -> Bettor:
     params.validate()
     if params.strategy == "ud" and race_config.n_competitors < 2:
-        raise AgentConfigError("ud strategy needs at least two competitors")
+        raise AgentConfigError("strategy", "ud needs at least two competitors")
     return _STRATEGIES[params.strategy](bettor_id, params, race_config, rng)

@@ -20,7 +20,7 @@ from statistics import fmean, stdev
 
 from .exchange import Money
 from .race import RaceConfig, Trajectory, run_race
-from .seeding import derive_seed
+from .seeding import FieldError, derive_seed
 from .session import SessionConfig, run_session
 
 #: Largest field size whose full finish-order space (n!) is tracked exactly.
@@ -39,6 +39,23 @@ class BatchRunError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class BatchSection:
+    """A batch as a config names it: R replications of a race or session at P workers."""
+
+    replications: int = 1000
+    workers: int = 1
+    target: str = "race"
+
+    def validate(self) -> None:
+        if self.replications < 1:
+            raise FieldError("replications", f"must be >= 1, got {self.replications}")
+        if self.workers < 1:
+            raise FieldError("workers", f"must be >= 1, got {self.workers}")
+        if self.target not in ("race", "session"):
+            raise FieldError("target", f"must be 'race' or 'session', got {self.target!r}")
+
+
+@dataclass(frozen=True)
 class BatchConfig:
     """R replications of a race or session at P workers."""
 
@@ -49,10 +66,7 @@ class BatchConfig:
 
     def validate(self) -> None:
         self.base.validate()
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        BatchSection(self.replications, self.workers).validate()
 
 
 @dataclass(frozen=True)
@@ -215,6 +229,23 @@ BENCH_WARMUPS = 3
 
 
 @dataclass(frozen=True)
+class BenchSection:
+    """A bench grid: timing_reps timed batches of R races per field size."""
+
+    n_competitors: tuple[int, ...] = (5, 10, 20, 40)
+    replications: int = 100
+    timing_reps: int = 5
+
+    def validate(self) -> None:
+        if not self.n_competitors or min(self.n_competitors) < 1:
+            raise FieldError("n_competitors", "must be a non-empty list of integers >= 1")
+        if self.replications < 1:
+            raise FieldError("replications", f"must be >= 1, got {self.replications}")
+        if self.timing_reps < 1:
+            raise FieldError("timing_reps", f"must be >= 1, got {self.timing_reps}")
+
+
+@dataclass(frozen=True)
 class BenchPoint:
     n_competitors: int
     mean_s: float
@@ -250,8 +281,7 @@ def bench(
     run_batch calls of R races each.  The per-race mean, sd, and cv are
     computed across the timed batch means; reps reports R * timing_reps.
     """
-    if timing_reps < 1:
-        raise ValueError(f"timing_reps must be >= 1, got {timing_reps}")
+    BenchSection(tuple(n_grid), replications, timing_reps).validate()
     points = []
     for n in n_grid:
         cfg = resize_race(base, n)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .batch import BatchConfig, OutcomePMF, bench, compare_pmf, pmf_from_results, run_batch
 from .config import ConfigError, ExperimentConfig, config_digest, emit_default_config, parse_config
 from .race import run_race
-from .seeding import derive_seed
+from .seeding import FieldError, check_master_seed, derive_seed
 from .session import run_session
 from . import writers
 
@@ -62,8 +62,7 @@ def _load(args) -> tuple[ExperimentConfig, int]:
     else:
         cfg = parse_config(emit_default_config())
     seed = cfg.seed if args.seed is None else args.seed
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+    check_master_seed(seed)
     return cfg, seed
 
 
@@ -118,8 +117,6 @@ def _cmd_batch(args) -> int:
     cfg, seed = _load(args)
     out = _outdir(args)
     workers = cfg.batch.workers if args.workers is None else args.workers
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
     if cfg.batch.target == "session":
         base = cfg.session_config()
     else:
@@ -226,10 +223,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (race, session, batch, compare, bench, defaults)")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        _error_line("usage", str(exc))
-        return 1
-    except ConfigError as exc:
+    except (UsageError, ConfigError, FieldError) as exc:
         _error_line("usage", str(exc))
         return 1
     except Exception as exc:  # simulation or IO failure

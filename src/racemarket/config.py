@@ -1,28 +1,32 @@
 """JSON experiment configuration: parsing, validation, defaults, digest.
 
-Configs are strict: unknown keys are rejected and every validation error
-names the offending key path and the violated constraint.  parse_config
-applies documented defaults, so config_to_dict(parse_config(x)) is the
-fully-explicit canonical form; emit_default_config() round-trips through
-parse_config unchanged.
+The config dataclasses are the schema.  A section's keys, defaults and value
+types are read from its dataclass fields, and each bound is checked once, by
+the dataclass's validate(); an error reads `<key path>: <constraint>`.
+Unknown keys are rejected.  config_to_dict walks the same fields, so
+config_to_dict(parse_config(x)) is the fully-explicit canonical form and
+emit_default_config() round-trips through parse_config unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
-from .agents import AgentParams
+from .batch import BatchSection, BenchSection
 from .race import (
     BettingClose,
     Competitor,
     LogNormalSteps,
     RaceConfig,
-    Responsiveness,
+    StepDistribution,
     UniformSteps,
 )
-from .session import SessionConfig
+from .seeding import FieldError, check_master_seed
+from .session import SessionConfig, SessionSection
 
 
 class ConfigError(ValueError):
@@ -33,7 +37,7 @@ def _fail(path: str, constraint: str):
     raise ConfigError(f"{path}: {constraint}")
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+def _check_keys(obj, allowed, path: str) -> None:
     if not isinstance(obj, dict):
         _fail(path, f"must be an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(allowed))
@@ -41,284 +45,177 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], path: str) -> None:
         _fail(f"{path}.{unknown[0]}", f"unknown key (allowed: {', '.join(allowed)})")
 
 
-def _num(obj, key, default, path, *, ge=None, gt=None, le=None, lt=None) -> float:
-    v = obj.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if ge is not None and not v >= ge:
-        _fail(f"{path}.{key}", f"must be >= {ge}, got {v}")
-    if gt is not None and not v > gt:
-        _fail(f"{path}.{key}", f"must be > {gt}, got {v}")
-    if le is not None and not v <= le:
-        _fail(f"{path}.{key}", f"must be <= {le}, got {v}")
-    if lt is not None and not v < lt:
-        _fail(f"{path}.{key}", f"must be < {lt}, got {v}")
-    return v
+def _scalar(typ, accepted, what: str):
+    """Type check for one JSON scalar; a bool is never taken for a number."""
+
+    def parse(v, path: str):
+        if isinstance(v, bool) is not (typ is bool) or not isinstance(v, accepted):
+            _fail(path, f"must be {what}, got {v!r}")
+        return typ(v)
+
+    return parse
 
 
-def _int(obj, key, default, path, *, ge=None, le=None) -> int:
-    v = obj.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if ge is not None and v < ge:
-        _fail(f"{path}.{key}", f"must be >= {ge}, got {v}")
-    if le is not None and v > le:
-        _fail(f"{path}.{key}", f"must be <= {le}, got {v}")
-    return v
+_num = _scalar(float, (int, float), "a number")
+_int = _scalar(int, int, "an integer")
+_bool = _scalar(bool, bool, "true or false")
+_str = _scalar(str, str, "a string")
 
 
-def _bool(obj, key, default, path) -> bool:
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        _fail(f"{path}.{key}", f"must be true or false, got {v!r}")
-    return v
+def _ints(v, path: str) -> tuple[int, ...]:
+    if not isinstance(v, list) or any(isinstance(m, bool) or not isinstance(m, int) for m in v):
+        _fail(path, f"must be a list of integers, got {v!r}")
+    return tuple(v)
 
 
-def _str(obj, key, default, path) -> str:
-    v = obj.get(key, default)
-    if not isinstance(v, str):
-        _fail(f"{path}.{key}", f"must be a string, got {v!r}")
-    return v
+# -- where the config departs from the plain field walk ----------------------
+
+#: Field name -> config key, where they differ (also maps error field paths).
+_KEYS = {"cid": "id", "k": "kth"}
+#: Config defaults for fields the dataclass leaves required.
+_DEFAULTS = {(RaceConfig, "track_length"): 2000.0}
+_FAMILIES = {"uniform": UniformSteps, "lognormal": LogNormalSteps}
+_FAMILY_OF = {cls: name for name, cls in _FAMILIES.items()}
 
 
-# -- race section ---------------------------------------------------------
-
-_STEP_KEYS = ("family", "lo", "hi", "mu", "sigma", "scale")
-_RESP_KEYS = ("early_mult", "late_mult", "breakpoint")
-_COMPETITOR_KEYS = ("id", "steps", "preference", "pref_sensitivity", "theta", "responsiveness")
-_RACE_KEYS = ("track_length", "dt", "conditions", "betting_close", "tick_limit", "competitors")
-
-
-def _parse_steps(obj, path):
-    _check_keys(obj, _STEP_KEYS, path)
-    family = _str(obj, "family", "", path)
-    if family == "uniform":
-        for bad in ("mu", "sigma", "scale"):
-            if bad in obj:
-                _fail(f"{path}.{bad}", "not a uniform parameter")
-        for req in ("lo", "hi"):
-            if req not in obj:
-                _fail(f"{path}.{req}", "required")
-        lo = _num(obj, "lo", None, path, gt=0.0)
-        hi = _num(obj, "hi", None, path, ge=lo)
-        return UniformSteps(lo, hi)
-    if family == "lognormal":
-        for bad in ("lo", "hi"):
-            if bad in obj:
-                _fail(f"{path}.{bad}", "not a lognormal parameter")
-        if "mu" not in obj:
-            _fail(f"{path}.mu", "required")
-        if "sigma" not in obj:
-            _fail(f"{path}.sigma", "required")
-        mu = _num(obj, "mu", None, path)
-        sigma = _num(obj, "sigma", None, path, ge=0.0)
-        scale = _num(obj, "scale", 1.0, path, gt=0.0)
-        return LogNormalSteps(mu, sigma, scale)
-    _fail(f"{path}.family", f"must be 'uniform' or 'lognormal', got {family!r}")
+def _parse_id(v, path: str) -> str:
+    cid = _str(v, path)
+    if "-" in cid or "," in cid:  # both separate ids in outcome keys
+        _fail(path, f"must not contain '-' or ',', got {cid!r}")
+    return cid
 
 
-def _parse_competitor(obj, path) -> Competitor:
-    _check_keys(obj, _COMPETITOR_KEYS, path)
-    cid = _str(obj, "id", "", path)
-    if not cid:
-        _fail(f"{path}.id", "required and non-empty")
-    if "-" in cid or "," in cid:
-        _fail(f"{path}.id", f"must not contain '-' or ',', got {cid!r}")
-    if "steps" not in obj:
-        _fail(f"{path}.steps", "required")
-    steps = _parse_steps(obj["steps"], f"{path}.steps")
-    resp = Responsiveness()
-    if "responsiveness" in obj:
-        r = obj["responsiveness"]
-        _check_keys(r, _RESP_KEYS, f"{path}.responsiveness")
-        resp = Responsiveness(
-            early_mult=_num(r, "early_mult", 1.0, f"{path}.responsiveness", gt=0.0),
-            late_mult=_num(r, "late_mult", 1.0, f"{path}.responsiveness", gt=0.0),
-            breakpoint=_num(r, "breakpoint", 0.5, f"{path}.responsiveness", ge=0.0, le=1.0),
-        )
-    return Competitor(
-        cid=cid,
-        steps=steps,
-        preference=_num(obj, "preference", 0.5, path),
-        pref_sensitivity=_num(obj, "pref_sensitivity", 0.0, path, ge=0.0),
-        theta=_num(obj, "theta", 0.0, path, ge=0.0),
-        responsiveness=resp,
-    )
+def _parse_steps(obj, path: str):
+    _check_keys(obj, ("family", "lo", "hi", "mu", "sigma", "scale"), path)
+    family = obj.get("family")
+    if family not in _FAMILIES:
+        _fail(f"{path}.family", f"must be 'uniform' or 'lognormal', got {family!r}")
+    params = {k: v for k, v in obj.items() if k != "family"}
+    return _parse(_FAMILIES[family], params, path)
 
 
-def _parse_betting_close(v, path) -> BettingClose:
-    if v == "first":
-        return BettingClose.first()
-    if v == "last":
-        return BettingClose.last()
+def _dump_steps(steps) -> dict:
+    return {"family": _FAMILY_OF[type(steps)], **_dump(steps)}
+
+
+def _parse_close(v, path: str) -> BettingClose:
+    if v in ("first", "last"):
+        return BettingClose(v)
     if isinstance(v, dict):
         _check_keys(v, ("kth",), path)
-        return BettingClose.kth(_int(v, "kth", None, path, ge=1))
+        return BettingClose.kth(_int(v.get("kth"), f"{path}.kth"))
     _fail(path, f"must be 'first', 'last', or {{\"kth\": k}}, got {v!r}")
 
 
-def parse_race(obj, path="race") -> RaceConfig:
-    _check_keys(obj, _RACE_KEYS, path)
-    comps = obj.get("competitors")
-    if not isinstance(comps, list) or not comps:
-        _fail(f"{path}.competitors", "must be a non-empty list")
-    close = obj.get("betting_close", "last")
-    cfg = RaceConfig(
-        track_length=_num(obj, "track_length", 2000.0, path, gt=0.0),
-        dt=_num(obj, "dt", 1.0, path, gt=0.0),
-        conditions=_num(obj, "conditions", 0.5, path),
-        betting_close=_parse_betting_close(close, f"{path}.betting_close"),
-        tick_limit=_int(obj, "tick_limit", 1_000_000, path, ge=1),
-        competitors=tuple(
-            _parse_competitor(c, f"{path}.competitors[{i}]") for i, c in enumerate(comps)
-        ),
-    )
+def _dump_close(close: BettingClose):
+    return {"kth": close.k} if close.rule == "kth" else close.rule
+
+
+#: Field type -> (parse, dump); dump None keeps the value as it is.
+_CODECS: dict[Any, tuple[Callable, Callable | None]] = {
+    float: (_num, None),
+    int: (_int, None),
+    bool: (_bool, None),
+    str: (_str, None),
+    tuple[int, ...]: (_ints, list),
+    StepDistribution: (_parse_steps, _dump_steps),
+    BettingClose: (_parse_close, _dump_close),
+}
+_PARSERS = {(Competitor, "cid"): _parse_id}
+
+
+# -- the field walk -----------------------------------------------------------
+
+
+class _Field(NamedTuple):
+    name: str
+    key: str
+    default: Any  # MISSING when the key is required
+    parse: Callable[[Any, str], Any]
+    dump: Callable[[Any], Any] | None
+
+
+def _parse_list(cls, v, path: str) -> tuple:
+    if not isinstance(v, list):
+        _fail(path, f"must be a list, got {type(v).__name__}")
+    return tuple(_parse(cls, x, f"{path}[{i}]") for i, x in enumerate(v))
+
+
+def _dump_list(items) -> list:
+    return [_dump(x) for x in items]
+
+
+def _codec(typ) -> tuple[Callable, Callable | None]:
+    if typ in _CODECS:
+        return _CODECS[typ]
+    if is_dataclass(typ):
+        # The document's sections are named by their key alone.
+        return (lambda v, path: _parse(typ, v, path.removeprefix("config."))), _dump
+    if get_origin(typ) is tuple and is_dataclass(item := get_args(typ)[0]):
+        return (lambda v, path: _parse_list(item, v, path)), _dump_list
+    raise TypeError(f"no config codec for {typ!r}")
+
+
+@cache
+def _schema(cls) -> tuple[_Field, ...]:
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        parse, dump = _codec(hints[f.name])
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        out.append(
+            _Field(
+                f.name,
+                _KEYS.get(f.name, f.name),
+                _DEFAULTS.get((cls, f.name), default),
+                _PARSERS.get((cls, f.name), parse),
+                dump,
+            )
+        )
+    return tuple(out)
+
+
+def _parse(cls, obj, path: str):
+    schema = _schema(cls)
+    _check_keys(obj, [f.key for f in schema], path)
+    kwargs = {}
+    for f in schema:
+        if f.key in obj:
+            kwargs[f.name] = f.parse(obj[f.key], f"{path}.{f.key}")
+        elif f.default is MISSING:
+            _fail(f"{path}.{f.key}", "required")
+        else:
+            kwargs[f.name] = f.default
+    value = cls(**kwargs)
     try:
-        cfg.validate()
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return cfg
+        value.validate()
+    except FieldError as exc:
+        key = ".".join(_KEYS.get(part, part) for part in exc.field.split("."))
+        _fail(f"{path}.{key}", exc.constraint)
+    return value
 
 
-# -- session section ------------------------------------------------------
-
-_AGENT_KEYS = (
-    "strategy",
-    "count",
-    "d",
-    "window",
-    "gap_threshold",
-    "gamma",
-    "stake_multiples",
-    "base_stake",
-    "max_stake",
-    "zi_odds_lo",
-    "zi_odds_hi",
-    "reevaluate_every",
-    "wake_jitter",
-    "starting_balance",
-)
-_SESSION_KEYS = ("opening_period", "commission_rate", "grid_depth", "sentiment", "agents")
+def _dump(value) -> dict:
+    out = {}
+    for name, key, _, _, dump in _schema(type(value)):
+        v = getattr(value, name)
+        out[key] = v if dump is None else dump(v)
+    return out
 
 
-def _parse_agent_group(obj, path) -> AgentParams:
-    _check_keys(obj, _AGENT_KEYS, path)
-    multiples = obj.get("stake_multiples", [1, 2, 5])
-    if (
-        not isinstance(multiples, list)
-        or not multiples
-        or any(isinstance(m, bool) or not isinstance(m, int) for m in multiples)
-    ):
-        _fail(f"{path}.stake_multiples", "must be a non-empty list of integers")
-    params = AgentParams(
-        strategy=_str(obj, "strategy", "", path),
-        count=_int(obj, "count", 1, path, ge=0),
-        d=_int(obj, "d", 10, path, ge=0),
-        window=_num(obj, "window", 10.0, path, gt=0.0),
-        gap_threshold=_num(obj, "gap_threshold", 5.0, path, gt=0.0),
-        gamma=_num(obj, "gamma", 0.61, path, gt=0.0, le=1.0),
-        stake_multiples=tuple(multiples),
-        base_stake=_int(obj, "base_stake", 10, path, ge=1),
-        max_stake=_int(obj, "max_stake", 20, path, ge=1),
-        zi_odds_lo=_num(obj, "zi_odds_lo", 1.5, path, ge=1.01),
-        zi_odds_hi=_num(obj, "zi_odds_hi", 20.0, path, le=1000.0),
-        reevaluate_every=_num(obj, "reevaluate_every", 10.0, path, gt=0.0),
-        wake_jitter=_num(obj, "wake_jitter", 10.0, path, ge=0.0),
-        starting_balance=_int(obj, "starting_balance", 1000, path, ge=0),
-    )
-    try:
-        params.validate()
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return params
+# -- whole document -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SessionSection:
-    opening_period: float
-    commission_rate: float
-    grid_depth: int
-    sentiment: bool
-    agents: tuple[AgentParams, ...]
-
-
-def parse_session_section(obj, path="session") -> SessionSection:
-    _check_keys(obj, _SESSION_KEYS, path)
-    groups = obj.get("agents", [{"strategy": s} for s in ("rp", "linex", "lw", "ud", "btf", "rb", "zi")])
-    if not isinstance(groups, list):
-        _fail(f"{path}.agents", "must be a list")
-    return SessionSection(
-        opening_period=_num(obj, "opening_period", 60.0, path, ge=0.0),
-        commission_rate=_num(obj, "commission_rate", 0.05, path, ge=0.0, lt=1.0),
-        grid_depth=_int(obj, "grid_depth", 3, path, ge=1),
-        sentiment=_bool(obj, "sentiment", False, path),
-        agents=tuple(
-            _parse_agent_group(g, f"{path}.agents[{i}]") for i, g in enumerate(groups)
-        ),
-    )
-
-
-# -- batch and bench sections ---------------------------------------------
-
-_BATCH_KEYS = ("replications", "workers", "target")
-_BENCH_KEYS = ("n_competitors", "replications", "timing_reps")
-
-
-@dataclass(frozen=True)
-class BatchSection:
-    replications: int
-    workers: int
-    target: str
-
-
-def parse_batch_section(obj, path="batch") -> BatchSection:
-    _check_keys(obj, _BATCH_KEYS, path)
-    target = _str(obj, "target", "race", path)
-    if target not in ("race", "session"):
-        _fail(f"{path}.target", f"must be 'race' or 'session', got {target!r}")
-    return BatchSection(
-        replications=_int(obj, "replications", 1000, path, ge=1),
-        workers=_int(obj, "workers", 1, path, ge=1),
-        target=target,
-    )
-
-
-@dataclass(frozen=True)
-class BenchSection:
-    n_competitors: tuple[int, ...]
-    replications: int
-    timing_reps: int
-
-
-def parse_bench_section(obj, path="bench") -> BenchSection:
-    _check_keys(obj, _BENCH_KEYS, path)
-    grid = obj.get("n_competitors", [5, 10, 20, 40])
-    if (
-        not isinstance(grid, list)
-        or not grid
-        or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in grid)
-    ):
-        _fail(f"{path}.n_competitors", "must be a non-empty list of integers >= 1")
-    return BenchSection(
-        n_competitors=tuple(grid),
-        replications=_int(obj, "replications", 100, path, ge=1),
-        timing_reps=_int(obj, "timing_reps", 5, path, ge=1),
-    )
-
-
-# -- whole document ------------------------------------------------------
-
-_TOP_KEYS = ("seed", "race", "session", "batch", "bench")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    seed: int
+    seed: int = 0
     race: RaceConfig
-    session: SessionSection
-    batch: BatchSection
-    bench: BenchSection
+    session: SessionSection = field(default_factory=SessionSection)
+    batch: BatchSection = field(default_factory=BatchSection)
+    bench: BenchSection = field(default_factory=BenchSection)
+
+    def validate(self) -> None:
+        check_master_seed(self.seed)
 
     def session_config(
         self, master_seed: int | None = None, sentiment: bool | None = None
@@ -341,93 +238,12 @@ def parse_config(doc) -> ExperimentConfig:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(doc, _TOP_KEYS, "config")
-    if "race" not in doc:
-        _fail("config.race", "required")
-    seed = _int(doc, "seed", 0, "config", ge=0)
-    return ExperimentConfig(
-        seed=seed,
-        race=parse_race(doc["race"]),
-        session=parse_session_section(doc.get("session", {})),
-        batch=parse_batch_section(doc.get("batch", {})),
-        bench=parse_bench_section(doc.get("bench", {})),
-    )
-
-
-def _steps_to_dict(steps) -> dict:
-    if isinstance(steps, UniformSteps):
-        return {"family": "uniform", "lo": steps.lo, "hi": steps.hi}
-    return {"family": "lognormal", "mu": steps.mu, "sigma": steps.sigma, "scale": steps.scale}
-
-
-def _close_to_value(close: BettingClose):
-    if close.rule == "kth":
-        return {"kth": close.k}
-    return close.rule
+    return _parse(ExperimentConfig, doc, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Fully-explicit canonical dict form; inverse of parse_config."""
-    return {
-        "seed": cfg.seed,
-        "race": {
-            "track_length": cfg.race.track_length,
-            "dt": cfg.race.dt,
-            "conditions": cfg.race.conditions,
-            "betting_close": _close_to_value(cfg.race.betting_close),
-            "tick_limit": cfg.race.tick_limit,
-            "competitors": [
-                {
-                    "id": c.cid,
-                    "steps": _steps_to_dict(c.steps),
-                    "preference": c.preference,
-                    "pref_sensitivity": c.pref_sensitivity,
-                    "theta": c.theta,
-                    "responsiveness": {
-                        "early_mult": c.responsiveness.early_mult,
-                        "late_mult": c.responsiveness.late_mult,
-                        "breakpoint": c.responsiveness.breakpoint,
-                    },
-                }
-                for c in cfg.race.competitors
-            ],
-        },
-        "session": {
-            "opening_period": cfg.session.opening_period,
-            "commission_rate": cfg.session.commission_rate,
-            "grid_depth": cfg.session.grid_depth,
-            "sentiment": cfg.session.sentiment,
-            "agents": [
-                {
-                    "strategy": a.strategy,
-                    "count": a.count,
-                    "d": a.d,
-                    "window": a.window,
-                    "gap_threshold": a.gap_threshold,
-                    "gamma": a.gamma,
-                    "stake_multiples": list(a.stake_multiples),
-                    "base_stake": a.base_stake,
-                    "max_stake": a.max_stake,
-                    "zi_odds_lo": a.zi_odds_lo,
-                    "zi_odds_hi": a.zi_odds_hi,
-                    "reevaluate_every": a.reevaluate_every,
-                    "wake_jitter": a.wake_jitter,
-                    "starting_balance": a.starting_balance,
-                }
-                for a in cfg.session.agents
-            ],
-        },
-        "batch": {
-            "replications": cfg.batch.replications,
-            "workers": cfg.batch.workers,
-            "target": cfg.batch.target,
-        },
-        "bench": {
-            "n_competitors": list(cfg.bench.n_competitors),
-            "replications": cfg.bench.replications,
-            "timing_reps": cfg.bench.timing_reps,
-        },
-    }
+    return _dump(cfg)
 
 
 def emit_default_config() -> dict:

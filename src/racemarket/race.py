@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .seeding import make_rng
+from .seeding import FieldError, make_rng
 
 DEFAULT_TICK_LIMIT = 1_000_000
 
@@ -25,7 +25,7 @@ DEFAULT_TICK_LIMIT = 1_000_000
 MIN_PREFERENCE_FACTOR = 0.01
 
 
-class RaceConfigError(ValueError):
+class RaceConfigError(FieldError):
     """Raised when a race configuration fails validation."""
 
 
@@ -41,8 +41,10 @@ class UniformSteps:
     hi: float
 
     def validate(self) -> None:
-        if not 0.0 < self.lo <= self.hi:
-            raise RaceConfigError(f"uniform steps need 0 < lo <= hi, got ({self.lo}, {self.hi})")
+        if not self.lo > 0.0:
+            raise RaceConfigError("lo", f"must be > 0, got {self.lo}")
+        if not self.hi >= self.lo:
+            raise RaceConfigError("hi", f"must be >= lo = {self.lo}, got {self.hi}")
 
     def draw(self, rng) -> float:
         return rng.uniform(self.lo, self.hi)
@@ -61,10 +63,10 @@ class LogNormalSteps:
     scale: float = 1.0
 
     def validate(self) -> None:
-        if self.sigma < 0.0:
-            raise RaceConfigError(f"lognormal sigma must be >= 0, got {self.sigma}")
-        if self.scale <= 0.0:
-            raise RaceConfigError(f"lognormal scale must be > 0, got {self.scale}")
+        if not self.sigma >= 0.0:
+            raise RaceConfigError("sigma", f"must be >= 0, got {self.sigma}")
+        if not self.scale > 0.0:
+            raise RaceConfigError("scale", f"must be > 0, got {self.scale}")
 
     def draw(self, rng) -> float:
         return self.scale * rng.lognormvariate(self.mu, self.sigma)
@@ -86,10 +88,12 @@ class Responsiveness:
     breakpoint: float = 0.5
 
     def validate(self) -> None:
-        if self.early_mult <= 0.0 or self.late_mult <= 0.0:
-            raise RaceConfigError("responsiveness multipliers must be > 0")
+        if not self.early_mult > 0.0:
+            raise RaceConfigError("early_mult", f"must be > 0, got {self.early_mult}")
+        if not self.late_mult > 0.0:
+            raise RaceConfigError("late_mult", f"must be > 0, got {self.late_mult}")
         if not 0.0 <= self.breakpoint <= 1.0:
-            raise RaceConfigError(f"breakpoint must be in [0, 1], got {self.breakpoint}")
+            raise RaceConfigError("breakpoint", f"must be in [0, 1], got {self.breakpoint}")
 
     def at(self, position: float, track_length: float) -> float:
         if position < self.breakpoint * track_length:
@@ -108,12 +112,12 @@ class Competitor:
 
     def validate(self) -> None:
         if not self.cid:
-            raise RaceConfigError("competitor id must be non-empty")
+            raise RaceConfigError("cid", "must be non-empty")
         self.steps.validate()
-        if self.pref_sensitivity < 0.0:
-            raise RaceConfigError(f"pref_sensitivity must be >= 0, got {self.pref_sensitivity}")
-        if not self.theta >= 0.0:  # NaN too
-            raise RaceConfigError(f"theta must be >= 0, got {self.theta}")
+        if not self.pref_sensitivity >= 0.0:
+            raise RaceConfigError("pref_sensitivity", f"must be >= 0, got {self.pref_sensitivity}")
+        if not self.theta >= 0.0:
+            raise RaceConfigError("theta", f"must be >= 0, got {self.theta}")
         self.responsiveness.validate()
 
 
@@ -146,14 +150,12 @@ class BettingClose:
 
     def validate(self, n_competitors: int) -> None:
         if self.rule not in ("first", "kth", "last"):
-            raise RaceConfigError(f"unknown betting_close rule: {self.rule!r}")
+            raise RaceConfigError("rule", f"must be 'first', 'kth' or 'last', got {self.rule!r}")
         if self.rule == "kth":
             if self.k is None or not 1 <= self.k <= n_competitors:
-                raise RaceConfigError(
-                    f"betting_close kth needs 1 <= k <= {n_competitors}, got {self.k}"
-                )
+                raise RaceConfigError("k", f"must be in [1, {n_competitors}], got {self.k}")
         elif self.k is not None:
-            raise RaceConfigError(f"betting_close {self.rule!r} takes no k")
+            raise RaceConfigError("k", f"must be None for rule {self.rule!r}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -174,20 +176,23 @@ class RaceConfig:
         return tuple(c.cid for c in self.competitors)
 
     def validate(self) -> None:
-        if self.track_length <= 0.0:
-            raise RaceConfigError(f"track_length must be > 0, got {self.track_length}")
-        if self.dt <= 0.0:
-            raise RaceConfigError(f"dt must be > 0, got {self.dt}")
+        if not self.track_length > 0.0:
+            raise RaceConfigError("track_length", f"must be > 0, got {self.track_length}")
+        if not self.dt > 0.0:
+            raise RaceConfigError("dt", f"must be > 0, got {self.dt}")
         if self.tick_limit < 1:
-            raise RaceConfigError(f"tick_limit must be >= 1, got {self.tick_limit}")
+            raise RaceConfigError("tick_limit", f"must be >= 1, got {self.tick_limit}")
         if not self.competitors:
-            raise RaceConfigError("a race needs at least one competitor")
+            raise RaceConfigError("competitors", "must be non-empty")
         ids = [c.cid for c in self.competitors]
         if len(set(ids)) != len(ids):
-            raise RaceConfigError(f"competitor ids must be unique, got {ids}")
+            raise RaceConfigError("competitors", f"ids must be unique, got {ids}")
         for c in self.competitors:
             c.validate()
-        self.betting_close.validate(len(self.competitors))
+        try:
+            self.betting_close.validate(len(self.competitors))
+        except RaceConfigError as exc:
+            raise RaceConfigError(f"betting_close.{exc.field}", exc.constraint) from None
 
 
 def preference_factor(conditions: float, preference: float, sensitivity: float) -> float:

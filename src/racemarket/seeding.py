@@ -6,6 +6,8 @@ seeded from a 64-bit value derived by ``derive_seed``.  Derivation hashes a
 SplitMix64 avalanche round, so child seeds are order-sensitive in the path,
 stable across platforms, and cheap to compute in any language a port might
 use.  Results are always in [0, 2**64).
+
+FieldError, the error of every config validate(), sits here below them all.
 """
 
 from __future__ import annotations
@@ -19,6 +21,24 @@ _FNV_PRIME64 = 0x100000001B3
 
 #: Recorded in output metadata so replicas can verify the stream contract.
 RNG_ALGORITHM = "mt19937; seeds via fnv1a64+splitmix64 path hash"
+
+
+class FieldError(ValueError):
+    """A field breaks its bound: `field` names it, `constraint` says how."""
+
+    def __init__(self, field: str, constraint: str):
+        super().__init__(field, constraint)
+        self.field = field
+        self.constraint = constraint
+
+    def __str__(self) -> str:
+        return f"{self.field} {self.constraint}"
+
+
+def check_master_seed(seed: int) -> None:
+    """A run is named by its config digest and a master seed >= 0."""
+    if seed < 0:
+        raise FieldError("seed", f"must be >= 0, got {seed}")
 
 
 def splitmix64(x: int) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .agents import (
+    STRATEGY_NAMES,
     AgentParams,
     Bettor,
     CancelOrder,
@@ -42,11 +43,33 @@ from .race import (
     finalize_trajectory,
     initial_state,
 )
-from .seeding import spawn_rng
+from .seeding import FieldError, spawn_rng
 
 
-class SessionConfigError(ValueError):
+class SessionConfigError(FieldError):
     pass
+
+
+@dataclass(frozen=True)
+class SessionSection:
+    """A session's market and agent groups: a SessionConfig without race and seed."""
+
+    opening_period: float = 60.0
+    commission_rate: float = 0.05
+    grid_depth: int = 3
+    sentiment: bool = False
+    agents: tuple[AgentParams, ...] = tuple(AgentParams(s) for s in STRATEGY_NAMES)
+
+    def validate(self) -> None:
+        for g in self.agents:
+            g.validate()
+        if not self.opening_period >= 0.0:
+            raise SessionConfigError("opening_period", f"must be >= 0, got {self.opening_period}")
+        if not 0.0 <= self.commission_rate < 1.0:
+            rate = self.commission_rate
+            raise SessionConfigError("commission_rate", f"must be in [0, 1), got {rate}")
+        if self.grid_depth < 1:
+            raise SessionConfigError("grid_depth", f"must be >= 1, got {self.grid_depth}")
 
 
 @dataclass(frozen=True)
@@ -54,28 +77,19 @@ class SessionConfig:
     race: RaceConfig
     agent_groups: tuple[AgentParams, ...]
     master_seed: int
-    commission_rate: float = 0.05
-    opening_period: float = 60.0
-    grid_depth: int = 3
-    sentiment: bool = False
+    commission_rate: float = SessionSection.commission_rate
+    opening_period: float = SessionSection.opening_period
+    grid_depth: int = SessionSection.grid_depth
+    sentiment: bool = SessionSection.sentiment
     exchange_self_check: bool = False
 
     def validate(self) -> None:
         self.race.validate()
-        for g in self.agent_groups:
-            g.validate()
-            if g.strategy == "ud" and self.race.n_competitors < 2:
-                raise SessionConfigError("ud agents need at least two competitors")
-        if not 0.0 <= self.commission_rate < 1.0:
-            raise SessionConfigError(
-                f"commission_rate must be in [0, 1), got {self.commission_rate}"
-            )
-        if self.opening_period < 0.0:
-            raise SessionConfigError(
-                f"opening_period must be >= 0, got {self.opening_period}"
-            )
-        if self.grid_depth < 1:
-            raise SessionConfigError(f"grid_depth must be >= 1, got {self.grid_depth}")
+        SessionSection(
+            self.opening_period, self.commission_rate, self.grid_depth, agents=self.agent_groups
+        ).validate()
+        if self.race.n_competitors < 2 and any(g.strategy == "ud" for g in self.agent_groups):
+            raise SessionConfigError("agent_groups", "ud agents need at least two competitors")
 
 
 @dataclass(frozen=True)

@@ -300,3 +300,26 @@ def test_each_bound_is_reported_at_its_key_path(path, value):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     assert str(info.value).startswith(f"{path}: "), str(info.value)
+
+
+NAN = float("nan")
+REPORTED_AT_FIELD = [
+    ("race.betting_close", {"kth": 3}, "race.betting_close.kth"),
+    (f"{C1}.id", "c1", "race.competitors"),
+    (f"{A1}.stake_multiples", [0], f"{A1}.stake_multiples"),
+    (f"{A1}.stake_multiples", [30], f"{A1}.stake_multiples"),
+    (f"{A1}.zi_odds_lo", 25.0, f"{A1}.zi_odds_hi"),
+    ("race.track_length", NAN, "race.track_length"),
+    (f"{C1}.steps.sigma", NAN, f"{C1}.steps.sigma"),
+    (f"{C0}.responsiveness.breakpoint", NAN, f"{C0}.responsiveness.breakpoint"),
+    (f"{A1}.gamma", NAN, f"{A1}.gamma"),
+]
+
+
+@pytest.mark.parametrize("path, value, reported", REPORTED_AT_FIELD)
+def test_cross_field_and_nan_errors_name_the_field(path, value, reported):
+    doc = _bounds_doc()
+    _set(doc, path, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value).startswith(f"{reported}: "), str(info.value)
