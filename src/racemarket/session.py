@@ -81,7 +81,6 @@ class SessionConfig:
     opening_period: float = SessionSection.opening_period
     grid_depth: int = SessionSection.grid_depth
     sentiment: bool = SessionSection.sentiment
-    exchange_self_check: bool = False
 
     def validate(self) -> None:
         self.race.validate()
@@ -144,7 +143,6 @@ class _Session:
         self.rng_race = spawn_rng(config.master_seed, "race")
         self.agents = expand_agents(config)
         self.book = MarketBook(config.race.competitor_ids, config.commission_rate)
-        self.book.self_check = config.exchange_self_check
         self.starting: dict[str, Money] = {}
         for agent in self.agents:
             balance = agent.params.starting_balance * 100
