@@ -91,12 +91,11 @@ class AgentParams:
             raise AgentConfigError("stake_multiples", "must be positive integers")
         if not stake_ladder(self.stake_multiples, self.max_stake):
             raise AgentConfigError("stake_multiples", f"none fits under max_stake={self.max_stake}")
-        if not 1.01 <= self.zi_odds_lo < self.zi_odds_hi <= 1000.0:
-            raise AgentConfigError(
-                "zi_odds_lo" if not self.zi_odds_lo >= 1.01 else "zi_odds_hi",
-                f"band must satisfy 1.01 <= lo < hi <= 1000, "
-                f"got [{self.zi_odds_lo}, {self.zi_odds_hi}]",
-            )
+        if not self.zi_odds_lo >= 1.01:
+            raise AgentConfigError("zi_odds_lo", f"must be >= 1.01, got {self.zi_odds_lo}")
+        if not self.zi_odds_lo < self.zi_odds_hi <= 1000.0:
+            hi = self.zi_odds_hi
+            raise AgentConfigError("zi_odds_hi", f"must be in (zi_odds_lo, 1000], got {hi}")
         if not self.reevaluate_every > 0.0:
             raise AgentConfigError("reevaluate_every", f"must be > 0, got {self.reevaluate_every}")
         if not self.wake_jitter >= 0.0:

@@ -62,12 +62,6 @@ _bool = _scalar(bool, bool, "true or false")
 _str = _scalar(str, str, "a string")
 
 
-def _ints(v, path: str) -> tuple[int, ...]:
-    if not isinstance(v, list) or any(isinstance(m, bool) or not isinstance(m, int) for m in v):
-        _fail(path, f"must be a list of integers, got {v!r}")
-    return tuple(v)
-
-
 # -- where the config departs from the plain field walk ----------------------
 
 #: Field name -> config key, where they differ (also maps error field paths).
@@ -117,7 +111,6 @@ _CODECS: dict[Any, tuple[Callable, Callable | None]] = {
     int: (_int, None),
     bool: (_bool, None),
     str: (_str, None),
-    tuple[int, ...]: (_ints, list),
     StepDistribution: (_parse_steps, _dump_steps),
     BettingClose: (_parse_close, _dump_close),
 }
@@ -135,24 +128,22 @@ class _Field(NamedTuple):
     dump: Callable[[Any], Any] | None
 
 
-def _parse_list(cls, v, path: str) -> tuple:
-    if not isinstance(v, list):
-        _fail(path, f"must be a list, got {type(v).__name__}")
-    return tuple(_parse(cls, x, f"{path}[{i}]") for i, x in enumerate(v))
-
-
-def _dump_list(items) -> list:
-    return [_dump(x) for x in items]
-
-
 def _codec(typ) -> tuple[Callable, Callable | None]:
     if typ in _CODECS:
         return _CODECS[typ]
     if is_dataclass(typ):
         # The document's sections are named by their key alone.
         return (lambda v, path: _parse(typ, v, path.removeprefix("config."))), _dump
-    if get_origin(typ) is tuple and is_dataclass(item := get_args(typ)[0]):
-        return (lambda v, path: _parse_list(item, v, path)), _dump_list
+    if get_origin(typ) is tuple:  # tuple[item, ...] is a JSON list
+        parse_item, dump_item = _codec(get_args(typ)[0])
+        dump_item = dump_item or (lambda x: x)
+
+        def parse_list(v, path: str) -> tuple:
+            if not isinstance(v, list):
+                _fail(path, f"must be a list, got {type(v).__name__}")
+            return tuple(parse_item(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+        return parse_list, lambda items: [dump_item(x) for x in items]
     raise TypeError(f"no config codec for {typ!r}")
 
 
@@ -162,16 +153,10 @@ def _schema(cls) -> tuple[_Field, ...]:
     out = []
     for f in fields(cls):
         parse, dump = _codec(hints[f.name])
+        parse = _PARSERS.get((cls, f.name), parse)
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        out.append(
-            _Field(
-                f.name,
-                _KEYS.get(f.name, f.name),
-                _DEFAULTS.get((cls, f.name), default),
-                _PARSERS.get((cls, f.name), parse),
-                dump,
-            )
-        )
+        default = _DEFAULTS.get((cls, f.name), default)
+        out.append(_Field(f.name, _KEYS.get(f.name, f.name), default, parse, dump))
     return tuple(out)
 
 
