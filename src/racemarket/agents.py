@@ -91,11 +91,12 @@ class AgentParams:
             raise AgentConfigError("stake_multiples", "must be positive integers")
         if not stake_ladder(self.stake_multiples, self.max_stake):
             raise AgentConfigError("stake_multiples", f"none fits under max_stake={self.max_stake}")
-        if not self.zi_odds_lo >= 1.01:
-            raise AgentConfigError("zi_odds_lo", f"must be >= 1.01, got {self.zi_odds_lo}")
-        if not self.zi_odds_lo < self.zi_odds_hi <= 1000.0:
-            hi = self.zi_odds_hi
-            raise AgentConfigError("zi_odds_hi", f"must be in (zi_odds_lo, 1000], got {hi}")
+        lo, hi = odds_to_decimal(MIN_ODDS), odds_to_decimal(MAX_ODDS)  # the ladder's ends
+        if not self.zi_odds_lo >= lo:
+            raise AgentConfigError("zi_odds_lo", f"must be >= {lo}, got {self.zi_odds_lo}")
+        if not self.zi_odds_lo < self.zi_odds_hi <= hi:
+            got = self.zi_odds_hi
+            raise AgentConfigError("zi_odds_hi", f"must be in (zi_odds_lo, {hi}], got {got}")
         if not self.reevaluate_every > 0.0:
             raise AgentConfigError("reevaluate_every", f"must be > 0, got {self.reevaluate_every}")
         if not self.wake_jitter >= 0.0:
@@ -434,13 +435,8 @@ class ZIBettor(Bettor):
 
 
 _STRATEGIES: dict[str, type[Bettor]] = {
-    "rp": RPBettor,
-    "linex": LinExBettor,
-    "lw": LWBettor,
-    "ud": UDBettor,
-    "btf": BTFBettor,
-    "rb": RBBettor,
-    "zi": ZIBettor,
+    cls.strategy: cls
+    for cls in (RPBettor, LinExBettor, LWBettor, UDBettor, BTFBettor, RBBettor, ZIBettor)
 }
 
 
