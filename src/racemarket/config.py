@@ -176,7 +176,7 @@ def _parse(cls, obj, path: str):
         value.validate()
     except FieldError as exc:
         key = ".".join(_KEYS.get(part, part) for part in exc.field.split("."))
-        _fail(f"{path}.{key}", exc.constraint)
+        raise ConfigError(f"{path}.{key}: {exc.constraint}") from None
     return value
 
 
