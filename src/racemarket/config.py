@@ -64,8 +64,8 @@ _str = _scalar(str, str, "a string")
 
 # -- where the config departs from the plain field walk ----------------------
 
-#: Field name -> config key, where they differ (also maps error field paths).
-_KEYS = {"cid": "id", "k": "kth"}
+#: Field name -> config key, where they differ.
+_KEYS = {"cid": "id"}
 #: Config defaults for fields the dataclass leaves required.
 _DEFAULTS = {(RaceConfig, "track_length"): 2000.0}
 _FAMILIES = {"uniform": UniformSteps, "lognormal": LogNormalSteps}
@@ -175,7 +175,7 @@ def _parse(cls, obj, path: str):
     try:
         value.validate()
     except FieldError as exc:
-        key = ".".join(_KEYS.get(part, part) for part in exc.field.split("."))
+        key = _KEYS.get(exc.field, exc.field)
         raise ConfigError(f"{path}.{key}: {exc.constraint}") from None
     return value
 

@@ -149,13 +149,15 @@ class BettingClose:
         return n_competitors
 
     def validate(self, n_competitors: int) -> None:
+        """Errors name the field as a race's betting_close, in its config form."""
         if self.rule not in ("first", "kth", "last"):
-            raise RaceConfigError("rule", f"must be 'first', 'kth' or 'last', got {self.rule!r}")
+            raise RaceConfigError("betting_close", f"unknown rule {self.rule!r}")
         if self.rule == "kth":
             if self.k is None or not 1 <= self.k <= n_competitors:
-                raise RaceConfigError("k", f"must be in [1, {n_competitors}], got {self.k}")
+                n = n_competitors
+                raise RaceConfigError("betting_close.kth", f"must be in [1, {n}], got {self.k}")
         elif self.k is not None:
-            raise RaceConfigError("k", f"must be None for rule {self.rule!r}, got {self.k}")
+            raise RaceConfigError("betting_close", f"{self.rule!r} takes no k, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -189,10 +191,7 @@ class RaceConfig:
             raise RaceConfigError("competitors", f"ids must be unique, got {ids}")
         for c in self.competitors:
             c.validate()
-        try:
-            self.betting_close.validate(len(self.competitors))
-        except RaceConfigError as exc:
-            raise RaceConfigError(f"betting_close.{exc.field}", exc.constraint) from None
+        self.betting_close.validate(len(self.competitors))
 
 
 def preference_factor(conditions: float, preference: float, sensitivity: float) -> float:
