@@ -80,7 +80,8 @@ def _parse_id(v, path: str) -> str:
 
 
 def _parse_steps(obj, path: str):
-    _check_keys(obj, ("family", "lo", "hi", "mu", "sigma", "scale"), path)
+    if not isinstance(obj, dict):
+        _fail(path, f"must be an object, got {type(obj).__name__}")
     family = obj.get("family")
     if family not in _FAMILIES:
         _fail(f"{path}.family", f"must be 'uniform' or 'lognormal', got {family!r}")
