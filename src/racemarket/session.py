@@ -15,7 +15,9 @@ ready to be written as JSON lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import count
 
 from .agents import (
     STRATEGY_NAMES,
@@ -114,22 +116,25 @@ def expand_agents(config: SessionConfig) -> list[Bettor]:
     return agents
 
 
+def wake_times(params: AgentParams, master_seed: int, i: int) -> Iterator[float]:
+    """Agent i's wake times: jitter + k * reevaluate_every for k = 0, 1, 2, ...
+
+    The jitter is drawn once per agent from a seed-derived stream.
+    """
+    jitter = spawn_rng(master_seed, "jitter", i).uniform(0.0, params.wake_jitter)
+    return (jitter + k * params.reevaluate_every for k in count())
+
+
 def wake_schedule(
     agent_params: list[AgentParams], horizon: float, master_seed: int
 ) -> list[tuple[float, int]]:
-    """All (wake time, agent index) pairs with k * period within the horizon.
-
-    Each agent wakes at jitter + k * reevaluate_every for
-    k = 0 .. floor(horizon / reevaluate_every); jitter is drawn once per
-    agent from a seed-derived stream.  Sorted by time, ties by index.
-    """
+    """All (wake time, agent index) pairs with k * period <= horizon, by time, then index."""
     wakes: list[tuple[float, int]] = []
     for i, params in enumerate(agent_params):
-        jitter = spawn_rng(master_seed, "jitter", i).uniform(0.0, params.wake_jitter)
-        k = 0
-        while k * params.reevaluate_every <= horizon:
-            wakes.append((jitter + k * params.reevaluate_every, i))
-            k += 1
+        for k, time in enumerate(wake_times(params, master_seed, i)):
+            if k * params.reevaluate_every > horizon:
+                break
+            wakes.append((time, i))
     wakes.sort()
     return wakes
 
@@ -148,10 +153,10 @@ class _Session:
             balance = agent.params.starting_balance * 100
             self.book.open_account(agent.bettor_id, balance)
             self.starting[agent.bettor_id] = balance
-        self.next_wake = [
-            spawn_rng(config.master_seed, "jitter", i).uniform(0.0, a.params.wake_jitter)
-            for i, a in enumerate(self.agents)
+        self.wake_streams = [
+            wake_times(a.params, config.master_seed, i) for i, a in enumerate(self.agents)
         ]
+        self.next_wake = [next(times) for times in self.wake_streams]
         self.state = initial_state(self.race_cfg, self.rng_race)
         self.histories: list[list[float]] = [[] for _ in range(self.n)]
         self.snapshots: list[tuple[float, ...]] = [tuple(self.state.positions)]
@@ -269,11 +274,10 @@ class _Session:
 
     def _process_wakes(self, until: float) -> None:
         due: list[tuple[float, int]] = []
-        for i, agent in enumerate(self.agents):
-            period = agent.params.reevaluate_every
+        for i, times in enumerate(self.wake_streams):
             while self.next_wake[i] <= until:
                 due.append((self.next_wake[i], i))
-                self.next_wake[i] += period
+                self.next_wake[i] = next(times)
         due.sort()
         for time, i in due:
             self._wake(time, i)

@@ -20,11 +20,11 @@ from racemarket.config import config_digest, config_to_dict, emit_default_config
 DERBY = Path(__file__).resolve().parent.parent / "configs" / "derby.json"
 
 SESSION_DIGESTS = {
-    "events.jsonl": "29332739b5999a1b28dda9d95e79f79cde2d73e6f3f62ff582e8c82c9ab115fd",
+    "events.jsonl": "ce04b2fa5fb3118c246791a0a16cc2261f32351205add7144db5867a286d1f9d",
     "trajectory.csv": "72fc3637248c44412267688588f27a1232f8b8fd14e5833239457fa98a4c1dc6",
     "finish.csv": "0551ca274a28d9ce486b6125cbf3d12dc1368aa860bf24b62a78d8fbeda225e2",
-    "settlement.csv": "2cc5c47e72225cd0b669124529ae65898e7dbaf356920ffe350571ddfd43e202",
-    "sentiment.csv": "4657ef269d3be916477fb1fd60f2cc06155132ad8ad5b97620f798de43ba37b5",
+    "settlement.csv": "b53498ba045df36cf697f162f2d0c30b4ec705b66d30a91373462a3531ae6eb5",
+    "sentiment.csv": "8838d57de25b79ad548fffc10ae5263b323acb73eafafa1475a77441eb071406",
 }
 WIDE_FIELD_N = 160
 WIDE_FIELD_TRAJECTORY = "68f28b78f7493b0869000838e9c795a0401f7be4f9ab31b17f21426a785e231d"

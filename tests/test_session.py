@@ -70,6 +70,28 @@ def test_wake_schedule_shape():
     assert {i for _, i in two} == {0, 1}
 
 
+def test_session_wakes_follow_wake_schedule():
+    groups = (AgentParams("lw", count=3, reevaluate_every=0.1, wake_jitter=0.1),)
+    cfg = small_session(
+        race=make_race(n=3, length=100.0),
+        agent_groups=groups,
+        opening_period=5.0,
+        sentiment=True,
+    )
+    events = run_session(cfg).events
+    close = next(e["time"] for e in events if e["kind"] == "close")
+    # wakes are processed up to the last tick before the close
+    until = max(e["time"] for e in events if e["kind"] == "race_tick" and e["time"] < close)
+    params = [g for g in groups for _ in range(g.count)]
+    schedule = wake_schedule(params, horizon=close, master_seed=cfg.master_seed)
+    for i, agent in enumerate(expand_agents(cfg)):
+        got = [
+            e["time"] for e in events if e["kind"] == "sentiment" and e["bettor"] == agent.bettor_id
+        ]
+        assert len(got) > 100
+        assert got == [t for t, j in schedule if j == i and t <= until]
+
+
 def test_no_agents_is_just_a_race():
     cfg = small_session(agent_groups=())
     result = run_session(cfg)
