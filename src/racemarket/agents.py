@@ -442,6 +442,4 @@ _STRATEGIES: dict[str, type[Bettor]] = {
 
 def make_bettor(bettor_id: str, params: AgentParams, race_config: RaceConfig, rng) -> Bettor:
     params.validate()
-    if params.strategy == "ud" and race_config.n_competitors < 2:
-        raise AgentConfigError("strategy", "ud needs at least two competitors")
     return _STRATEGIES[params.strategy](bettor_id, params, race_config, rng)

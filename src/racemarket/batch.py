@@ -108,12 +108,11 @@ def _session_job(config: SessionConfig, master_seed: int, i: int) -> SessionSumm
         res = run_session(replace(config, master_seed=derive_seed(master_seed, "run", i)))
     except Exception as exc:
         raise BatchRunError(i, repr(exc))
-    matched = sum(e["amount"] for e in res.events if e["kind"] == "match")
     return SessionSummary(
         i,
         res.trajectory.winner,
         len(res.events),
-        matched,
+        res.total_matched,
         res.settlement.total_commission,
         min(res.trajectory.finish_ticks),
     )

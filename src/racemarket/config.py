@@ -206,15 +206,11 @@ class ExperimentConfig:
     def session_config(
         self, master_seed: int | None = None, sentiment: bool | None = None
     ) -> SessionConfig:
-        return SessionConfig(
-            race=self.race,
-            agent_groups=self.session.agents,
-            master_seed=self.seed if master_seed is None else master_seed,
-            commission_rate=self.session.commission_rate,
-            opening_period=self.session.opening_period,
-            grid_depth=self.session.grid_depth,
-            sentiment=self.session.sentiment if sentiment is None else sentiment,
-        )
+        section = {f.name: getattr(self.session, f.name) for f in fields(SessionSection)}
+        if sentiment is not None:
+            section["sentiment"] = sentiment
+        seed = self.seed if master_seed is None else master_seed
+        return SessionConfig(race=self.race, master_seed=seed, **section)
 
 
 def parse_config(doc) -> ExperimentConfig:

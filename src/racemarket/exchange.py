@@ -382,14 +382,10 @@ class MarketBook:
     def _retire_unmatched(self, bet: Bet) -> Money:
         amount = bet.unmatched
         levels = self._queues[bet.competitor_id][bet.side]
-        queue = levels.get(bet.odds)
-        if queue is not None:
-            try:
-                queue.remove(bet)
-            except ValueError:
-                pass
-            if not queue:
-                del levels[bet.odds]
+        queue = levels[bet.odds]  # a bet with unmatched > 0 always rests here
+        queue.remove(bet)
+        if not queue:
+            del levels[bet.odds]
         bet.unmatched = 0
         keep = bet.matched if bet.side == BACK else lay_liability(bet.matched, bet.odds)
         release = bet.reserved - keep

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .seeding import FieldError, make_rng
@@ -325,16 +326,20 @@ def advance_race(state: RaceState, config: RaceConfig, rng) -> RaceState:
     return state
 
 
-def _run(config: RaceConfig, state: RaceState, rng, stop: int, snapshots: list | None) -> None:
-    """Tick until every competitor has finished; raise if the tick reaches stop first."""
+def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator[list[int]]:
+    """The race loop: tick state in place until every competitor has finished.
+
+    Yields, after each tick, the competitors that raced in it (index order);
+    raises RaceDivergedError if the tick reaches stop first.  run_race,
+    simulate_from and a session's race all step through this loop.
+    """
     runners, racing = _compile(config), _racing(state)
     while racing:
         if state.tick >= stop:
             done = f"{state.finished_count()}/{config.n_competitors} finished"
             raise RaceDivergedError(f"race exceeded tick_limit={config.tick_limit} with {done}")
-        racing = _tick(runners, config.track_length, state, racing, rng)
-        if snapshots is not None:
-            snapshots.append(tuple(state.positions))
+        ran, racing = racing, _tick(runners, config.track_length, state, racing, rng)
+        yield ran
 
 
 def _finish_order(state: RaceState, config: RaceConfig) -> tuple[int, ...]:
@@ -393,7 +398,9 @@ def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     rng = make_rng(seed)
     state = initial_state(config, rng)
     snapshots = [tuple(state.positions)] if record else None
-    _run(config, state, rng, config.tick_limit, snapshots)
+    for _ in race_ticks(config, state, rng, config.tick_limit):
+        if record:
+            snapshots.append(tuple(state.positions))
     return finalize_trajectory(state, config, snapshots)
 
 
@@ -404,5 +411,6 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     repeated calls with distinct seeds give i.i.d. continuations.
     """
     st = state.clone()
-    _run(config, st, make_rng(seed), st.tick + config.tick_limit, None)
+    for _ in race_ticks(config, st, make_rng(seed), st.tick + config.tick_limit):
+        pass
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))

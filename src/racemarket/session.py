@@ -15,9 +15,10 @@ ready to be written as JSON lines.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 
 from .agents import (
     STRATEGY_NAMES,
@@ -37,14 +38,8 @@ from .exchange import (
     SettlementReport,
     odds_to_decimal,
 )
-from .race import (
-    RaceConfig,
-    RaceDivergedError,
-    Trajectory,
-    advance_race,
-    finalize_trajectory,
-    initial_state,
-)
+from .race import RaceConfig, Trajectory, finalize_trajectory, initial_state, race_ticks
+from .race import advance_race  # noqa: F401  perfbench's tracer patches it here by name
 from .seeding import FieldError, spawn_rng
 
 
@@ -74,23 +69,18 @@ class SessionSection:
             raise SessionConfigError("grid_depth", f"must be >= 1, got {self.grid_depth}")
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+@dataclass(frozen=True, kw_only=True)
+class SessionConfig(SessionSection):
+    """A SessionSection run on one race from one master seed."""
+
     race: RaceConfig
-    agent_groups: tuple[AgentParams, ...]
     master_seed: int
-    commission_rate: float = SessionSection.commission_rate
-    opening_period: float = SessionSection.opening_period
-    grid_depth: int = SessionSection.grid_depth
-    sentiment: bool = SessionSection.sentiment
 
     def validate(self) -> None:
         self.race.validate()
-        SessionSection(
-            self.opening_period, self.commission_rate, self.grid_depth, agents=self.agent_groups
-        ).validate()
-        if self.race.n_competitors < 2 and any(g.strategy == "ud" for g in self.agent_groups):
-            raise SessionConfigError("agent_groups", "ud agents need at least two competitors")
+        super().validate()
+        if self.race.n_competitors < 2 and any(g.strategy == "ud" for g in self.agents):
+            raise SessionConfigError("agents", "ud agents need at least two competitors")
 
 
 @dataclass(frozen=True)
@@ -101,13 +91,14 @@ class SessionResult:
     sentiment_rows: list[tuple[float, str, str, float]]
     final_balances: dict[str, Money]
     starting_balances: dict[str, Money]
+    total_matched: Money
 
 
 def expand_agents(config: SessionConfig) -> list[Bettor]:
     """Instantiate the agent population with per-agent derived streams."""
     agents: list[Bettor] = []
     idx = 0
-    for group in config.agent_groups:
+    for group in config.agents:
         for _ in range(group.count):
             bettor_id = f"a{idx:03d}.{group.strategy}"
             rng = spawn_rng(config.master_seed, "agent", idx)
@@ -153,10 +144,12 @@ class _Session:
             balance = agent.params.starting_balance * 100
             self.book.open_account(agent.bettor_id, balance)
             self.starting[agent.bettor_id] = balance
-        self.wake_streams = [
-            wake_times(a.params, config.master_seed, i) for i, a in enumerate(self.agents)
-        ]
-        self.next_wake = [next(times) for times in self.wake_streams]
+        # Every agent's (time, index) wakes, merged into one ordered stream.
+        seed = config.master_seed
+        self.wakes = heapq.merge(
+            *(zip(wake_times(a.params, seed, i), repeat(i)) for i, a in enumerate(self.agents))
+        )
+        self.next_wake = next(self.wakes, None)
         self.state = initial_state(self.race_cfg, self.rng_race)
         self.histories: list[list[float]] = [[] for _ in range(self.n)]
         self.snapshots: list[tuple[float, ...]] = [tuple(self.state.positions)]
@@ -273,14 +266,9 @@ class _Session:
             self._apply(time, agent, action)
 
     def _process_wakes(self, until: float) -> None:
-        due: list[tuple[float, int]] = []
-        for i, times in enumerate(self.wake_streams):
-            while self.next_wake[i] <= until:
-                due.append((self.next_wake[i], i))
-                self.next_wake[i] = next(times)
-        due.sort()
-        for time, i in due:
-            self._wake(time, i)
+        while self.next_wake is not None and self.next_wake[0] <= until:
+            self._wake(*self.next_wake)
+            self.next_wake = next(self.wakes)
 
     # -- main loop ----------------------------------------------------------
 
@@ -291,17 +279,12 @@ class _Session:
         self._process_wakes(cfg.opening_period)
 
         time = cfg.opening_period
-        while not self.state.all_finished():
-            if self.state.tick >= race_cfg.tick_limit:
-                raise RaceDivergedError(f"session race exceeded tick_limit={race_cfg.tick_limit}")
-            racing_before = [t is None for t in self.state.finish_ticks]
-            advance_race(self.state, race_cfg, self.rng_race)
+        for ran in race_ticks(race_cfg, self.state, self.rng_race, race_cfg.tick_limit):
             self._obs_cache = None
             time = cfg.opening_period + self.state.tick * race_cfg.dt
             self.snapshots.append(tuple(self.state.positions))
-            for c in range(self.n):
-                if racing_before[c]:
-                    self.histories[c].append(self.state.prev_steps[c])
+            for c in ran:
+                self.histories[c].append(self.state.prev_steps[c])
             self.emit(
                 time,
                 "race_tick",
@@ -345,6 +328,7 @@ class _Session:
             sentiment_rows=self.sentiment_rows,
             final_balances=final,
             starting_balances=self.starting,
+            total_matched=self.book.total_matched(),
         )
 
     def _grid_payload(self) -> dict:

@@ -73,8 +73,6 @@ def test_make_bettor_covers_every_strategy():
     for name in STRATEGY_NAMES:
         agent = make_bettor("b0", AgentParams(name), cfg, make_rng(0))
         assert agent.strategy == name
-    with pytest.raises(AgentConfigError):
-        make_bettor("b0", AgentParams("ud"), make_race(n=1), make_rng(0))
 
 
 # -- predictors ---------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_run_batch_worker_count_is_invisible():
 def test_run_batch_sessions():
     scfg = SessionConfig(
         race=make_race(n=3, length=200.0),
-        agent_groups=(AgentParams("lw", count=2), AgentParams("zi", count=1)),
+        agents=(AgentParams("lw", count=2), AgentParams("zi", count=1)),
         master_seed=0,
     )
     seq = run_batch(BatchConfig(scfg, 4, master_seed=7))

@@ -184,12 +184,14 @@ def test_compare_usage_errors(tmp_path, capsys):
     assert code == 1
 
 
-def test_runtime_errors_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["race", "session"])
+def test_runtime_errors_exit_2(tmp_path, capsys, command):
     doc = emit_default_config()
     doc["race"]["tick_limit"] = 3  # guaranteed divergence
+    doc["session"]["agents"] = []  # so the session's own race diverges, not a dry run
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps(doc))
-    code, _, stderr = run_cli(capsys, "race", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    code, _, stderr = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 2
     err = json.loads(stderr)
     assert err["error"] == "runtime"

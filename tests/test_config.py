@@ -208,7 +208,7 @@ def test_session_config_wiring():
     assert scfg.commission_rate == 0.02
     assert scfg.grid_depth == 5
     assert scfg.sentiment is False
-    assert scfg.agent_groups == cfg.session.agents
+    assert scfg.agents == cfg.session.agents
     override = cfg.session_config(master_seed=7, sentiment=True)
     assert override.master_seed == 7
     assert override.sentiment is True

@@ -287,6 +287,15 @@ def test_partial_cancel_of_lay_releases_ceiling_escrow():
     assert book.accounts["alice"].reserved == lay_liability(100, 150)
 
 
+def test_cancel_raises_when_a_resting_bet_is_missing_from_its_queue():
+    book = make_book()
+    bet_id, _ = book.submit_bet("alice", "c1", BACK, 300, 500)
+    book._queues["c1"][BACK][300].remove(book.bets[bet_id])  # break the book by hand
+    with pytest.raises(ValueError):
+        book.cancel_bet(bet_id, "alice")
+    assert book.accounts["alice"].reserved == 500
+
+
 def test_close_expires_unmatched_and_blocks_orders():
     book = make_book()
     a, _ = book.submit_bet("alice", "c1", BACK, 300, 500)

@@ -2,7 +2,7 @@ import pytest
 
 from racemarket.agents import AgentParams
 from racemarket.exchange import MarketBook
-from racemarket.race import BettingClose
+from racemarket.race import BettingClose, RaceDivergedError
 from racemarket.seeding import derive_seed, spawn_rng
 from racemarket.session import (
     SessionConfig,
@@ -24,8 +24,8 @@ SMALL_GROUPS = (
 
 def small_session(seed=5, **kwargs) -> SessionConfig:
     race = kwargs.pop("race", make_race(n=3, length=300.0))
-    groups = kwargs.pop("agent_groups", SMALL_GROUPS)
-    return SessionConfig(race=race, agent_groups=groups, master_seed=seed, **kwargs)
+    groups = kwargs.pop("agents", SMALL_GROUPS)
+    return SessionConfig(race=race, agents=groups, master_seed=seed, **kwargs)
 
 
 def test_config_validation():
@@ -36,7 +36,7 @@ def test_config_validation():
     with pytest.raises(SessionConfigError):
         small_session(grid_depth=0).validate()
     bad = SessionConfig(
-        race=make_race(n=1), agent_groups=(AgentParams("ud"),), master_seed=0
+        race=make_race(n=1), agents=(AgentParams("ud"),), master_seed=0
     )
     with pytest.raises(SessionConfigError):
         bad.validate()
@@ -71,10 +71,14 @@ def test_wake_schedule_shape():
 
 
 def test_session_wakes_follow_wake_schedule():
-    groups = (AgentParams("lw", count=3, reevaluate_every=0.1, wake_jitter=0.1),)
+    groups = (
+        AgentParams("lw", count=3, reevaluate_every=0.1, wake_jitter=0.1),
+        # no jitter: these two always wake together, so the index breaks the tie
+        AgentParams("lw", count=2, reevaluate_every=0.25, wake_jitter=0.0),
+    )
     cfg = small_session(
         race=make_race(n=3, length=100.0),
-        agent_groups=groups,
+        agents=groups,
         opening_period=5.0,
         sentiment=True,
     )
@@ -88,12 +92,26 @@ def test_session_wakes_follow_wake_schedule():
         got = [
             e["time"] for e in events if e["kind"] == "sentiment" and e["bettor"] == agent.bettor_id
         ]
-        assert len(got) > 100
+        assert len(got) > 10.0 / agent.params.reevaluate_every  # > 100 at a 0.1 s period
         assert got == [t for t, j in schedule if j == i and t <= until]
+    # across agents too, wakes run in (time, agent index) order
+    index = {a.bettor_id: i for i, a in enumerate(expand_agents(cfg))}
+    got = [(e["time"], index[e["bettor"]]) for e in events if e["kind"] == "sentiment"]
+    assert got == [(t, i) for t, i in schedule if t <= until]
+    assert any(a[0] == b[0] for a, b in zip(got, got[1:]))
+
+
+def test_session_race_divergence_reads_like_run_race():
+    race = make_race(n=3, length=300.0, tick_limit=5)
+    with pytest.raises(RaceDivergedError) as solo:
+        run_race(race, 0)
+    with pytest.raises(RaceDivergedError) as session:
+        run_session(small_session(race=race, agents=(AgentParams("lw"),)))
+    assert str(session.value) == str(solo.value) == "race exceeded tick_limit=5 with 0/3 finished"
 
 
 def test_no_agents_is_just_a_race():
-    cfg = small_session(agent_groups=())
+    cfg = small_session(agents=())
     result = run_session(cfg)
     kinds = {e["kind"] for e in result.events}
     assert kinds == {"race_tick", "close", "grid_snapshot", "settle"}
@@ -254,7 +272,7 @@ def test_all_strategies_survive_a_full_session():
     groups = tuple(
         AgentParams(s, count=1, d=2) for s in ("rp", "linex", "lw", "ud", "btf", "rb", "zi")
     )
-    result = run_session(small_session(seed=2, agent_groups=groups))
+    result = run_session(small_session(seed=2, agents=groups))
     assert set(result.final_balances) == {
         "a000.rp",
         "a001.linex",
