@@ -12,6 +12,8 @@ worker processes import-light.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -118,6 +120,31 @@ def _session_job(config: SessionConfig, master_seed: int, i: int) -> SessionSumm
     )
 
 
+def _pin_worker(cpus: tuple[int, ...], started) -> None:
+    """Pool initializer: bind the k-th started worker to cpus[k % len(cpus)]."""
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers are spread one per usable CPU.
+
+    Left to itself the kernel can keep freshly forked workers on the parent's
+    CPU for a whole batch, so that a 2-worker batch is no faster than a
+    serial one; binding each worker to its own CPU rules that out.
+    """
+    cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_setaffinity") else ()
+    if len(cpus) < 2:
+        return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_pin_worker,
+        initargs=(cpus, multiprocessing.Value("i", 0)),
+    )
+
+
 def run_batch(batch: BatchConfig) -> list:
     """All R results in run-index order; worker count never changes them."""
     batch.validate()
@@ -131,7 +158,7 @@ def run_batch(batch: BatchConfig) -> list:
     if batch.workers == 1:
         return [job(i) for i in runs]
     chunk = max(1, batch.replications // (batch.workers * 8))
-    with ProcessPoolExecutor(max_workers=batch.workers) as pool:
+    with _worker_pool(batch.workers) as pool:
         return list(pool.map(job, runs, chunksize=chunk))
 
 
@@ -225,6 +252,8 @@ def compare_finish_times(times_a, times_b) -> ComparisonResult:
 # -- benchmarking ------------------------------------------------------------
 
 BENCH_WARMUPS = 3
+#: Shortest wall-clock span of one timed sample, in seconds.
+BENCH_MIN_SAMPLE_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -277,8 +306,12 @@ def bench(
     """Mean wall-clock seconds per race over a competitor-count grid.
 
     Per grid point: 3 untimed warm-up races, then timing_reps timed
-    run_batch calls of R races each.  The per-race mean, sd, and cv are
-    computed across the timed batch means; reps reports R * timing_reps.
+    batches of R races each.  A timed batch is run again until the runs
+    span BENCH_MIN_SAMPLE_S, and its sample is their mean time per race:
+    on a shared host the speed can swing in phases of about 0.1 s, and a
+    shorter sample measures the phase it lands in, not the code.  The
+    per-race mean, sd, and cv are computed across the timed samples; reps
+    reports R * timing_reps.
     """
     BenchSection(tuple(n_grid), replications, timing_reps).validate()
     points = []
@@ -291,9 +324,11 @@ def bench(
             batch = BatchConfig(
                 cfg, replications, derive_seed(master_seed, "bench", n, rep), workers
             )
-            t0 = _time.perf_counter()
-            run_batch(batch)
-            samples.append((_time.perf_counter() - t0) / replications)
+            rounds, t0 = 0, _time.perf_counter()
+            while rounds == 0 or _time.perf_counter() - t0 < BENCH_MIN_SAMPLE_S:
+                run_batch(batch)
+                rounds += 1
+            samples.append((_time.perf_counter() - t0) / (rounds * replications))
         mean = fmean(samples)
         sd = stdev(samples) if len(samples) > 1 else 0.0
         points.append(

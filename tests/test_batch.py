@@ -1,4 +1,6 @@
+import os
 import pickle
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from racemarket.batch import (
     OutcomePMF,
     RaceResult,
     SessionSummary,
+    _worker_pool,
     bench,
     compare_finish_times,
     compare_pmf,
@@ -40,6 +43,24 @@ def test_run_batch_worker_count_is_invisible():
     seq = run_batch(cfg)
     par = run_batch(BatchConfig(cfg.base, 30, master_seed=2, workers=3))
     assert seq == par
+
+
+def _worker_cpus(_):
+    time.sleep(0.05)
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+def test_pool_gives_each_worker_its_own_cpu():
+    usable = frozenset(os.sched_getaffinity(0))
+    workers = max(2, min(len(usable), 4))
+    with _worker_pool(workers) as pool:
+        seen = dict(pool.map(_worker_cpus, range(4 * workers)))
+    assert len(seen) == workers
+    if len(usable) < 2:
+        assert set(seen.values()) == {usable}
+    else:
+        assert all(len(cpus) == 1 and cpus <= usable for cpus in seen.values())
+        assert len(set(seen.values())) == workers
 
 
 def test_run_batch_sessions():
