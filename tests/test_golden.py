@@ -33,6 +33,17 @@ BATCH_RESULTS = "0e0dbcf6a46c154da6762d013c3be47349651435d288264fe92429f341acc77
 DERBY_CONFIG_DIGEST = "33578ea444e2550ecaf106e26e388f69e82e6d8f57fab051094c49e71ee77bee"
 DEFAULT_CONFIG_JSON = "15dc5fe541e3c6fb8619df8f58a688a3d2fb1ce3a5f92cfc77036b3bbf24edec"
 WIDE_FIELD_CONFIG_DIGEST = "32c72a6939ac03da3319b8bc90f7230ffbd82107fd1769a9213d1b5c4db340d6"
+# `racemarket batch` products for derby.json at R replications, one worker.
+BATCH_PRODUCTS = {
+    ("race", 60): {
+        "pmf.csv": "010e864793dea699beba4284c197131ef5cda7cc714bb949ed87dee638adfdda",
+        "runs.csv": "1136b918fa633e9e204c547be0a0d519a26a4eea03b538a9dda956bcdb4dadaf",
+    },
+    ("session", 4): {
+        "pmf.csv": "be4ee114d3db378a3d434b5cae1d40c1b5bad5423f79388aeafef91cebc69a52",
+        "runs.csv": "42dadc05beb048cad91a6c4136ffc648ae6626750c4dd8e9552613055b89a470",
+    },
+}
 
 
 def sha256(data: bytes) -> str:
@@ -68,6 +79,19 @@ def test_batch_results(workers):
     results = run_batch(BatchConfig(cfg.race, BATCH_RACES, cfg.seed, workers))
     rows = [[r.run_index, list(r.finish_order), list(r.finish_ticks), r.n_ticks] for r in results]
     assert sha256(json.dumps(rows, separators=(",", ":")).encode()) == BATCH_RESULTS
+
+
+@pytest.mark.parametrize("target,replications", sorted(BATCH_PRODUCTS))
+def test_batch_products(tmp_path, capsys, target, replications):
+    cfg = derby()
+    batch = replace(cfg.batch, target=target, replications=replications, workers=1)
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(config_to_dict(replace(cfg, batch=batch))))
+    code = cli_main(["batch", "--config", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in ("pmf.csv", "runs.csv")}
+    assert got == BATCH_PRODUCTS[target, replications]
 
 
 def test_config_schema_digests():
