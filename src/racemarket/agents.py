@@ -34,8 +34,8 @@ from .exchange import (
     MIN_ODDS,
     GridRow,
     Money,
+    escrow,
     ladder_band,
-    lay_liability,
     odds_to_decimal,
     quantize_odds,
 )
@@ -326,7 +326,7 @@ class Bettor:
         else:
             side, odds = BACK, fair_q  # rests at own fair odds
         stake = self._stake_minor()
-        need = stake if side == BACK else lay_liability(stake, odds)
+        need = escrow(side, stake, odds)
         if stake <= 0 or need > obs.balance:
             return None
         return PlaceOrder(cid, side, odds, stake)
@@ -428,7 +428,7 @@ class ZIBettor(Bettor):
         side = BACK if rng.random() < 0.5 else LAY
         odds = self._band[rng.randrange(len(self._band))]
         stake = rng.randint(1, self.params.max_stake) * 100
-        need = stake if side == BACK else lay_liability(stake, odds)
+        need = escrow(side, stake, odds)
         if need <= obs.balance:
             actions.append(PlaceOrder(cid, side, odds, stake))
         return actions

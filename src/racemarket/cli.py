@@ -13,7 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from .batch import BatchConfig, OutcomePMF, bench, compare_pmf, pmf_from_results, run_batch
+from .batch import (
+    WINNER_SPACE, BatchConfig, OutcomePMF, bench, compare_pmf, pmf_from_results, run_batch
+)
 from .config import ConfigError, ExperimentConfig, config_digest, emit_default_config, parse_config
 from .race import run_race
 from .seeding import FieldError, check_master_seed, derive_seed
@@ -126,7 +128,7 @@ def _cmd_batch(args) -> int:
         counts: dict[str, int] = {}
         for r in results:
             counts[r.winner] = counts.get(r.winner, 0) + 1
-        pmf = OutcomePMF(space="winner", n_samples=len(results), counts=counts)
+        pmf = OutcomePMF(space=WINNER_SPACE, n_samples=len(results), counts=counts)
         writers.write_session_runs_csv(out / "runs.csv", results)
     else:
         pmf = pmf_from_results(results)

@@ -136,6 +136,11 @@ def lay_liability(amount: Money, odds: int) -> Money:
     return -((-amount * (odds - 100)) // 100)
 
 
+def escrow(side: str, amount: Money, odds: int) -> Money:
+    """What a bet holds for a backer-stake amount: a back its stake, a lay its liability."""
+    return amount if side == BACK else lay_liability(amount, odds)
+
+
 def commission_due(gross: Money, rate: float) -> Money:
     """Commission on positive net market winnings, rounded half up."""
     if gross <= 0:
@@ -174,7 +179,6 @@ class Bet:
     side: str
     odds: int
     stake: Money
-    arrival_seq: int
     arrival_time: float
     matched: Money = 0
     unmatched: Money = 0
@@ -183,7 +187,6 @@ class Bet:
 
 @dataclass(frozen=True)
 class MatchRecord:
-    match_id: int
     competitor_id: str
     odds: int
     amount: Money
@@ -191,7 +194,6 @@ class MatchRecord:
     lay_bet_id: int
     back_bettor: str
     lay_bettor: str
-    time: float
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,7 @@ class MarketBook:
         if not isinstance(stake, int) or stake <= 0:
             raise ExchangeError(f"stake must be a positive integer, got {stake!r}")
 
-        need = stake if side == BACK else lay_liability(stake, odds)
+        need = escrow(side, stake, odds)
         acct.reserve(need)
 
         bet = Bet(
@@ -318,7 +320,6 @@ class MarketBook:
             side=side,
             odds=odds,
             stake=stake,
-            arrival_seq=self._next_id,
             arrival_time=time,
             unmatched=stake,
             reserved=need,
@@ -336,7 +337,6 @@ class MarketBook:
             amount = min(bet.unmatched, resting.unmatched)
             back_bet, lay_bet = (bet, resting) if side == BACK else (resting, bet)
             rec = MatchRecord(
-                match_id=len(self.matches) + len(records) + 1,
                 competitor_id=competitor_id,
                 odds=odds,
                 amount=amount,
@@ -344,7 +344,6 @@ class MarketBook:
                 lay_bet_id=lay_bet.bet_id,
                 back_bettor=back_bet.bettor_id,
                 lay_bettor=lay_bet.bettor_id,
-                time=time,
             )
             records.append(rec)
             bet.matched += amount
@@ -362,7 +361,7 @@ class MarketBook:
         self._maybe_self_check()
         return bet.bet_id, records
 
-    def cancel_bet(self, bet_id: int, bettor_id: str, time: float = 0.0) -> Money:
+    def cancel_bet(self, bet_id: int, bettor_id: str) -> Money:
         """Remove the unmatched portion of an own bet; returns the amount.
 
         Returns 0 when nothing was left to cancel (fully matched or already
@@ -387,7 +386,7 @@ class MarketBook:
         if not queue:
             del levels[bet.odds]
         bet.unmatched = 0
-        keep = bet.matched if bet.side == BACK else lay_liability(bet.matched, bet.odds)
+        keep = escrow(bet.side, bet.matched, bet.odds)
         release = bet.reserved - keep
         self.accounts[bet.bettor_id].release(release)
         bet.reserved = keep
@@ -411,24 +410,9 @@ class MarketBook:
             grid[cid] = GridRow(backs=backs, lays=lays)
         return grid
 
-    def ladder_view(self, competitor_id: str) -> tuple[tuple[int, Money, Money], ...]:
-        """(odds, back stake, lay stake) for every level with liquidity, ascending."""
-        if competitor_id not in self._queues:
-            raise ExchangeError(f"unknown competitor {competitor_id!r}")
-        sides = self._queues[competitor_id]
-        levels = sorted(set(sides[BACK]) | set(sides[LAY]))
-        return tuple(
-            (
-                odds,
-                sum(b.unmatched for b in sides[BACK].get(odds, ())),
-                sum(b.unmatched for b in sides[LAY].get(odds, ())),
-            )
-            for odds in levels
-        )
-
     # -- lifecycle --------------------------------------------------------
 
-    def close_betting(self, time: float = 0.0) -> list[tuple[int, str, Money, Money]]:
+    def close_betting(self) -> list[tuple[int, str, Money, Money]]:
         """Close the market, expiring all unmatched portions.
 
         Returns one (bet_id, bettor_id, expired_amount, released_escrow)
@@ -438,16 +422,15 @@ class MarketBook:
             raise MarketClosedError(f"market is {self.state}")
         self.state = CLOSED
         expired: list[tuple[int, str, Money, Money]] = []
-        for bet_id in sorted(self.bets):
-            bet = self.bets[bet_id]
+        for bet in self.bets.values():  # ids are inserted in increasing order
             if bet.unmatched > 0:
                 before = bet.reserved
                 amount = self._retire_unmatched(bet)
-                expired.append((bet_id, bet.bettor_id, amount, before - bet.reserved))
+                expired.append((bet.bet_id, bet.bettor_id, amount, before - bet.reserved))
         self._maybe_self_check()
         return expired
 
-    def settle(self, winner: str, commission_rate: float | None = None, time: float = 0.0) -> SettlementReport:
+    def settle(self, winner: str) -> SettlementReport:
         """Pay out every match record against the actual winner.
 
         Nets each bettor's gross market result, charges commission on
@@ -460,9 +443,6 @@ class MarketBook:
             raise SettlementError("close betting before settling")
         if winner not in self._queues:
             raise SettlementError(f"unknown winner {winner!r}")
-        rate = self.commission_rate if commission_rate is None else commission_rate
-        if not 0.0 <= rate < 1.0:
-            raise SettlementError(f"commission_rate must be in [0, 1), got {rate}")
 
         gross: dict[str, Money] = {b: 0 for b in self.accounts}
         for rec in self.matches:
@@ -483,7 +463,7 @@ class MarketBook:
         total_commission = 0
         for bettor_id in sorted(self.accounts):
             g = gross[bettor_id]
-            fee = commission_due(g, rate)
+            fee = commission_due(g, self.commission_rate)
             net = g - fee
             self.accounts[bettor_id].balance += net
             total_commission += fee

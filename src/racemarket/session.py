@@ -31,6 +31,7 @@ from .agents import (
     make_bettor,
 )
 from .exchange import (
+    MAX_ODDS,
     OPEN,
     ExchangeError,
     MarketBook,
@@ -196,7 +197,7 @@ class _Session:
     def _apply(self, time: float, agent: Bettor, action) -> None:
         if isinstance(action, CancelOrder):
             try:
-                cancelled = self.book.cancel_bet(action.bet_id, agent.bettor_id, time)
+                cancelled = self.book.cancel_bet(action.bet_id, agent.bettor_id)
             except ExchangeError as exc:
                 self.emit(time, "reject", {"bettor": agent.bettor_id, "reason": str(exc)})
                 return
@@ -252,9 +253,8 @@ class _Session:
         obs = self._observe(time, agent)
         actions = agent.decide(obs)
         if self.config.sentiment and agent.last_prediction is not None:
-            odds = [
-                min(1.0 / p, 1000.0) if p > 0.0 else 1000.0 for p in agent.last_prediction
-            ]
+            top = odds_to_decimal(MAX_ODDS)
+            odds = [min(1.0 / p, top) if p > 0.0 else top for p in agent.last_prediction]
             self.emit(
                 time,
                 "sentiment",
@@ -291,7 +291,7 @@ class _Session:
                 {"tick": self.state.tick, "positions": list(self.state.positions)},
             )
             if self.book.state == OPEN and self.state.finished_count() >= close_rank:
-                expired = self.book.close_betting(time)
+                expired = self.book.close_betting()
                 refunds: dict[str, Money] = {}
                 for bet_id, bettor_id, amount, refund in expired:
                     refunds[bettor_id] = refunds.get(bettor_id, 0) + refund
@@ -310,7 +310,7 @@ class _Session:
                 self._process_wakes(time)
 
         trajectory = finalize_trajectory(self.state, race_cfg, self.snapshots)
-        report = self.book.settle(trajectory.winner, time=time)
+        report = self.book.settle(trajectory.winner)
         self.emit(
             time,
             "settle",

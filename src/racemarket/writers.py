@@ -11,31 +11,34 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .batch import BenchPoint, OutcomePMF, RaceResult, SessionSummary
+from .batch import ORDER_SPACE, WINNER_SPACE, BenchPoint, OutcomePMF, RaceResult, SessionSummary
 from .exchange import SettlementReport
 from .race import Trajectory
 from .seeding import RNG_ALGORITHM
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """tick,competitor_id,position with one row per tick per competitor."""
     if traj.ticks is None:
         raise ValueError("trajectory was recorded without per-tick snapshots")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "competitor_id", "position"])
-        for tick, row in enumerate(traj.ticks):
-            for cid, pos in zip(traj.competitor_ids, row):
-                w.writerow([tick, cid, repr(pos)])
+    ids = traj.competitor_ids
+    rows = (
+        (tick, cid, repr(pos)) for tick, row in enumerate(traj.ticks) for cid, pos in zip(ids, row)
+    )
+    _write_csv(path, ["tick", "competitor_id", "position"], rows)
 
 
 def write_finish_csv(path: Path, traj: Trajectory) -> None:
     ranks = {cid: rank for rank, cid in enumerate(traj.finish_order, start=1)}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["competitor_id", "finish_tick", "finish_rank"])
-        for cid, tick in zip(traj.competitor_ids, traj.finish_ticks):
-            w.writerow([cid, tick, ranks[cid]])
+    rows = ((cid, tick, ranks[cid]) for cid, tick in zip(traj.competitor_ids, traj.finish_ticks))
+    _write_csv(path, ["competitor_id", "finish_tick", "finish_rank"], rows)
 
 
 def write_events_jsonl(path: Path, events: list[dict]) -> None:
@@ -46,27 +49,18 @@ def write_events_jsonl(path: Path, events: list[dict]) -> None:
 
 
 def write_sentiment_csv(path: Path, rows: list[tuple[float, str, str, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "bettor_id", "competitor_id", "decimal_odds"])
-        for time, bettor_id, cid, odds in rows:
-            w.writerow([repr(float(time)), bettor_id, cid, repr(float(odds))])
+    table = ((repr(float(t)), bettor, cid, repr(float(odds))) for t, bettor, cid, odds in rows)
+    _write_csv(path, ["time", "bettor_id", "competitor_id", "decimal_odds"], table)
 
 
 def write_settlement_csv(path: Path, report: SettlementReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bettor_id", "gross", "commission", "net"])
-        for row in report.rows:
-            w.writerow([row.bettor_id, row.gross, row.commission, row.net])
+    rows = ((r.bettor_id, r.gross, r.commission, r.net) for r in report.rows)
+    _write_csv(path, ["bettor_id", "gross", "commission", "net"], rows)
 
 
 def write_pmf_csv(path: Path, pmf: OutcomePMF) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["outcome", "count", "frequency"])
-        for key in sorted(pmf.counts):
-            w.writerow([key, pmf.counts[key], repr(pmf.counts[key] / pmf.n_samples)])
+    rows = ((k, pmf.counts[k], repr(pmf.counts[k] / pmf.n_samples)) for k in sorted(pmf.counts))
+    _write_csv(path, ["outcome", "count", "frequency"], rows)
 
 
 def read_pmf_csv(path: Path) -> OutcomePMF:
@@ -88,36 +82,29 @@ def read_pmf_csv(path: Path) -> OutcomePMF:
     if not counts:
         raise ValueError(f"{path}: PMF table has no rows")
     total = sum(counts.values())
-    space = "order" if any("-" in k for k in counts) else "winner"
+    space = ORDER_SPACE if any("-" in k for k in counts) else WINNER_SPACE
     return OutcomePMF(space=space, n_samples=total, counts=counts)
 
 
 def write_race_runs_csv(path: Path, results: list[RaceResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "winner", "winner_ticks", "n_ticks", "finish_order"])
-        for r in results:
-            w.writerow([r.run_index, r.winner, r.winner_ticks, r.n_ticks, "-".join(r.finish_order)])
+    rows = (
+        (r.run_index, r.winner, r.winner_ticks, r.n_ticks, "-".join(r.finish_order)) for r in results
+    )
+    _write_csv(path, ["run", "winner", "winner_ticks", "n_ticks", "finish_order"], rows)
 
 
 def write_session_runs_csv(path: Path, results: list[SessionSummary]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["run", "winner", "winner_ticks", "n_events", "total_matched", "total_commission"]
-        )
-        for r in results:
-            w.writerow(
-                [r.run_index, r.winner, r.winner_ticks, r.n_events, r.total_matched, r.total_commission]
-            )
+    header = ["run", "winner", "winner_ticks", "n_events", "total_matched", "total_commission"]
+    rows = (
+        (r.run_index, r.winner, r.winner_ticks, r.n_events, r.total_matched, r.total_commission)
+        for r in results
+    )
+    _write_csv(path, header, rows)
 
 
 def write_bench_csv(path: Path, points: list[BenchPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_competitors", "mean_s", "sd_s", "cv", "reps"])
-        for p in points:
-            w.writerow([p.n_competitors, repr(p.mean_s), repr(p.sd_s), repr(p.cv), p.reps])
+    rows = ((p.n_competitors, repr(p.mean_s), repr(p.sd_s), repr(p.cv), p.reps) for p in points)
+    _write_csv(path, ["n_competitors", "mean_s", "sd_s", "cv", "reps"], rows)
 
 
 def write_metadata(

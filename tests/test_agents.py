@@ -20,7 +20,7 @@ from racemarket.agents import (
     stake_ladder,
     ud_predict,
 )
-from racemarket.exchange import BACK, LAY, GridLevel, GridRow, lay_liability
+from racemarket.exchange import BACK, LAY, GridLevel, GridRow, MarketBook, escrow
 from racemarket.race import RaceState, advance_race, initial_state
 from racemarket.seeding import make_rng
 
@@ -263,14 +263,20 @@ def test_decide_respects_funds():
     cfg = make_race(n=4)
     agent = make_bettor("b0", AgentParams("rp", d=0, base_stake=10), cfg, make_rng(0))
     assert agent.decide(make_obs(cfg, balance=999)) == []  # back needs 1000
-    # a lay order needs the liability, not the stake
+    # a lay order needs the liability, not the stake; the book accepts it at exactly that
     grid = empty_grid(cfg)
     for cid in cfg.competitor_ids:
         grid[cid] = GridRow(backs=(GridLevel(300, 5000),), lays=())
-    need = lay_liability(1000, 300)
-    assert agent.decide(make_obs(cfg, grid=grid, balance=need - 1)) == []
-    (order,) = agent.decide(make_obs(cfg, grid=grid, balance=need))
-    assert order.side == LAY
+    need = escrow(LAY, 1000, 300)
+    for strategy in ("rp", "lw"):
+        agent = make_bettor("b0", AgentParams(strategy, d=0, base_stake=10), cfg, make_rng(0))
+        assert agent.decide(make_obs(cfg, grid=grid, balance=need - 1)) == []
+        (order,) = agent.decide(make_obs(cfg, grid=grid, balance=need))
+        assert (order.side, order.odds, order.stake) == (LAY, 300, 1000)
+        book = MarketBook(cfg.competitor_ids)
+        book.open_account("b0", need)
+        book.submit_bet("b0", order.competitor_id, order.side, order.odds, order.stake)
+        assert (book.free_balance("b0"), book.accounts["b0"].reserved) == (0, need)
 
 
 def test_decide_cancels_stale_bets():

@@ -19,6 +19,7 @@ from racemarket.exchange import (
     UnknownBetError,
     back_winnings,
     commission_due,
+    escrow,
     ladder_band,
     lay_liability,
     odds_to_decimal,
@@ -121,6 +122,12 @@ def test_liability_always_covers_winnings(amount, odds):
     assert lay_liability(amount, odds) - back_winnings(amount, odds) <= 1
     assert back_winnings(amount, odds) >= 0
     assert lay_liability(amount, odds) >= 1  # odds > 1 means real exposure
+
+
+def test_escrow_holds_a_back_stake_and_a_lay_liability():
+    assert escrow(BACK, 333, 150) == 333
+    assert escrow(LAY, 333, 150) == 167  # 166.5 rounds up to the layer's cost
+    assert escrow(LAY, 500, 670) == lay_liability(500, 670) == 2850
 
 
 def test_commission_rounds_half_up():
@@ -246,15 +253,6 @@ def test_grid_aggregates_stakes_at_a_level():
     assert grid["c1"].backs[0].stake == 350
 
 
-def test_ladder_view():
-    book = make_book()
-    book.submit_bet("alice", "c1", BACK, 300, 100)
-    book.submit_bet("bob", "c1", LAY, 320, 200)
-    assert book.ladder_view("c1") == ((300, 100, 0), (320, 0, 200))
-    with pytest.raises(ExchangeError):
-        book.ladder_view("c9")
-
-
 def test_cancel_releases_escrow():
     book = make_book()
     bet_id, _ = book.submit_bet("alice", "c1", BACK, 300, 500)
@@ -372,15 +370,6 @@ def test_settlement_nets_across_markets_before_commission():
     assert by["alice"].commission == commission_due(400, 0.05)
     assert by["carol"].gross == 600
     assert sum(r.net for r in report.rows) + report.total_commission == 0
-
-
-def test_settle_rate_override():
-    book = make_book(commission_rate=0.05)
-    book.submit_bet("alice", "c1", BACK, 300, 500)
-    book.submit_bet("bob", "c1", LAY, 300, 500)
-    book.close_betting()
-    report = book.settle("c1", commission_rate=0.0)
-    assert report.total_commission == 0
 
 
 def test_conservation_and_self_check_counter():

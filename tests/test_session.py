@@ -233,17 +233,17 @@ def test_event_log_replays_into_the_same_settlement():
             matched_by_bet[bet_id] = event["matched"]
         elif event["kind"] == "cancel":
             assert (
-                book.cancel_bet(event["bet_id"], event["bettor"], event["time"])
+                book.cancel_bet(event["bet_id"], event["bettor"])
                 == event["cancelled"]
             )
         elif event["kind"] == "close":
-            expired = book.close_betting(event["time"])
+            expired = book.close_betting()
             refunds: dict[str, int] = {}
             for _, bettor, _, refund in expired:
                 refunds[bettor] = refunds.get(bettor, 0) + refund
             assert [[b, refunds[b]] for b in sorted(refunds)] == event["refunds"]
         elif event["kind"] == "settle":
-            report = book.settle(event["winner"], time=event["time"])
+            report = book.settle(event["winner"])
             assert [
                 [r.bettor_id, r.gross, r.commission, r.net] for r in report.rows
             ] == event["rows"]
