@@ -20,7 +20,7 @@ commission is exactly zero.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -256,7 +256,17 @@ class MarketBook:
         self._queues: dict[str, dict[str, dict[int, deque[Bet]]]] = {
             cid: {BACK: {}, LAY: {}} for cid in ids
         }
-        self._by_bettor: dict[str, list[Bet]] = {}
+        # Views kept in step with _queues: the unmatched stake resting at each
+        # level (held as the GridLevel the grid shows), each side's odds
+        # ascending, and each bettor's open bets by id.
+        self._totals: dict[str, dict[str, dict[int, GridLevel]]] = {
+            cid: {BACK: {}, LAY: {}} for cid in ids
+        }
+        self._prices: dict[str, dict[str, list[int]]] = {cid: {BACK: [], LAY: []} for cid in ids}
+        self._open: dict[str, dict[int, Bet]] = {}
+        # market_grid's rows at depth _rows_depth; a None row is rebuilt on demand
+        self._rows: dict[str, GridRow | None] = dict.fromkeys(ids)
+        self._rows_depth = 0
         self._next_id = 1
         self.self_check = False
         self.self_checks_run = 0
@@ -270,14 +280,15 @@ class MarketBook:
             raise ExchangeError(f"starting balance must be >= 0, got {balance}")
         acct = Account(bettor_id, balance)
         self.accounts[bettor_id] = acct
+        self._open[bettor_id] = {}
         return acct
 
     def free_balance(self, bettor_id: str) -> Money:
         return self.accounts[bettor_id].balance
 
     def bets_of(self, bettor_id: str) -> list[Bet]:
-        """All bets ever submitted by a bettor, in arrival order."""
-        return self._by_bettor.get(bettor_id, [])
+        """A bettor's open bets (unmatched > 0), in arrival order."""
+        return list(self._open.get(bettor_id, {}).values())
 
     # -- order flow -------------------------------------------------------
 
@@ -326,7 +337,6 @@ class MarketBook:
         )
         self._next_id += 1
         self.bets[bet.bet_id] = bet
-        self._by_bettor.setdefault(bettor_id, []).append(bet)
 
         records: list[MatchRecord] = []
         opp_side = LAY if side == BACK else BACK
@@ -352,11 +362,11 @@ class MarketBook:
             resting.unmatched -= amount
             if resting.unmatched == 0:
                 queue.popleft()
-        if queue is not None and not queue:
-            del levels[odds]
+                del self._open[resting.bettor_id][resting.bet_id]
+        if queue is not None:
+            self._take(competitor_id, opp_side, odds, bet.matched)
         if bet.unmatched > 0:
-            own = self._queues[competitor_id][side]
-            own.setdefault(odds, deque()).append(bet)
+            self._rest(bet)
         self.matches.extend(records)
         self._maybe_self_check()
         return bet.bet_id, records
@@ -378,13 +388,44 @@ class MarketBook:
         self._maybe_self_check()
         return cancelled
 
+    def _rest(self, bet: Bet) -> None:
+        """Queue a bet's unmatched portion at its level and list it as open.
+
+        _rest and _take are the only writers of _totals and _prices, so
+        each drops the competitor's cached grid row.
+        """
+        cid, side, odds = bet.competitor_id, bet.side, bet.odds
+        levels = self._queues[cid][side]
+        totals = self._totals[cid][side]
+        if odds in levels:
+            levels[odds].append(bet)
+            totals[odds] = GridLevel(odds, totals[odds].stake + bet.unmatched)
+        else:
+            levels[odds] = deque((bet,))
+            totals[odds] = GridLevel(odds, bet.unmatched)
+            insort(self._prices[cid][side], odds)
+        self._open[bet.bettor_id][bet.bet_id] = bet
+        self._rows[cid] = None
+
+    def _take(self, cid: str, side: str, odds: int, amount: Money) -> None:
+        """Lower a level's total by amount; drop the level once its queue is empty."""
+        levels = self._queues[cid][side]
+        totals = self._totals[cid][side]
+        if levels[odds]:
+            totals[odds] = GridLevel(odds, totals[odds].stake - amount)
+        else:
+            del levels[odds]
+            del totals[odds]
+            prices = self._prices[cid][side]
+            del prices[bisect_left(prices, odds)]
+        self._rows[cid] = None
+
     def _retire_unmatched(self, bet: Bet) -> Money:
         amount = bet.unmatched
-        levels = self._queues[bet.competitor_id][bet.side]
-        queue = levels[bet.odds]  # a bet with unmatched > 0 always rests here
-        queue.remove(bet)
-        if not queue:
-            del levels[bet.odds]
+        # a bet with unmatched > 0 always rests here; remove raises if it does not
+        self._queues[bet.competitor_id][bet.side][bet.odds].remove(bet)
+        self._take(bet.competitor_id, bet.side, bet.odds, amount)
+        del self._open[bet.bettor_id][bet.bet_id]
         bet.unmatched = 0
         keep = escrow(bet.side, bet.matched, bet.odds)
         release = bet.reserved - keep
@@ -395,20 +436,26 @@ class MarketBook:
     # -- views ------------------------------------------------------------
 
     def market_grid(self, depth: int = 3) -> dict[str, GridRow]:
-        """Aggregated top-of-book per competitor, depth levels per side."""
-        grid: dict[str, GridRow] = {}
-        for cid in self.competitor_ids:
-            sides = self._queues[cid]
-            backs = tuple(
-                GridLevel(odds, sum(b.unmatched for b in sides[BACK][odds]))
-                for odds in sorted(sides[BACK], reverse=True)[:depth]
-            )
-            lays = tuple(
-                GridLevel(odds, sum(b.unmatched for b in sides[LAY][odds]))
-                for odds in sorted(sides[LAY])[:depth]
-            )
-            grid[cid] = GridRow(backs=backs, lays=lays)
-        return grid
+        """Aggregated top-of-book per competitor, depth levels per side.
+
+        Rows are cached; only those of competitors whose book changed since
+        the last call at this depth are rebuilt.
+        """
+        rows = self._rows
+        if depth != self._rows_depth:
+            self._rows_depth = depth
+            for cid in rows:
+                rows[cid] = None
+        for cid, row in rows.items():
+            if row is None:
+                rows[cid] = self._grid_row(cid, depth)
+        return dict(rows)
+
+    def _grid_row(self, cid: str, depth: int) -> GridRow:
+        totals, prices = self._totals[cid], self._prices[cid]
+        backs = tuple(map(totals[BACK].__getitem__, prices[BACK][: -depth - 1 : -1]))
+        lays = tuple(map(totals[LAY].__getitem__, prices[LAY][:depth]))
+        return GridRow(backs=backs, lays=lays)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -494,10 +541,38 @@ class MarketBook:
                     f"account {acct.reserved}, bets {held[bettor_id]}"
                 )
 
+    def check_views(self) -> None:
+        """Assert level totals, odds lists, open-bet dicts and cached grid rows match a recount."""
+        for cid, sides in self._queues.items():
+            for side, levels in sides.items():
+                totals = {o: GridLevel(o, sum(b.unmatched for b in q)) for o, q in levels.items()}
+                if self._totals[cid][side] != totals:
+                    raise AssertionError(
+                        f"level totals on {cid!r} {side}: kept {self._totals[cid][side]}, "
+                        f"recount {totals}"
+                    )
+                if self._prices[cid][side] != sorted(levels):
+                    raise AssertionError(
+                        f"odds list on {cid!r} {side}: kept {self._prices[cid][side]}, "
+                        f"recount {sorted(levels)}"
+                    )
+            row = self._rows[cid]
+            if row is not None and row != self._grid_row(cid, self._rows_depth):
+                raise AssertionError(f"stale cached grid row for {cid!r}")
+        open_bets: dict[str, list[int]] = {b: [] for b in self.accounts}
+        for bet in self.bets.values():
+            if bet.unmatched > 0:
+                open_bets[bet.bettor_id].append(bet.bet_id)
+        for bettor_id, ids in open_bets.items():
+            kept = list(self._open[bettor_id])
+            if kept != ids:
+                raise AssertionError(f"open bets of {bettor_id!r}: kept {kept}, recount {ids}")
+
     def _maybe_self_check(self) -> None:
         if self.self_check:
             self.check_no_cross()
             self.check_accounts()
+            self.check_views()
             self.self_checks_run += 1
 
     def queue_snapshot(self) -> dict:

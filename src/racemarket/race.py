@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .seeding import FieldError, make_rng
 
@@ -174,7 +175,7 @@ class RaceConfig:
     def n_competitors(self) -> int:
         return len(self.competitors)
 
-    @property
+    @cached_property
     def competitor_ids(self) -> tuple[str, ...]:
         return tuple(c.cid for c in self.competitors)
 

@@ -179,7 +179,6 @@ class _Session:
         my_bets = tuple(
             OpenBet(b.bet_id, b.competitor_id, b.side, b.odds, b.unmatched, b.arrival_time)
             for b in self.book.bets_of(agent.bettor_id)
-            if b.unmatched > 0
         )
         return Observation(
             time=time,
@@ -207,7 +206,8 @@ class _Session:
                 {"bettor": agent.bettor_id, "bet_id": action.bet_id, "cancelled": cancelled},
             )
             return
-        assert isinstance(action, PlaceOrder)
+        if not isinstance(action, PlaceOrder):
+            raise TypeError(f"unknown agent action {type(action).__name__}")
         try:
             bet_id, records = self.book.submit_bet(
                 agent.bettor_id,
@@ -254,14 +254,10 @@ class _Session:
         actions = agent.decide(obs)
         if self.config.sentiment and agent.last_prediction is not None:
             top = odds_to_decimal(MAX_ODDS)
-            odds = [min(1.0 / p, top) if p > 0.0 else top for p in agent.last_prediction]
-            self.emit(
-                time,
-                "sentiment",
-                {"bettor": agent.bettor_id, "odds": [round(o, 4) for o in odds]},
-            )
+            odds = [round(min(1.0 / p, top) if p > 0.0 else top, 4) for p in agent.last_prediction]
+            self.emit(time, "sentiment", {"bettor": agent.bettor_id, "odds": odds})
             for cid, o in zip(self.race_cfg.competitor_ids, odds):
-                self.sentiment_rows.append((time, agent.bettor_id, cid, round(o, 4)))
+                self.sentiment_rows.append((time, agent.bettor_id, cid, o))
         for action in actions:
             self._apply(time, agent, action)
 

@@ -17,6 +17,10 @@ from .race import Trajectory
 from .seeding import RNG_ALGORITHM
 
 
+# json.dumps builds a new encoder per call when given separators; share one.
+_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -42,10 +46,9 @@ def write_finish_csv(path: Path, traj: Trajectory) -> None:
 
 
 def write_events_jsonl(path: Path, events: list[dict]) -> None:
+    encode = _EVENT_ENCODER.encode
     with open(path, "w") as fh:
-        for event in events:
-            fh.write(json.dumps(event, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(f"{encode(event)}\n" for event in events)
 
 
 def write_sentiment_csv(path: Path, rows: list[tuple[float, str, str, float]]) -> None:

@@ -152,7 +152,7 @@ def test_criterion_03_matcher_equals_reference_on_100k_ops():
     streams, ops = 100, 1000
     matched = 0
     for seed in range(streams):
-        matched += drive_pair(seed, ops, check_every=200)
+        matched += drive_pair(seed, ops, check_every=200, view_every=50)
     assert matched > 0
     report(3, f"{streams} streams x {ops} ops bit-identical; {matched} cents matched")
 

@@ -11,6 +11,7 @@ from racemarket.exchange import (
     Account,
     EscrowError,
     ExchangeError,
+    GridLevel,
     InsufficientFundsError,
     InvalidOddsError,
     MarketBook,
@@ -402,6 +403,47 @@ def test_no_cross_check_fires_on_a_forced_cross():
     book._queues["c1"][LAY][300] = deque([fake])
     with pytest.raises(AssertionError):
         book.check_no_cross()
+
+
+def test_self_check_audits_the_cached_views():
+    book = make_book()
+    book.self_check = True
+    book.submit_bet("alice", "c1", BACK, 300, 100)
+    book.submit_bet("bob", "c1", BACK, 300, 250)
+    book.check_views()
+    level = book._totals["c1"][BACK][300]
+    book._totals["c1"][BACK][300] = GridLevel(level.odds, level.stake + 1)  # corrupt by hand
+    with pytest.raises(AssertionError, match="level totals"):
+        book.check_views()
+    with pytest.raises(AssertionError):
+        book.submit_bet("carol", "c2", LAY, 400, 100)  # the next mutation's self-check
+
+
+def test_bets_of_lists_open_bets_in_arrival_order():
+    book = make_book()
+    a, _ = book.submit_bet("alice", "c1", BACK, 300, 500)
+    b, _ = book.submit_bet("alice", "c2", LAY, 400, 100)
+    c, _ = book.submit_bet("alice", "c1", BACK, 320, 100)
+    book.submit_bet("bob", "c2", BACK, 400, 100)  # fills b
+    book.submit_bet("bob", "c1", LAY, 300, 200)  # part-fills a
+    assert [bet.bet_id for bet in book.bets_of("alice")] == [a, c]
+    book.cancel_bet(c, "alice")
+    assert [bet.bet_id for bet in book.bets_of("alice")] == [a]
+    assert book.bets_of("nobody") == []
+
+
+def test_market_grid_rebuilds_rows_after_changes_and_depth_changes():
+    book = make_book()
+    for odds in (300, 320, 340):
+        book.submit_bet("alice", "c1", BACK, odds, 100)
+    first = book.market_grid(depth=2)
+    assert [l.odds for l in first["c1"].backs] == [340, 320]
+    assert book.market_grid(depth=2)["c2"] is first["c2"]  # unchanged rows are reused
+    book.submit_bet("bob", "c1", LAY, 340, 100)  # takes out the best back
+    assert [l.odds for l in book.market_grid(depth=2)["c1"].backs] == [320, 300]
+    assert [l.odds for l in book.market_grid(depth=1)["c1"].backs] == [320]
+    book.close_betting()
+    assert book.market_grid(depth=1)["c1"].backs == ()
 
 
 @settings(max_examples=50, deadline=None)

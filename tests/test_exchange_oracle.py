@@ -131,14 +131,43 @@ class ScanBook:
                 snap[cid][side] = {odds: levels[odds] for odds in sorted(levels)}
         return snap
 
+    def grid(self, depth):
+        """Per competitor: the top depth (odds, stake) levels of backs (highest first) and lays."""
+        totals = {(cid, side): {} for cid in self.cids for side in (BACK, LAY)}
+        for bet in self.bets:
+            if bet["unmatched"] > 0:
+                level = totals[bet["cid"], bet["side"]]
+                level[bet["odds"]] = level.get(bet["odds"], 0) + bet["unmatched"]
+        return {
+            cid: (
+                sorted(totals[cid, BACK].items(), reverse=True)[:depth],
+                sorted(totals[cid, LAY].items())[:depth],
+            )
+            for cid in self.cids
+        }
+
+    def open_bets(self, bettor):
+        return [b["id"] for b in self.bets if b["bettor"] == bettor and b["unmatched"] > 0]
+
+
+def grid_levels(grid):
+    return {
+        cid: ([(l.odds, l.stake) for l in row.backs], [(l.odds, l.stake) for l in row.lays])
+        for cid, row in grid.items()
+    }
+
 
 BETTORS = ("u1", "u2", "u3")
 ODDS_POOL = (150, 200, 300, 450)
 AMPLE = 10**12  # funds never bind; matching is the subject here
 
 
-def drive_pair(seed: int, n_ops: int, check_every: int = 25) -> int:
-    """Run one random op stream through both books and compare everything."""
+def drive_pair(seed: int, n_ops: int, check_every: int = 25, view_every: int = 1) -> int:
+    """Run one random op stream through both books and compare everything.
+
+    The book's read views (market_grid, bets_of) are compared every
+    view_every ops, the resting queues and balances every check_every ops.
+    """
     rng = random.Random(seed)
     cids = ("c1", "c2")
     real = MarketBook(cids)
@@ -168,6 +197,15 @@ def drive_pair(seed: int, n_ops: int, check_every: int = 25) -> int:
             ]
             assert got == recs_ref, f"op {op}: match records diverged"
             live.append((id_real, bettor))
+        if op % view_every == 0:
+            # depth changes every 10 ops: cached rows are reused within a run
+            # of equal depths and dropped when the depth changes
+            depth = 1 + op // 10 % 4
+            got_grid = grid_levels(real.market_grid(depth))
+            assert got_grid == ref.grid(depth), f"op {op}: grid diverged"
+            for b in BETTORS:
+                got_open = [bet.bet_id for bet in real.bets_of(b)]
+                assert got_open == ref.open_bets(b), f"op {op}: open bets of {b} diverged"
         if op % check_every == 0:
             assert real.queue_snapshot() == ref.queue_snapshot(), f"op {op}: book state diverged"
             free = {b: real.free_balance(b) for b in BETTORS}

@@ -7,6 +7,7 @@ from racemarket.seeding import derive_seed, spawn_rng
 from racemarket.session import (
     SessionConfig,
     SessionConfigError,
+    _Session,
     expand_agents,
     run_session,
     wake_schedule,
@@ -108,6 +109,13 @@ def test_session_race_divergence_reads_like_run_race():
     with pytest.raises(RaceDivergedError) as session:
         run_session(small_session(race=race, agents=(AgentParams("lw"),)))
     assert str(session.value) == str(solo.value) == "race exceeded tick_limit=5 with 0/3 finished"
+
+
+def test_unknown_action_raises_type_error():
+    sess = _Session(small_session())
+    with pytest.raises(TypeError, match="str"):
+        sess._apply(0.0, sess.agents[0], "back c1 at 3.0")
+    assert sess.events == []
 
 
 def test_no_agents_is_just_a_race():
