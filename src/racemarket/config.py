@@ -3,15 +3,17 @@
 The config dataclasses are the schema.  A section's keys, defaults and value
 types are read from its dataclass fields, and each bound is checked once, by
 the dataclass's validate(); an error reads `<key path>: <constraint>`.
-Unknown keys are rejected.  config_to_dict walks the same fields, so
-config_to_dict(parse_config(x)) is the fully-explicit canonical form and
-emit_default_config() round-trips through parse_config unchanged.
+Every number key must be finite, which the number codec checks before any
+validate() runs.  Unknown keys are rejected.  config_to_dict walks the same
+fields, so config_to_dict(parse_config(x)) is the fully-explicit canonical
+form and emit_default_config() round-trips through parse_config unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
@@ -56,7 +58,20 @@ def _scalar(typ, accepted, what: str):
     return parse
 
 
-_num = _scalar(float, (int, float), "a number")
+_number = _scalar(float, (int, float), "a number")
+
+
+def _num(v, path: str) -> float:
+    """A finite number: JSON text also parses NaN, Infinity and 1e999 (inf)."""
+    try:
+        x = _number(v, path)
+    except OverflowError:  # an int past the float range
+        x = math.inf if v > 0 else -math.inf
+    if not math.isfinite(x):
+        _fail(path, f"must be a finite number, got {x!r}")
+    return x
+
+
 _int = _scalar(int, int, "an integer")
 _bool = _scalar(bool, bool, "true or false")
 _str = _scalar(str, str, "a string")

@@ -48,13 +48,6 @@ class UniformSteps:
         if not self.hi >= self.lo:
             raise RaceConfigError("hi", f"must be >= lo = {self.lo}, got {self.hi}")
 
-    def draw(self, rng) -> float:
-        return rng.uniform(self.lo, self.hi)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class LogNormalSteps:
@@ -69,13 +62,6 @@ class LogNormalSteps:
             raise RaceConfigError("sigma", f"must be >= 0, got {self.sigma}")
         if not self.scale > 0.0:
             raise RaceConfigError("scale", f"must be > 0, got {self.scale}")
-
-    def draw(self, rng) -> float:
-        return self.scale * rng.lognormvariate(self.mu, self.sigma)
-
-    @property
-    def mean(self) -> float:
-        return self.scale * math.exp(self.mu + 0.5 * self.sigma * self.sigma)
 
 
 StepDistribution = UniformSteps | LogNormalSteps
@@ -96,11 +82,6 @@ class Responsiveness:
             raise RaceConfigError("late_mult", f"must be > 0, got {self.late_mult}")
         if not 0.0 <= self.breakpoint <= 1.0:
             raise RaceConfigError("breakpoint", f"must be in [0, 1], got {self.breakpoint}")
-
-    def at(self, position: float, track_length: float) -> float:
-        if position < self.breakpoint * track_length:
-            return self.early_mult
-        return self.late_mult
 
 
 @dataclass(frozen=True)
@@ -228,19 +209,18 @@ class RaceState:
     def finished_count(self) -> int:
         return sum(1 for t in self.finish_ticks if t is not None)
 
-    def all_finished(self) -> bool:
-        return all(t is not None for t in self.finish_ticks)
-
 
 def initial_state(config: RaceConfig, rng) -> RaceState:
-    """All competitors at 0; previous steps primed with one unblocked draw each."""
+    """All competitors at 0; previous steps primed with one free step each.
+
+    The primer is one kernel tick off the line of an endless track: nobody
+    is strictly ahead at the start, so every step is a free draw at
+    position 0, in index order.
+    """
     n = config.n_competitors
-    prev = []
-    for comp in config.competitors:
-        pref = preference_factor(config.conditions, comp.preference, comp.pref_sensitivity)
-        resp = comp.responsiveness.at(0.0, config.track_length)
-        prev.append(resp * pref * comp.steps.draw(rng))
-    return RaceState(0, [0.0] * n, prev, [None] * n)
+    primer = RaceState(0, [0.0] * n, [0.0] * n, [None] * n)
+    _tick(_compile(config), math.inf, primer, list(range(n)), rng)
+    return RaceState(0, [0.0] * n, primer.prev_steps, [None] * n)
 
 
 def _compile(config: RaceConfig) -> tuple[tuple, ...]:
@@ -293,8 +273,8 @@ def _tick(runners, length: float, state: RaceState, racing: list[int], rng) -> l
                 steps.append((early if p < bp else late) * min(prev[c], prev[min(order[j:k])]))
                 state.blocked_steps += 1
                 continue
-        draw = scale * lognormvariate(a, b) if lognormal else a + b * random()
-        steps.append((early_free if p < bp else late_free) * draw)
+        raw = scale * lognormvariate(a, b) if lognormal else a + b * random()
+        steps.append((early_free if p < bp else late_free) * raw)
     t = state.tick = state.tick + 1
     still = []
     for c, s in zip(racing, steps):

@@ -363,7 +363,7 @@ def test_criterion_08_log_loss_non_increasing_in_dry_runs():
         for _ in range(3):
             advance_race(state, cfg, rng)
         mid = state.clone()
-        while not state.all_finished():
+        while None in state.finish_ticks:
             advance_race(state, cfg, rng)
         winner = min(
             range(cfg.n_competitors),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +324,25 @@ def test_cross_field_and_nan_errors_name_the_field(path, value, reported):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     assert str(info.value).startswith(f"{reported}: "), str(info.value)
+
+
+DERBY = Path(__file__).resolve().parents[1] / "configs" / "derby.json"
+NON_FINITE = [
+    ("session.opening_period", "Infinity", "inf"),
+    ("race.conditions", "NaN", "nan"),
+    ("race.competitors[1].preference", "-Infinity", "-inf"),
+    ("race.competitors[2].steps.mu", "1e999", "inf"),  # derby's lognormal runner
+    ("race.track_length", "1e999", "inf"),
+    ("race.dt", "1" + "0" * 400, "inf"),  # an int past the float range
+]
+
+
+@pytest.mark.parametrize("path, literal, shown", NON_FINITE, ids=[p for p, _, _ in NON_FINITE])
+def test_non_finite_numbers_are_rejected_at_their_key_path(path, literal, shown):
+    # json.loads takes NaN, Infinity and overflowing literals in config text
+    doc = json.loads(DERBY.read_text())
+    _set(doc, path, "@")
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"{path}: must be a finite number, got {shown}"

@@ -399,7 +399,16 @@ def test_no_cross_check_fires_on_a_forced_cross():
 
     from racemarket.exchange import Bet
 
-    fake = Bet(99, "bob", "c1", LAY, 300, 100, 99, 0.0, unmatched=100)
+    fake = Bet(
+        bet_id=99,
+        bettor_id="bob",
+        competitor_id="c1",
+        side=LAY,
+        odds=300,
+        stake=100,
+        arrival_time=0.0,
+        unmatched=100,
+    )
     book._queues["c1"][LAY][300] = deque([fake])
     with pytest.raises(AssertionError):
         book.check_no_cross()

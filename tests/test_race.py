@@ -76,11 +76,15 @@ def test_preference_factor():
 
 
 def test_responsiveness_profile():
+    # one tick of a fixed unit step from either side of the breakpoint at 50
     r = Responsiveness(early_mult=2.0, late_mult=0.5, breakpoint=0.5)
-    assert r.at(0.0, 100.0) == 2.0
-    assert r.at(49.999, 100.0) == 2.0
-    assert r.at(50.0, 100.0) == 0.5  # boundary belongs to the late phase
-    assert r.at(99.0, 100.0) == 0.5
+    field = tuple(Competitor(f"c{i}", fixed(1.0), responsiveness=r) for i in range(4))
+    cfg = RaceConfig(track_length=100.0, competitors=field)
+    state = RaceState(0, [0.0, 49.999, 50.0, 99.0], [1.0] * 4, [None] * 4)
+    steps = advance_race(state, cfg, make_rng(0)).prev_steps
+    assert steps[:2] == [2.0, 2.0]
+    assert steps[2] == 0.5  # boundary belongs to the late phase
+    assert steps[3] == 0.5
 
 
 def one_tick_steps(steps, n, rng) -> list[float]:
@@ -99,9 +103,10 @@ def test_draw_step_means():
     assert mean_u == pytest.approx(15.0, abs=0.05)
 
     ln = LogNormalSteps(mu=0.0, sigma=0.25, scale=2.0)
-    assert ln.mean == pytest.approx(2.0634868, abs=1e-6)
+    expected = 2.0 * math.exp(0.25**2 / 2)  # scale * exp(mu + sigma^2 / 2)
+    assert expected == pytest.approx(2.0634868, abs=1e-6)
     mean_ln = sum(one_tick_steps(ln, n, rng)) / n
-    assert mean_ln == pytest.approx(ln.mean, rel=0.01)
+    assert mean_ln == pytest.approx(expected, rel=0.01)
     assert min(one_tick_steps(ln, 1000, rng)) > 0.0
 
 
@@ -280,7 +285,7 @@ def test_blocked_runner_cannot_outrun_the_wall():
     state = RaceState(0, [0.0, 3.0], [11.0, 5.5], [None, None])
     rng = make_rng(3)
     blocked_seen = 0
-    while not state.all_finished():
+    while None in state.finish_ticks:
         before = list(state.positions)
         finished_before = list(state.finish_ticks)
         advance_race(state, cfg, rng)

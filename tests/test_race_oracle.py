@@ -3,11 +3,12 @@
 ScanRace re-implements one tick the plain way: for every racing competitor
 a linear scan over all rivals finds the front runner (nearest racing rival
 strictly ahead by gap, lowest index among equal gaps), then the step is a
-free draw through the step law's own draw method or a copy of the smaller
-previous step.  Random states with exact position ties, finished rivals,
-theta = 0 competitors and mixed step laws must come out bit-identical on
-both: positions, previous steps, finish ticks, blocked steps, and the
-generator state.
+free draw or a copy of the smaller previous step.  The step law itself is
+stated here a second time, as reference code (ref_draw, ref_resp), and the
+kernel's primed initial state is checked against it too.  Random states with
+exact position ties, finished rivals, theta = 0 competitors and mixed step
+laws must come out bit-identical on both: positions, previous steps, finish
+ticks, blocked steps, and the generator state.
 """
 
 import math
@@ -32,6 +33,34 @@ from racemarket.race import (
 from racemarket.seeding import make_rng
 
 
+def ref_draw(steps, rng) -> float:
+    """One raw draw of a step law: U(lo, hi), or scale * exp(Normal(mu, sigma))."""
+    if isinstance(steps, LogNormalSteps):
+        return steps.scale * rng.lognormvariate(steps.mu, steps.sigma)
+    return rng.uniform(steps.lo, steps.hi)
+
+
+def ref_resp(resp, position, track_length) -> float:
+    """Responsiveness multiplier: early before breakpoint * track_length, late from it on."""
+    if position < resp.breakpoint * track_length:
+        return resp.early_mult
+    return resp.late_mult
+
+
+def ref_free_step(config, c, position, rng) -> float:
+    comp = config.competitors[c]
+    pref = preference_factor(config.conditions, comp.preference, comp.pref_sensitivity)
+    resp = ref_resp(comp.responsiveness, position, config.track_length)
+    return resp * pref * ref_draw(comp.steps, rng)
+
+
+def scan_initial_state(config, rng):
+    """All at 0; each previous step primed with one free step at 0, in index order."""
+    n = config.n_competitors
+    prev = [ref_free_step(config, c, 0.0, rng) for c in range(n)]
+    return RaceState(0, [0.0] * n, prev, [None] * n)
+
+
 def scan_front_runner(positions, finish_ticks, c):
     """Nearest still-racing competitor strictly ahead of c: (index, gap), or None."""
     pc = positions[c]
@@ -51,12 +80,11 @@ def scan_front_runner(positions, finish_ticks, c):
 
 
 def scan_step(state, config, c, rng):
-    comp = config.competitors[c]
-    resp = comp.responsiveness.at(state.positions[c], config.track_length)
+    comp, position = config.competitors[c], state.positions[c]
     front = scan_front_runner(state.positions, state.finish_ticks, c)
     if front is None or front[1] > comp.theta:
-        pref = preference_factor(config.conditions, comp.preference, comp.pref_sensitivity)
-        return resp * pref * comp.steps.draw(rng), False
+        return ref_free_step(config, c, position, rng), False
+    resp = ref_resp(comp.responsiveness, position, config.track_length)
     return resp * min(state.prev_steps[c], state.prev_steps[front[0]]), True
 
 
@@ -82,7 +110,7 @@ def scan_tick(state, config, rng):
 
 
 def scan_finish(state, config, rng):
-    while not state.all_finished():
+    while None in state.finish_ticks:
         scan_tick(state, config, rng)
     return state
 
@@ -182,6 +210,14 @@ def test_rounded_gap_tie_picks_the_lowest_index():
 
 
 @settings(max_examples=300, deadline=None)
+@given(configs(), st.integers(0, 2**32))
+def test_initial_state_equals_scan(config, seed):
+    rng_ref, rng = make_rng(seed), make_rng(seed)
+    assert bits(initial_state(config, rng)) == bits(scan_initial_state(config, rng_ref))
+    assert rng.getstate() == rng_ref.getstate()
+
+
+@settings(max_examples=300, deadline=None)
 @given(races_mid_way(), st.integers(0, 2**32))
 def test_one_tick_equals_scan(race, seed):
     config, state = race
@@ -198,12 +234,12 @@ def test_one_tick_equals_scan(race, seed):
 def test_run_race_and_simulate_from_equal_scan(config, seed):
     traj = run_race(config, seed, record=False)
     rng = make_rng(seed)
-    reference = scan_finish(initial_state(config, rng), config, rng)
+    reference = scan_finish(scan_initial_state(config, rng), config, rng)
     assert list(traj.finish_ticks) == reference.finish_ticks
     assert [p.hex() for p in traj.final_positions] == [p.hex() for p in reference.positions]
     assert traj.blocked_steps == reference.blocked_steps
 
-    mid = initial_state(config, make_rng(seed + 1))
+    mid = scan_initial_state(config, make_rng(seed + 1))
     scan_tick(mid, config, make_rng(seed + 2))
     order = simulate_from(mid, config, seed + 3)
     rest = scan_finish(mid.clone(), config, make_rng(seed + 3))
