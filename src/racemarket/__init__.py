@@ -26,7 +26,7 @@ from .race import (
     simulate_from,
 )
 from .seeding import derive_seed, make_rng, spawn_rng
-from .session import SessionConfig, SessionResult, run_session, wake_schedule
+from .session import SessionConfig, SessionResult, run_session
 
 __all__ = [
     "__version__",
@@ -61,5 +61,4 @@ __all__ = [
     "run_session",
     "simulate_from",
     "spawn_rng",
-    "wake_schedule",
 ]

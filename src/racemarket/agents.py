@@ -23,8 +23,6 @@ Strategies:
          level, and stake.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 from .exchange import (
@@ -166,6 +164,11 @@ def rp_predict(state: RaceState, config: RaceConfig, d: int, rng) -> tuple[float
     return tuple((w + 1) / (d + n) for w in wins)
 
 
+def _uniform(n: int) -> tuple[float, ...]:
+    """The uniform prior over n competitors."""
+    return tuple(1.0 / n for _ in range(n))
+
+
 def _point_mass(n: int, picks: list[int]) -> tuple[float, ...]:
     share = 1.0 / len(picks)
     probs = [0.0] * n
@@ -226,7 +229,7 @@ def btf_predict(grid: dict[str, GridRow], competitor_ids: tuple[str, ...]) -> tu
         if best is not None:
             quotes.append((best.odds, i))
     if not quotes:
-        return tuple(1.0 / n for _ in range(n))
+        return _uniform(n)
     lowest = min(q for q, _ in quotes)
     return _point_mass(n, [i for q, i in quotes if q == lowest])
 
@@ -279,7 +282,7 @@ def rb_stake(raw: int, multiples: tuple[int, ...], max_stake: int) -> int:
 
 
 class Bettor:
-    """Base agent: shared value-betting decide over a strategy's predict."""
+    """Base agent: one decide over a strategy's predict and _order; this _order bets on value."""
 
     strategy = "base"
 
@@ -312,9 +315,10 @@ class Bettor:
     def _stake_minor(self) -> Money:
         return self.params.base_stake * 100
 
-    def _value_order(self, obs: Observation, c: int, p: float) -> PlaceOrder | None:
-        cid = self.race_config.competitor_ids[c]
-        fair = 1.0 / p if p > 0.0 else float(MAX_ODDS)
+    def _order(self, obs: Observation, probs: tuple[float, ...]) -> PlaceOrder:
+        """The value order on the top pick: take a profitable level, else rest a back."""
+        cid = self.race_config.competitor_ids[self._pick(probs)]
+        fair = 1.0 / max(probs)  # probs sum to 1, so the top one is at least 1/n
         fair_q = MIN_ODDS if fair <= odds_to_decimal(MIN_ODDS) else quantize_odds(fair)
         row = obs.grid[cid]
         best_lay = row.best_lay
@@ -325,19 +329,15 @@ class Bettor:
             side, odds = LAY, best_back.odds  # lays an overrated competitor
         else:
             side, odds = BACK, fair_q  # rests at own fair odds
-        stake = self._stake_minor()
-        need = escrow(side, stake, odds)
-        if stake <= 0 or need > obs.balance:
-            return None
-        return PlaceOrder(cid, side, odds, stake)
+        return PlaceOrder(cid, side, odds, self._stake_minor())
 
     def decide(self, obs: Observation) -> list[Action]:
-        """Stale-bet cancels plus at most one value order on the top pick."""
+        """Stale-bet cancels plus at most one order, funds permitting."""
         probs = self.predict(obs)
         self.last_prediction = probs
         actions = self._stale_cancels(obs)
-        order = self._value_order(obs, self._pick(probs), max(probs))
-        if order is not None:
+        order = self._order(obs, probs)
+        if escrow(order.side, order.stake, order.odds) <= obs.balance:
             actions.append(order)
         return actions
 
@@ -366,9 +366,8 @@ class LinExBettor(Bettor):
     strategy = "linex"
 
     def predict(self, obs: Observation) -> tuple[float, ...]:
-        n = self.race_config.n_competitors
         if all(len(h) == 0 for h in obs.step_history):
-            return tuple(1.0 / n for _ in range(n))
+            return _uniform(self.race_config.n_competitors)
         window_ticks = max(1, round(self.params.window / self.race_config.dt))
         return linex_predict(
             obs.step_history, obs.positions, self.race_config.track_length, window_ticks
@@ -416,22 +415,16 @@ class ZIBettor(Bettor):
         self._band = ladder_band(params.zi_odds_lo, params.zi_odds_hi)
 
     def predict(self, obs: Observation) -> tuple[float, ...]:
-        n = self.race_config.n_competitors
-        return tuple(1.0 / n for _ in range(n))
+        return _uniform(self.race_config.n_competitors)
 
-    def decide(self, obs: Observation) -> list[Action]:
-        """Random competitor, side, band odds, and stake, funds permitting."""
-        self.last_prediction = self.predict(obs)
-        actions = self._stale_cancels(obs)
+    def _order(self, obs: Observation, probs: tuple[float, ...]) -> PlaceOrder:
+        """Random competitor, side, band odds, and stake."""
         rng = self.rng
         cid = self.race_config.competitor_ids[rng.randrange(self.race_config.n_competitors)]
         side = BACK if rng.random() < 0.5 else LAY
         odds = self._band[rng.randrange(len(self._band))]
         stake = rng.randint(1, self.params.max_stake) * 100
-        need = escrow(side, stake, odds)
-        if need <= obs.balance:
-            actions.append(PlaceOrder(cid, side, odds, stake))
-        return actions
+        return PlaceOrder(cid, side, odds, stake)
 
 
 _STRATEGIES: dict[str, type[Bettor]] = {

@@ -10,8 +10,6 @@ scipy is imported lazily inside the comparison helpers to keep batch
 worker processes import-light.
 """
 
-from __future__ import annotations
-
 import multiprocessing
 import os
 import time as _time

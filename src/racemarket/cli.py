@@ -6,8 +6,6 @@ reported as one JSON line on stderr; result summaries as one JSON line on
 stdout.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

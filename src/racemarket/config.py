@@ -9,14 +9,12 @@ fields, so config_to_dict(parse_config(x)) is the fully-explicit canonical
 form and emit_default_config() round-trips through parse_config unchanged.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
-from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Any, Callable, NamedTuple, get_args, get_origin
 
 from .batch import BatchSection, BenchSection
 from .race import (
@@ -165,10 +163,9 @@ def _codec(typ) -> tuple[Callable, Callable | None]:
 
 @cache
 def _schema(cls) -> tuple[_Field, ...]:
-    hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
-        parse, dump = _codec(hints[f.name])
+        parse, dump = _codec(f.type)
         parse = _PARSERS.get((cls, f.name), parse)
         default = f.default if f.default_factory is MISSING else f.default_factory()
         default = _DEFAULTS.get((cls, f.name), default)

@@ -17,10 +17,8 @@ them; commission rounds half up.  The sum of all bettor deltas plus total
 commission is exactly zero.
 """
 
-from __future__ import annotations
-
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -240,14 +238,17 @@ class SettlementReport:
 class MarketBook:
     """Winner market over a fixed set of competitors with bettor accounts."""
 
-    def __init__(self, competitor_ids, commission_rate: float = 0.05):
+    def __init__(self, competitor_ids, commission_rate: float = 0.05, grid_depth: int = 3):
         ids = tuple(competitor_ids)
         if len(ids) != len(set(ids)) or not ids:
             raise ExchangeError(f"competitor ids must be unique and non-empty, got {ids}")
         if not 0.0 <= commission_rate < 1.0:
             raise ExchangeError(f"commission_rate must be in [0, 1), got {commission_rate}")
+        if grid_depth < 1:
+            raise ExchangeError(f"grid_depth must be >= 1, got {grid_depth}")
         self.competitor_ids = ids
         self.commission_rate = commission_rate
+        self.grid_depth = grid_depth
         self.state = OPEN
         self.bets: dict[int, Bet] = {}
         self.matches: list[MatchRecord] = []
@@ -257,16 +258,14 @@ class MarketBook:
             cid: {BACK: {}, LAY: {}} for cid in ids
         }
         # Views kept in step with _queues: the unmatched stake resting at each
-        # level (held as the GridLevel the grid shows), each side's odds
-        # ascending, and each bettor's open bets by id.
+        # level (held as the GridLevel the grid shows) and each bettor's open
+        # bets by id.
         self._totals: dict[str, dict[str, dict[int, GridLevel]]] = {
             cid: {BACK: {}, LAY: {}} for cid in ids
         }
-        self._prices: dict[str, dict[str, list[int]]] = {cid: {BACK: [], LAY: []} for cid in ids}
         self._open: dict[str, dict[int, Bet]] = {}
-        # market_grid's rows at depth _rows_depth; a None row is rebuilt on demand
+        # market_grid's rows; a None row is rebuilt on demand
         self._rows: dict[str, GridRow | None] = dict.fromkeys(ids)
-        self._rows_depth = 0
         self._next_id = 1
         self.self_check = False
         self.self_checks_run = 0
@@ -391,8 +390,8 @@ class MarketBook:
     def _rest(self, bet: Bet) -> None:
         """Queue a bet's unmatched portion at its level and list it as open.
 
-        _rest and _take are the only writers of _totals and _prices, so
-        each drops the competitor's cached grid row.
+        _rest and _take are the only writers of _totals, so each drops
+        the competitor's cached grid row.
         """
         cid, side, odds = bet.competitor_id, bet.side, bet.odds
         levels = self._queues[cid][side]
@@ -403,7 +402,6 @@ class MarketBook:
         else:
             levels[odds] = deque((bet,))
             totals[odds] = GridLevel(odds, bet.unmatched)
-            insort(self._prices[cid][side], odds)
         self._open[bet.bettor_id][bet.bet_id] = bet
         self._rows[cid] = None
 
@@ -416,8 +414,6 @@ class MarketBook:
         else:
             del levels[odds]
             del totals[odds]
-            prices = self._prices[cid][side]
-            del prices[bisect_left(prices, odds)]
         self._rows[cid] = None
 
     def _retire_unmatched(self, bet: Bet) -> Money:
@@ -435,27 +431,24 @@ class MarketBook:
 
     # -- views ------------------------------------------------------------
 
-    def market_grid(self, depth: int = 3) -> dict[str, GridRow]:
-        """Aggregated top-of-book per competitor, depth levels per side.
+    def market_grid(self) -> dict[str, GridRow]:
+        """Aggregated top-of-book per competitor, grid_depth levels per side.
 
         Rows are cached; only those of competitors whose book changed since
-        the last call at this depth are rebuilt.
+        the last call are rebuilt.
         """
         rows = self._rows
-        if depth != self._rows_depth:
-            self._rows_depth = depth
-            for cid in rows:
-                rows[cid] = None
         for cid, row in rows.items():
             if row is None:
-                rows[cid] = self._grid_row(cid, depth)
+                rows[cid] = self._grid_row(cid)
         return dict(rows)
 
-    def _grid_row(self, cid: str, depth: int) -> GridRow:
-        totals, prices = self._totals[cid], self._prices[cid]
-        backs = tuple(map(totals[BACK].__getitem__, prices[BACK][: -depth - 1 : -1]))
-        lays = tuple(map(totals[LAY].__getitem__, prices[LAY][:depth]))
-        return GridRow(backs=backs, lays=lays)
+    def _grid_row(self, cid: str) -> GridRow:
+        backs, lays, depth = self._totals[cid][BACK], self._totals[cid][LAY], self.grid_depth
+        return GridRow(
+            backs=tuple(map(backs.__getitem__, sorted(backs, reverse=True)[:depth])),
+            lays=tuple(map(lays.__getitem__, sorted(lays)[:depth])),
+        )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -542,7 +535,7 @@ class MarketBook:
                 )
 
     def check_views(self) -> None:
-        """Assert level totals, odds lists, open-bet dicts and cached grid rows match a recount."""
+        """Assert level totals, open-bet dicts and cached grid rows match a recount."""
         for cid, sides in self._queues.items():
             for side, levels in sides.items():
                 totals = {o: GridLevel(o, sum(b.unmatched for b in q)) for o, q in levels.items()}
@@ -551,13 +544,8 @@ class MarketBook:
                         f"level totals on {cid!r} {side}: kept {self._totals[cid][side]}, "
                         f"recount {totals}"
                     )
-                if self._prices[cid][side] != sorted(levels):
-                    raise AssertionError(
-                        f"odds list on {cid!r} {side}: kept {self._prices[cid][side]}, "
-                        f"recount {sorted(levels)}"
-                    )
             row = self._rows[cid]
-            if row is not None and row != self._grid_row(cid, self._rows_depth):
+            if row is not None and row != self._grid_row(cid):
                 raise AssertionError(f"stale cached grid row for {cid!r}")
         open_bets: dict[str, list[int]] = {b: [] for b in self.accounts}
         for bet in self.bets.values():
@@ -574,20 +562,6 @@ class MarketBook:
             self.check_accounts()
             self.check_views()
             self.self_checks_run += 1
-
-    def queue_snapshot(self) -> dict:
-        """Canonical resting-book dump for equivalence and replay tests."""
-        snap: dict = {}
-        for cid in self.competitor_ids:
-            sides = self._queues[cid]
-            snap[cid] = {
-                side: {
-                    odds: [(b.bet_id, b.unmatched) for b in sides[side][odds]]
-                    for odds in sorted(sides[side])
-                }
-                for side in (BACK, LAY)
-            }
-        return snap
 
     def total_matched(self) -> Money:
         return sum(rec.amount for rec in self.matches)

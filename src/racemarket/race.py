@@ -11,8 +11,6 @@ synchronous, computed from start-of-tick positions.  The race ends when the
 slowest competitor has crossed the finish line.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from collections.abc import Iterator

@@ -10,8 +10,6 @@ use.  Results are always in [0, 2**64).
 FieldError, the error of every config validate(), sits here below them all.
 """
 
-from __future__ import annotations
-
 import random
 
 MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -13,8 +13,6 @@ The event log is a list of dicts with gap-free increasing seq numbers,
 ready to be written as JSON lines.
 """
 
-from __future__ import annotations
-
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -117,20 +115,6 @@ def wake_times(params: AgentParams, master_seed: int, i: int) -> Iterator[float]
     return (jitter + k * params.reevaluate_every for k in count())
 
 
-def wake_schedule(
-    agent_params: list[AgentParams], horizon: float, master_seed: int
-) -> list[tuple[float, int]]:
-    """All (wake time, agent index) pairs with k * period <= horizon, by time, then index."""
-    wakes: list[tuple[float, int]] = []
-    for i, params in enumerate(agent_params):
-        for k, time in enumerate(wake_times(params, master_seed, i)):
-            if k * params.reevaluate_every > horizon:
-                break
-            wakes.append((time, i))
-    wakes.sort()
-    return wakes
-
-
 class _Session:
     def __init__(self, config: SessionConfig):
         config.validate()
@@ -139,7 +123,9 @@ class _Session:
         self.n = config.race.n_competitors
         self.rng_race = spawn_rng(config.master_seed, "race")
         self.agents = expand_agents(config)
-        self.book = MarketBook(config.race.competitor_ids, config.commission_rate)
+        self.book = MarketBook(
+            config.race.competitor_ids, config.commission_rate, config.grid_depth
+        )
         self.starting: dict[str, Money] = {}
         for agent in self.agents:
             balance = agent.params.starting_balance * 100
@@ -186,7 +172,7 @@ class _Session:
             positions=positions,
             finish_ticks=finish_ticks,
             step_history=history,
-            grid=self.book.market_grid(self.config.grid_depth),
+            grid=self.book.market_grid(),
             my_bets=my_bets,
             balance=self.book.free_balance(agent.bettor_id),
         )
@@ -252,7 +238,7 @@ class _Session:
         agent = self.agents[i]
         obs = self._observe(time, agent)
         actions = agent.decide(obs)
-        if self.config.sentiment and agent.last_prediction is not None:
+        if self.config.sentiment:
             top = odds_to_decimal(MAX_ODDS)
             odds = [round(min(1.0 / p, top) if p > 0.0 else top, 4) for p in agent.last_prediction]
             self.emit(time, "sentiment", {"bettor": agent.bettor_id, "odds": odds})
@@ -328,7 +314,7 @@ class _Session:
         )
 
     def _grid_payload(self) -> dict:
-        grid = self.book.market_grid(self.config.grid_depth)
+        grid = self.book.market_grid()
         return {
             cid: {
                 "backs": [[odds_to_decimal(l.odds), l.stake] for l in row.backs],

@@ -4,8 +4,6 @@ All numbers are written with repr precision so outputs are byte-stable for
 identical inputs.  Money columns are integer minor units.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 from pathlib import Path

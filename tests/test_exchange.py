@@ -233,17 +233,23 @@ def test_no_self_match_rule_is_absent_by_design():
 
 
 def test_grid_ordering_and_depth():
-    book = make_book()
-    for odds in (300, 320, 340, 360):
-        book.submit_bet("alice", "c1", BACK, odds, 100)
-    for odds in (380, 400, 420, 440):
-        book.submit_bet("bob", "c1", LAY, odds, 100)
-    grid = book.market_grid(depth=3)
-    assert [l.odds for l in grid["c1"].backs] == [360, 340, 320]
-    assert [l.odds for l in grid["c1"].lays] == [380, 400, 420]
-    assert grid["c2"].backs == () and grid["c2"].lays == ()
-    assert grid["c1"].best_back.odds == 360
-    assert grid["c1"].best_lay.odds == 380
+    for depth in (1, 3, 5):
+        book = make_book(grid_depth=depth)
+        for odds in (320, 360, 300, 340):  # out of order, so the grid must sort them
+            book.submit_bet("alice", "c1", BACK, odds, 100)
+        for odds in (420, 380, 440, 400):
+            book.submit_bet("bob", "c1", LAY, odds, 100)
+        grid = book.market_grid()
+        assert [l.odds for l in grid["c1"].backs] == [360, 340, 320, 300][:depth]
+        assert [l.odds for l in grid["c1"].lays] == [380, 400, 420, 440][:depth]
+        assert grid["c2"].backs == () and grid["c2"].lays == ()
+        assert grid["c1"].best_back.odds == 360
+        assert grid["c1"].best_lay.odds == 380
+
+
+def test_grid_depth_below_one_is_rejected():
+    with pytest.raises(ExchangeError, match="grid_depth"):
+        MarketBook(("c1", "c2"), grid_depth=0)
 
 
 def test_grid_aggregates_stakes_at_a_level():
@@ -441,18 +447,26 @@ def test_bets_of_lists_open_bets_in_arrival_order():
     assert book.bets_of("nobody") == []
 
 
-def test_market_grid_rebuilds_rows_after_changes_and_depth_changes():
-    book = make_book()
-    for odds in (300, 320, 340):
-        book.submit_bet("alice", "c1", BACK, odds, 100)
-    first = book.market_grid(depth=2)
-    assert [l.odds for l in first["c1"].backs] == [340, 320]
-    assert book.market_grid(depth=2)["c2"] is first["c2"]  # unchanged rows are reused
-    book.submit_bet("bob", "c1", LAY, 340, 100)  # takes out the best back
-    assert [l.odds for l in book.market_grid(depth=2)["c1"].backs] == [320, 300]
-    assert [l.odds for l in book.market_grid(depth=1)["c1"].backs] == [320]
-    book.close_betting()
-    assert book.market_grid(depth=1)["c1"].backs == ()
+def test_market_grid_rebuilds_only_changed_rows():
+    for depth in (1, 2):
+        book = make_book(grid_depth=depth)
+        for odds in (300, 320, 340):
+            book.submit_bet("alice", "c1", BACK, odds, 100)
+        first = book.market_grid()
+        assert [l.odds for l in first["c1"].backs] == [340, 320][:depth]
+        again = book.market_grid()
+        assert again is not first  # a fresh dict each call
+        assert again["c1"] is first["c1"] and again["c2"] is first["c2"]  # rows are reused
+        book.submit_bet("bob", "c1", LAY, 340, 100)  # takes out the best back
+        second = book.market_grid()
+        assert [l.odds for l in second["c1"].backs] == [320, 300][:depth]
+        assert second["c2"] is first["c2"]
+        book.submit_bet("carol", "c2", LAY, 500, 100)
+        third = book.market_grid()
+        assert third["c1"] is second["c1"]
+        assert third["c2"] is not second["c2"] and [l.odds for l in third["c2"].lays] == [500]
+        book.close_betting()
+        assert book.market_grid()["c1"].backs == ()
 
 
 @settings(max_examples=50, deadline=None)

@@ -150,6 +150,17 @@ class ScanBook:
         return [b["id"] for b in self.bets if b["bettor"] == bettor and b["unmatched"] > 0]
 
 
+def queue_snapshot(book):
+    """A MarketBook's resting queues in the form of ScanBook.queue_snapshot."""
+    return {
+        cid: {
+            side: {odds: [(b.bet_id, b.unmatched) for b in levels[odds]] for odds in sorted(levels)}
+            for side, levels in book._queues[cid].items()
+        }
+        for cid in book.competitor_ids
+    }
+
+
 def grid_levels(grid):
     return {
         cid: ([(l.odds, l.stake) for l in row.backs], [(l.odds, l.stake) for l in row.lays])
@@ -162,15 +173,18 @@ ODDS_POOL = (150, 200, 300, 450)
 AMPLE = 10**12  # funds never bind; matching is the subject here
 
 
-def drive_pair(seed: int, n_ops: int, check_every: int = 25, view_every: int = 1) -> int:
+def drive_pair(
+    seed: int, n_ops: int, depth: int, check_every: int = 25, view_every: int = 1
+) -> int:
     """Run one random op stream through both books and compare everything.
 
-    The book's read views (market_grid, bets_of) are compared every
-    view_every ops, the resting queues and balances every check_every ops.
+    The real book shows depth levels per side.  Its read views (market_grid,
+    bets_of) are compared every view_every ops, the resting queues and
+    balances every check_every ops.
     """
     rng = random.Random(seed)
     cids = ("c1", "c2")
-    real = MarketBook(cids)
+    real = MarketBook(cids, grid_depth=depth)
     ref = ScanBook(cids)
     for b in BETTORS:
         real.open_account(b, AMPLE)
@@ -198,19 +212,16 @@ def drive_pair(seed: int, n_ops: int, check_every: int = 25, view_every: int = 1
             assert got == recs_ref, f"op {op}: match records diverged"
             live.append((id_real, bettor))
         if op % view_every == 0:
-            # depth changes every 10 ops: cached rows are reused within a run
-            # of equal depths and dropped when the depth changes
-            depth = 1 + op // 10 % 4
-            got_grid = grid_levels(real.market_grid(depth))
+            got_grid = grid_levels(real.market_grid())
             assert got_grid == ref.grid(depth), f"op {op}: grid diverged"
             for b in BETTORS:
                 got_open = [bet.bet_id for bet in real.bets_of(b)]
                 assert got_open == ref.open_bets(b), f"op {op}: open bets of {b} diverged"
         if op % check_every == 0:
-            assert real.queue_snapshot() == ref.queue_snapshot(), f"op {op}: book state diverged"
+            assert queue_snapshot(real) == ref.queue_snapshot(), f"op {op}: book state diverged"
             free = {b: real.free_balance(b) for b in BETTORS}
             assert free == ref.balances, f"op {op}: balances diverged"
-    assert real.queue_snapshot() == ref.queue_snapshot()
+    assert queue_snapshot(real) == ref.queue_snapshot()
 
     real_close = [(e[0], e[1], e[2], e[3]) for e in real.close_betting()]
     assert real_close == ref.close()
@@ -227,7 +238,7 @@ def drive_pair(seed: int, n_ops: int, check_every: int = 25, view_every: int = 1
 def test_reference_equivalence_randomized():
     matched_total = 0
     for seed in range(20):
-        matched_total += drive_pair(seed, 200)
+        matched_total += drive_pair(seed, 200, depth=1 + seed % 4)
     assert matched_total > 0  # streams actually exercised the matcher
 
 

@@ -10,7 +10,7 @@ from racemarket.session import (
     _Session,
     expand_agents,
     run_session,
-    wake_schedule,
+    wake_times,
 )
 from racemarket.race import run_race
 
@@ -21,6 +21,18 @@ SMALL_GROUPS = (
     AgentParams("lw", count=2),
     AgentParams("zi", count=2),
 )
+
+
+def wake_schedule(agent_params, horizon, master_seed):
+    """Reference wakes: each (time, agent index) with k * period <= horizon, by time then index."""
+    wakes = []
+    for i, params in enumerate(agent_params):
+        for k, time in enumerate(wake_times(params, master_seed, i)):
+            if k * params.reevaluate_every > horizon:
+                break
+            wakes.append((time, i))
+    wakes.sort()
+    return wakes
 
 
 def small_session(seed=5, **kwargs) -> SessionConfig:
@@ -260,20 +272,20 @@ def test_event_log_replays_into_the_same_settlement():
 
 
 def test_grid_snapshot_follows_the_book():
-    result = run_session(small_session(seed=17))
-    snaps = [e for e in result.events if e["kind"] == "grid_snapshot"]
-    assert snaps
-    some_liquidity = False
-    for snap in snaps:
-        grid = snap["grid"]
-        assert set(grid) == {"c1", "c2", "c3"}
-        for row in grid.values():
-            for side, best_first in (("backs", True), ("lays", False)):
-                odds = [level[0] for level in row[side]]
-                assert odds == sorted(odds, reverse=best_first)
-                assert len(odds) <= 3
-                some_liquidity = some_liquidity or bool(odds)
-    assert some_liquidity
+    for depth in (1, 3):
+        result = run_session(small_session(seed=17, grid_depth=depth))
+        snaps = [e for e in result.events if e["kind"] == "grid_snapshot"]
+        assert snaps
+        deepest = 0
+        for snap in snaps:
+            grid = snap["grid"]
+            assert set(grid) == {"c1", "c2", "c3"}
+            for row in grid.values():
+                for side, best_first in (("backs", True), ("lays", False)):
+                    odds = [level[0] for level in row[side]]
+                    assert odds == sorted(odds, reverse=best_first)
+                    deepest = max(deepest, len(odds))
+        assert deepest == depth  # the config's grid_depth reaches the book
 
 
 def test_all_strategies_survive_a_full_session():
