@@ -2,9 +2,18 @@
 
 All numbers are written with repr precision so outputs are byte-stable for
 identical inputs.  Money columns are integer minor units.
+
+Every CSV has the same bytes as `csv.writer`'s default dialect: fields are
+quoted only where needed (`QUOTE_MINIMAL`) and lines end in `\r\n`.  The two
+large tables, `trajectory.csv` and `sentiment.csv`, skip `csv.writer` and
+write preformatted lines under one rule: each id is quoted once, as `csv`
+would quote it, floats are written by `repr` (which never needs quoting),
+and each line ends in `\r\n`.
 """
 
 import csv
+import functools
+import io
 import json
 from pathlib import Path
 
@@ -19,6 +28,10 @@ from .seeding import RNG_ALGORITHM
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
+# Sentiment rows joined into one string per write; bounds the memory a write takes.
+_SENTIMENT_CHUNK_ROWS = 2048
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -26,15 +39,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _csv_field(value: str) -> str:
+    """`value` as `csv.writer` writes it in a row of more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", value])
+    return buf.getvalue()[1:-2]
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """tick,competitor_id,position with one row per tick per competitor."""
     if traj.ticks is None:
         raise ValueError("trajectory was recorded without per-tick snapshots")
-    ids = traj.competitor_ids
-    rows = (
-        (tick, cid, repr(pos)) for tick, row in enumerate(traj.ticks) for cid, pos in zip(ids, row)
-    )
-    _write_csv(path, ["tick", "competitor_id", "position"], rows)
+    prefixes = [f",{_csv_field(cid)}," for cid in traj.competitor_ids]
+    with open(path, "w", newline="") as fh:
+        fh.write("tick,competitor_id,position\r\n")
+        for tick, row in enumerate(traj.ticks):
+            fh.write("".join([f"{tick}{prefix}{pos!r}\r\n" for prefix, pos in zip(prefixes, row)]))
 
 
 def write_finish_csv(path: Path, traj: Trajectory) -> None:
@@ -50,8 +70,15 @@ def write_events_jsonl(path: Path, events: list[dict]) -> None:
 
 
 def write_sentiment_csv(path: Path, rows: list[tuple[float, str, str, float]]) -> None:
-    table = ((repr(float(t)), bettor, cid, repr(float(odds))) for t, bettor, cid, odds in rows)
-    _write_csv(path, ["time", "bettor_id", "competitor_id", "decimal_odds"], table)
+    field = functools.cache(_csv_field)  # each distinct id is quoted once
+    with open(path, "w", newline="") as fh:
+        fh.write("time,bettor_id,competitor_id,decimal_odds\r\n")
+        for start in range(0, len(rows), _SENTIMENT_CHUNK_ROWS):
+            lines = [
+                f"{float(t)!r},{field(bettor)},{field(cid)},{float(odds)!r}\r\n"
+                for t, bettor, cid, odds in rows[start : start + _SENTIMENT_CHUNK_ROWS]
+            ]
+            fh.write("".join(lines))
 
 
 def write_settlement_csv(path: Path, report: SettlementReport) -> None:

@@ -28,6 +28,12 @@ SESSION_DIGESTS = {
 }
 WIDE_FIELD_N = 160
 WIDE_FIELD_TRAJECTORY = "68f28b78f7493b0869000838e9c795a0401f7be4f9ab31b17f21426a785e231d"
+# `racemarket race` on derby.json with ids that csv must quote, on a 300-unit track.
+QUOTED_IDS = ('c"1', "c 2")
+QUOTED_RACE_DIGESTS = {
+    "trajectory.csv": "189d822500064666469452695c6736fccee19eedc533243bea191cf1ebe06bfa",
+    "finish.csv": "07af2852a76fdd420f1cd60e370eca6e050ba81d58b99063792f0f0703218177",
+}
 BATCH_RACES = 200
 BATCH_RESULTS = "0e0dbcf6a46c154da6762d013c3be47349651435d288264fe92429f341acc777"
 DERBY_CONFIG_DIGEST = "33578ea444e2550ecaf106e26e388f69e82e6d8f57fab051094c49e71ee77bee"
@@ -71,6 +77,20 @@ def test_wide_field_race_trajectory(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert sha256((tmp_path / "out" / "trajectory.csv").read_bytes()) == WIDE_FIELD_TRAJECTORY
+
+
+def test_quoted_ids_race_outputs(tmp_path, capsys):
+    cfg = derby()
+    comps = cfg.race.competitors
+    renamed = tuple(replace(c, cid=cid) for c, cid in zip(comps, QUOTED_IDS)) + comps[2:]
+    quoted = replace(cfg, race=replace(cfg.race, track_length=300.0, competitors=renamed))
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(config_to_dict(quoted)))
+    code = cli_main(["race", "--config", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert code == 0
+    got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in QUOTED_RACE_DIGESTS}
+    assert got == QUOTED_RACE_DIGESTS
 
 
 @pytest.mark.parametrize("workers", [1, 2])

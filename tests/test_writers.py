@@ -4,23 +4,79 @@ import json
 import pytest
 
 from racemarket.batch import BatchConfig, BenchPoint, OutcomePMF, pmf_from_results, run_batch
-from racemarket.race import run_race
+from racemarket.race import Trajectory, run_race
 from racemarket.writers import (
+    _SENTIMENT_CHUNK_ROWS,
     read_pmf_csv,
     write_bench_csv,
     write_finish_csv,
     write_metadata,
     write_pmf_csv,
     write_race_runs_csv,
+    write_sentiment_csv,
     write_trajectory_csv,
 )
 
 from conftest import make_race
 
 
+# Ids that csv must quote, or that sit on the edge of quoting.
+AWKWARD_IDS = ('c"1', " lead", "new\nline", "carriage\rreturn", "it's", "Ωmega", "", "c1")
+EDGE_FLOATS = (0.0, 5e-324, 1e-05, 1e16, 1.0000000000000002)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def reference_trajectory_csv(path, traj):
+    """trajectory.csv through csv.writer: the bytes the fast writer must match."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["tick", "competitor_id", "position"])
+        w.writerows(
+            (tick, cid, repr(pos))
+            for tick, row in enumerate(traj.ticks)
+            for cid, pos in zip(traj.competitor_ids, row)
+        )
+
+
+def reference_sentiment_csv(path, rows):
+    """sentiment.csv through csv.writer: the bytes the fast writer must match."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "bettor_id", "competitor_id", "decimal_odds"])
+        w.writerows((repr(float(t)), b, cid, repr(float(o))) for t, b, cid, o in rows)
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    n = len(AWKWARD_IDS)
+    ticks = tuple(
+        tuple(EDGE_FLOATS[(tick + c) % len(EDGE_FLOATS)] for c in range(n)) for tick in range(12)
+    )
+    traj = Trajectory(AWKWARD_IDS, 1.0, ticks, (11,) * n, AWKWARD_IDS, ticks[-1], 0)
+    write_trajectory_csv(tmp_path / "fast.csv", traj)
+    reference_trajectory_csv(tmp_path / "ref.csv", traj)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sentiment_csv_matches_csv_writer(tmp_path):
+    times = (0, 60, 0.5) + EDGE_FLOATS  # an int time is written as a float
+    n_ids = len(AWKWARD_IDS)
+    rows = [
+        (
+            times[i % len(times)],
+            AWKWARD_IDS[i % n_ids],
+            AWKWARD_IDS[i // n_ids % n_ids],
+            EDGE_FLOATS[i % len(EDGE_FLOATS)],
+        )
+        for i in range(2 * _SENTIMENT_CHUNK_ROWS + 3)  # rows span three chunks
+    ]
+    for table in (rows, rows[:1], []):
+        write_sentiment_csv(tmp_path / "fast.csv", table)
+        reference_sentiment_csv(tmp_path / "ref.csv", table)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_trajectory_csv(tmp_path):
