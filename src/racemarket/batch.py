@@ -19,7 +19,7 @@ from functools import partial
 from statistics import fmean, stdev
 
 from .exchange import Money
-from .race import RaceConfig, Trajectory, run_race
+from .race import RaceConfig, Trajectory, load_kernel, run_race
 from .seeding import FieldError, derive_seed
 from .session import SessionConfig, run_session
 
@@ -156,6 +156,8 @@ def run_batch(batch: BatchConfig) -> list:
     if batch.workers == 1:
         return [job(i) for i in runs]
     chunk = max(1, batch.replications // (batch.workers * 8))
+    # forked workers inherit the race kernel loaded here instead of each loading it
+    load_kernel()
     with _worker_pool(batch.workers) as pool:
         return list(pool.map(job, runs, chunksize=chunk))
 

@@ -9,6 +9,9 @@ and the front runner's previous step (times responsiveness), modelling
 being boxed in behind a slower rival.  All updates within a tick are
 synchronous, computed from start-of-tick positions.  The race ends when the
 slowest competitor has crossed the finish line.
+
+run_race and simulate_from run whole races in C (_kernel.c, built on first
+use), bit for bit with race_ticks, which they fall back to without a compiler.
 """
 
 import math
@@ -158,6 +161,11 @@ class RaceConfig:
     def competitor_ids(self) -> tuple[str, ...]:
         return tuple(c.cid for c in self.competitors)
 
+    @cached_property
+    def _runners(self) -> tuple[tuple, ...]:
+        """Per-race constants of each competitor, compiled once per config."""
+        return _compile(self)
+
     def validate(self) -> None:
         if not self.track_length > 0.0:
             raise RaceConfigError("track_length", f"must be > 0, got {self.track_length}")
@@ -217,7 +225,7 @@ def initial_state(config: RaceConfig, rng) -> RaceState:
     """
     n = config.n_competitors
     primer = RaceState(0, [0.0] * n, [0.0] * n, [None] * n)
-    _tick(_compile(config), math.inf, primer, list(range(n)), rng)
+    _tick(config._runners, math.inf, primer, list(range(n)), rng)
     return RaceState(0, [0.0] * n, primer.prev_steps, [None] * n)
 
 
@@ -301,22 +309,27 @@ def advance_race(state: RaceState, config: RaceConfig, rng) -> RaceState:
     positions (draws in competitor-index order), then applied together.
     Competitors reaching track_length are marked finished at the new tick.
     """
-    _tick(_compile(config), config.track_length, state, _racing(state), rng)
+    _tick(config._runners, config.track_length, state, _racing(state), rng)
     return state
+
+
+def _diverged(config: RaceConfig, state: RaceState) -> RaceDivergedError:
+    done = f"{state.finished_count()}/{config.n_competitors} finished"
+    return RaceDivergedError(f"race exceeded tick_limit={config.tick_limit} with {done}")
 
 
 def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator[list[int]]:
     """The race loop: tick state in place until every competitor has finished.
 
     Yields, after each tick, the competitors that raced in it (index order);
-    raises RaceDivergedError if the tick reaches stop first.  run_race,
-    simulate_from and a session's race all step through this loop.
+    raises RaceDivergedError if the tick reaches stop first.  A session's
+    race steps through this loop, and so do run_race and simulate_from when
+    the C kernel is not there.
     """
-    runners, racing = _compile(config), _racing(state)
+    runners, racing = config._runners, _racing(state)
     while racing:
         if state.tick >= stop:
-            done = f"{state.finished_count()}/{config.n_competitors} finished"
-            raise RaceDivergedError(f"race exceeded tick_limit={config.tick_limit} with {done}")
+            raise _diverged(config, state)
         ran, racing = racing, _tick(runners, config.track_length, state, racing, rng)
         yield ran
 
@@ -371,15 +384,34 @@ def finalize_trajectory(
     )
 
 
+def load_kernel():
+    """The C race kernel (_kernel.Kernel), or None without a C compiler.
+
+    Its module, with ctypes, is imported at the first whole race, so
+    importing the package stays as light as it was.
+    """
+    from . import _kernel
+
+    return _kernel.load()
+
+
 def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed."""
     config.validate()
-    rng = make_rng(seed)
-    state = initial_state(config, rng)
-    snapshots = [tuple(state.positions)] if record else None
-    for _ in race_ticks(config, state, rng, config.tick_limit):
-        if record:
-            snapshots.append(tuple(state.positions))
+    n = config.n_competitors
+    snapshots = [(0.0,) * n] if record else None
+    kernel = load_kernel()
+    if kernel is None:
+        rng = make_rng(seed)
+        state = initial_state(config, rng)
+        for _ in race_ticks(config, state, rng, config.tick_limit):
+            if record:
+                snapshots.append(tuple(state.positions))
+    else:
+        state = RaceState(0, [0.0] * n, [0.0] * n, [None] * n)
+        length, stop = config.track_length, config.tick_limit
+        if not kernel.run(config._runners, length, state, seed, stop, snapshots, prime=True):
+            raise _diverged(config, state)
     return finalize_trajectory(state, config, snapshots)
 
 
@@ -389,7 +421,11 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     The caller's state is not mutated; draws come from a fresh stream so
     repeated calls with distinct seeds give i.i.d. continuations.
     """
-    st = state.clone()
-    for _ in race_ticks(config, st, make_rng(seed), st.tick + config.tick_limit):
-        pass
+    st, stop = state.clone(), state.tick + config.tick_limit
+    kernel = load_kernel()
+    if kernel is None:
+        for _ in race_ticks(config, st, make_rng(seed), stop):
+            pass
+    elif not kernel.run(config._runners, config.track_length, st, seed, stop):
+        raise _diverged(config, st)
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))

@@ -3,7 +3,9 @@
 Each digest was computed once and written here; any change to the race
 kernel, the exchange, the agents or the writers that alters a single byte
 of these outputs fails this file.  A change that alters the bytes on
-purpose updates the literals and says why in CHANGES.md.
+purpose updates the literals and says why in CHANGES.md.  The races run in
+the C kernel; the *_on_the_python_loop tests pin the same digests with the
+kernel hidden, on the Python loop that runs where no compiler is found.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from racemarket import _kernel
 from racemarket.batch import BatchConfig, resize_race, run_batch
 from racemarket.cli import main as cli_main
 from racemarket.config import config_digest, config_to_dict, emit_default_config, parse_config
@@ -68,6 +71,16 @@ def test_derby_session_outputs(tmp_path, capsys):
     assert got == SESSION_DIGESTS
 
 
+@pytest.fixture
+def python_loop(monkeypatch):
+    """run_race and simulate_from find no kernel, in this process and forked workers."""
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+
+
+def test_derby_session_outputs_on_the_python_loop(python_loop, tmp_path, capsys):
+    test_derby_session_outputs(tmp_path, capsys)
+
+
 def test_wide_field_race_trajectory(tmp_path, capsys):
     cfg = derby()
     wide = replace(cfg, race=resize_race(cfg.race, WIDE_FIELD_N))
@@ -77,6 +90,10 @@ def test_wide_field_race_trajectory(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert sha256((tmp_path / "out" / "trajectory.csv").read_bytes()) == WIDE_FIELD_TRAJECTORY
+
+
+def test_wide_field_race_trajectory_on_the_python_loop(python_loop, tmp_path, capsys):
+    test_wide_field_race_trajectory(tmp_path, capsys)
 
 
 def test_quoted_ids_race_outputs(tmp_path, capsys):
@@ -99,6 +116,11 @@ def test_batch_results(workers):
     results = run_batch(BatchConfig(cfg.race, BATCH_RACES, cfg.seed, workers))
     rows = [[r.run_index, list(r.finish_order), list(r.finish_ticks), r.n_ticks] for r in results]
     assert sha256(json.dumps(rows, separators=(",", ":")).encode()) == BATCH_RESULTS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_results_on_the_python_loop(python_loop, workers):
+    test_batch_results(workers)
 
 
 @pytest.mark.parametrize("target,replications", sorted(BATCH_PRODUCTS))

@@ -9,13 +9,23 @@ kernel's primed initial state is checked against it too.  Random states with
 exact position ties, finished rivals, theta = 0 competitors and mixed step
 laws must come out bit-identical on both: positions, previous steps, finish
 ticks, blocked steps, and the generator state.
+
+run_race and simulate_from run whole races in C; the last tests check the
+C kernel against the Python loop (race_ticks), which stays the reference:
+whole trajectories, finish orders and errors must be identical.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_parity import EDGE_SEEDS, both_ways, differences, mid_race
+from racemarket.batch import resize_race
+from racemarket.config import parse_config
 from racemarket.race import (
     Competitor,
     LogNormalSteps,
@@ -173,8 +183,8 @@ def configs(draw, max_n=8, fast=False):
 
 
 @st.composite
-def races_mid_way(draw):
-    config = draw(configs())
+def races_mid_way(draw, fast=False):
+    config = draw(configs(fast=fast))
     n = config.n_competitors
     length = config.track_length
     tick = draw(st.integers(0, 40))
@@ -204,9 +214,12 @@ def test_rounded_gap_tie_picks_the_lowest_index():
     )
     config = RaceConfig(track_length=100.0, competitors=field)
     state = RaceState(0, [pc, far, near], [10.0, 2.0, 4.0], [None, None, None])
+    start = state.clone()
     reference = scan_tick(state.clone(), config, make_rng(0))
     assert bits(advance_race(state, config, make_rng(0))) == bits(reference)
     assert state.prev_steps[0] == 2.0
+    # held to c2's step, c1 stays boxed in; held to c3's it would pass them
+    assert both_ways(lambda: simulate_from(start, config, 0)) == (repr(("c2", "c3", "c1")),) * 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -244,3 +257,74 @@ def test_run_race_and_simulate_from_equal_scan(config, seed):
     order = simulate_from(mid, config, seed + 3)
     rest = scan_finish(mid.clone(), config, make_rng(seed + 3))
     assert order == finalize_trajectory(rest, config, None).finish_order
+
+
+# -- the C kernel against the Python loop -------------------------------------
+
+DERBY = Path(__file__).resolve().parent.parent / "configs" / "derby.json"
+
+
+def derby_race() -> RaceConfig:
+    return parse_config(DERBY.read_text()).race
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(max_n=8, fast=True), st.integers(-(2**65), 2**65), st.integers(0, 20))
+def test_kernel_equals_python_loop(config, seed, ticks):
+    assert differences(config, seed, ticks) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(races_mid_way(fast=True), st.integers(0, 2**64))
+def test_kernel_continues_any_state_like_python_loop(race, seed):
+    # exact ties, tiny previous steps and finished rivals, as in the tick test
+    config, state = race
+    before = bits(state)
+    kernel, loop = both_ways(lambda: simulate_from(state, config, seed))
+    assert kernel == loop
+    assert bits(state) == before
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_kernel_seeds_like_random_seed(seed):
+    assert differences(derby_race(), seed, 30) == []
+
+
+@pytest.mark.parametrize("n", [1, 160])
+def test_kernel_field_sizes(n):
+    config = resize_race(derby_race(), n)
+    for seed in (3, 2**40 + 7):
+        assert differences(config, seed, 40) == []
+
+
+def test_kernel_lognormal_without_spread():
+    # sigma = 0 still runs the normalvariate loop, so it still draws
+    flat = LogNormalSteps(2.0, 0.0, 1.5)
+    field = (
+        Competitor("c1", flat, theta=3.0),
+        Competitor("c2", UniformSteps(8.0, 12.0), theta=3.0),
+        Competitor("c3", flat),
+    )
+    config = RaceConfig(track_length=300.0, competitors=field)
+    for seed in range(5):
+        assert differences(config, seed, 7) == []
+    assert initial_state(config, make_rng(0)).prev_steps[0] == 1.5 * math.exp(2.0)
+
+
+def test_kernel_divergence_raises_the_loop_message():
+    field = (Competitor("c1", UniformSteps(30.0, 30.0)), Competitor("c2", UniformSteps(1.0, 1.0)))
+    config = RaceConfig(track_length=100.0, competitors=field, tick_limit=5)
+    expected = "RaceDivergedError: race exceeded tick_limit=5 with 1/2 finished"
+    assert both_ways(lambda: run_race(config, 1)) == (expected, expected)
+    state = mid_race(config, 2, 2)
+    assert both_ways(lambda: simulate_from(state, config, 3)) == (expected, expected)
+    unfinished = replace(config, tick_limit=2)
+    expected = "RaceDivergedError: race exceeded tick_limit=2 with 0/2 finished"
+    assert both_ways(lambda: run_race(unfinished, 1)) == (expected, expected)
+
+
+def test_kernel_overflow_raises_like_math_exp():
+    field = (Competitor("c1", LogNormalSteps(800.0, 0.5)),)
+    config = RaceConfig(track_length=100.0, competitors=field)
+    expected = "OverflowError: math range error"
+    assert both_ways(lambda: run_race(config, 1)) == (expected, expected)
