@@ -22,6 +22,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
+from .seeding import FieldError
+
 Money = int  # integer minor currency units
 
 MIN_ODDS = 101  # 1.01 in hundredths
@@ -61,6 +63,18 @@ class SettlementError(ExchangeError):
 
 class EscrowError(ExchangeError):
     """An escrow release outside [0, reserved]: the book's money accounting broke."""
+
+
+class BookSettingError(ExchangeError, FieldError):
+    """A book setting out of bounds, told as a field and a constraint like a config error."""
+
+
+def check_book_settings(commission_rate: float, grid_depth: int, error=BookSettingError) -> None:
+    """The one statement of a book's setting bounds; a breach raises error(field, constraint)."""
+    if not 0.0 <= commission_rate < 1.0:
+        raise error("commission_rate", f"must be in [0, 1), got {commission_rate}")
+    if grid_depth < 1:
+        raise error("grid_depth", f"must be >= 1, got {grid_depth}")
 
 
 def _build_ladder() -> tuple[int, ...]:
@@ -242,10 +256,7 @@ class MarketBook:
         ids = tuple(competitor_ids)
         if len(ids) != len(set(ids)) or not ids:
             raise ExchangeError(f"competitor ids must be unique and non-empty, got {ids}")
-        if not 0.0 <= commission_rate < 1.0:
-            raise ExchangeError(f"commission_rate must be in [0, 1), got {commission_rate}")
-        if grid_depth < 1:
-            raise ExchangeError(f"grid_depth must be >= 1, got {grid_depth}")
+        check_book_settings(commission_rate, grid_depth)
         self.competitor_ids = ids
         self.commission_rate = commission_rate
         self.grid_depth = grid_depth

@@ -10,12 +10,16 @@ on every run, whatever worker count the surrounding tooling uses.
 Betting closes when the configured number of competitors has finished; the
 race always runs to completion and the market settles on the actual winner.
 The event log is a list of dicts with gap-free increasing seq numbers,
-ready to be written as JSON lines.
+ready to be written as JSON lines.  Every event holds seq, time and kind,
+then the fields EVENT_FIELDS lists for its kind, in that order; the order
+fixes the bytes of events.jsonl.  Sentiment is kept only as events:
+SessionResult.sentiment_rows expands them to one row per competitor.
 """
 
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, repeat
 
 from .agents import (
@@ -35,6 +39,7 @@ from .exchange import (
     MarketBook,
     Money,
     SettlementReport,
+    check_book_settings,
     odds_to_decimal,
 )
 from .race import RaceConfig, Trajectory, finalize_trajectory, initial_state, race_ticks
@@ -61,11 +66,7 @@ class SessionSection:
             g.validate()
         if not self.opening_period >= 0.0:
             raise SessionConfigError("opening_period", f"must be >= 0, got {self.opening_period}")
-        if not 0.0 <= self.commission_rate < 1.0:
-            rate = self.commission_rate
-            raise SessionConfigError("commission_rate", f"must be in [0, 1), got {rate}")
-        if self.grid_depth < 1:
-            raise SessionConfigError("grid_depth", f"must be >= 1, got {self.grid_depth}")
+        check_book_settings(self.commission_rate, self.grid_depth, SessionConfigError)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -82,15 +83,40 @@ class SessionConfig(SessionSection):
             raise SessionConfigError("agents", "ud agents need at least two competitors")
 
 
+#: Each event kind's fields after seq, time and kind, in written order.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "submit": ("bettor", "competitor", "side", "odds", "stake", "bet_id", "matched"),
+    "match": ("competitor", "odds", "amount", "back_bet", "lay_bet", "back_bettor", "lay_bettor"),
+    "cancel": ("bettor", "bet_id", "cancelled"),
+    "reject": ("bettor", "reason"),
+    "sentiment": ("bettor", "odds"),
+    "race_tick": ("tick", "positions"),
+    "expire": ("bet_id", "bettor", "amount", "refund"),
+    "close": ("refunds",),
+    "grid_snapshot": ("grid",),
+    "settle": ("winner", "total_commission", "rows"),
+}
+
+
 @dataclass(frozen=True)
 class SessionResult:
     events: list[dict]
     trajectory: Trajectory
     settlement: SettlementReport
-    sentiment_rows: list[tuple[float, str, str, float]]
     final_balances: dict[str, Money]
     starting_balances: dict[str, Money]
     total_matched: Money
+
+    @cached_property
+    def sentiment_rows(self) -> list[tuple[float, str, str, float]]:
+        """The sentiment events as (time, bettor, competitor, odds), one row per competitor."""
+        cids = self.trajectory.competitor_ids
+        return [
+            (e["time"], e["bettor"], cid, odds)
+            for e in self.events
+            if e["kind"] == "sentiment"
+            for cid, odds in zip(cids, e["odds"])
+        ]
 
 
 def expand_agents(config: SessionConfig) -> list[Bettor]:
@@ -141,13 +167,14 @@ class _Session:
         self.histories: list[list[float]] = [[] for _ in range(self.n)]
         self.snapshots: list[tuple[float, ...]] = [tuple(self.state.positions)]
         self.events: list[dict] = []
-        self.sentiment_rows: list[tuple[float, str, str, float]] = []
         self._obs_cache: tuple[tuple, tuple, tuple] | None = None
 
     # -- event log ----------------------------------------------------------
 
-    def emit(self, time: float, kind: str, payload: dict) -> None:
-        self.events.append({"seq": len(self.events) + 1, "time": time, "kind": kind, **payload})
+    def emit(self, time: float, kind: str, *values) -> None:
+        event = {"seq": len(self.events) + 1, "time": time, "kind": kind}
+        event.update(zip(EVENT_FIELDS[kind], values, strict=True))
+        self.events.append(event)
 
     # -- observations ---------------------------------------------------------
 
@@ -180,58 +207,32 @@ class _Session:
     # -- agent turns ----------------------------------------------------------
 
     def _apply(self, time: float, agent: Bettor, action) -> None:
-        if isinstance(action, CancelOrder):
-            try:
-                cancelled = self.book.cancel_bet(action.bet_id, agent.bettor_id)
-            except ExchangeError as exc:
-                self.emit(time, "reject", {"bettor": agent.bettor_id, "reason": str(exc)})
-                return
-            self.emit(
-                time,
-                "cancel",
-                {"bettor": agent.bettor_id, "bet_id": action.bet_id, "cancelled": cancelled},
-            )
-            return
-        if not isinstance(action, PlaceOrder):
-            raise TypeError(f"unknown agent action {type(action).__name__}")
+        bettor = agent.bettor_id
         try:
-            bet_id, records = self.book.submit_bet(
-                agent.bettor_id,
-                action.competitor_id,
-                action.side,
-                action.odds,
-                action.stake,
-                time,
-            )
+            if isinstance(action, CancelOrder):
+                cancelled = self.book.cancel_bet(action.bet_id, bettor)
+                self.emit(time, "cancel", bettor, action.bet_id, cancelled)
+                return
+            if not isinstance(action, PlaceOrder):
+                raise TypeError(f"unknown agent action {type(action).__name__}")
+            cid, side, odds, stake = action.competitor_id, action.side, action.odds, action.stake
+            bet_id, records = self.book.submit_bet(bettor, cid, side, odds, stake, time)
         except ExchangeError as exc:
-            self.emit(time, "reject", {"bettor": agent.bettor_id, "reason": str(exc)})
+            self.emit(time, "reject", bettor, str(exc))
             return
-        self.emit(
-            time,
-            "submit",
-            {
-                "bettor": agent.bettor_id,
-                "competitor": action.competitor_id,
-                "side": action.side,
-                "odds": odds_to_decimal(action.odds),
-                "stake": action.stake,
-                "bet_id": bet_id,
-                "matched": sum(r.amount for r in records),
-            },
-        )
-        for rec in records:
+        matched = sum(r.amount for r in records)
+        self.emit(time, "submit", bettor, cid, side, odds_to_decimal(odds), stake, bet_id, matched)
+        for r in records:
             self.emit(
                 time,
                 "match",
-                {
-                    "competitor": rec.competitor_id,
-                    "odds": odds_to_decimal(rec.odds),
-                    "amount": rec.amount,
-                    "back_bet": rec.back_bet_id,
-                    "lay_bet": rec.lay_bet_id,
-                    "back_bettor": rec.back_bettor,
-                    "lay_bettor": rec.lay_bettor,
-                },
+                r.competitor_id,
+                odds_to_decimal(r.odds),
+                r.amount,
+                r.back_bet_id,
+                r.lay_bet_id,
+                r.back_bettor,
+                r.lay_bettor,
             )
 
     def _wake(self, time: float, i: int) -> None:
@@ -241,9 +242,7 @@ class _Session:
         if self.config.sentiment:
             top = odds_to_decimal(MAX_ODDS)
             odds = [round(min(1.0 / p, top) if p > 0.0 else top, 4) for p in agent.last_prediction]
-            self.emit(time, "sentiment", {"bettor": agent.bettor_id, "odds": odds})
-            for cid, o in zip(self.race_cfg.competitor_ids, odds):
-                self.sentiment_rows.append((time, agent.bettor_id, cid, o))
+            self.emit(time, "sentiment", agent.bettor_id, odds)
         for action in actions:
             self._apply(time, agent, action)
 
@@ -267,47 +266,27 @@ class _Session:
             self.snapshots.append(tuple(self.state.positions))
             for c in ran:
                 self.histories[c].append(self.state.prev_steps[c])
-            self.emit(
-                time,
-                "race_tick",
-                {"tick": self.state.tick, "positions": list(self.state.positions)},
-            )
+            self.emit(time, "race_tick", self.state.tick, list(self.state.positions))
             if self.book.state == OPEN and self.state.finished_count() >= close_rank:
                 expired = self.book.close_betting()
                 refunds: dict[str, Money] = {}
                 for bet_id, bettor_id, amount, refund in expired:
                     refunds[bettor_id] = refunds.get(bettor_id, 0) + refund
-                    self.emit(
-                        time,
-                        "expire",
-                        {"bet_id": bet_id, "bettor": bettor_id, "amount": amount, "refund": refund},
-                    )
-                self.emit(
-                    time,
-                    "close",
-                    {"refunds": [[b, refunds[b]] for b in sorted(refunds)]},
-                )
-            self.emit(time, "grid_snapshot", {"grid": self._grid_payload()})
+                    self.emit(time, "expire", bet_id, bettor_id, amount, refund)
+                self.emit(time, "close", [[b, refunds[b]] for b in sorted(refunds)])
+            self.emit(time, "grid_snapshot", self._grid_payload())
             if self.book.state == OPEN:
                 self._process_wakes(time)
 
         trajectory = finalize_trajectory(self.state, race_cfg, self.snapshots)
         report = self.book.settle(trajectory.winner)
-        self.emit(
-            time,
-            "settle",
-            {
-                "winner": report.winner,
-                "total_commission": report.total_commission,
-                "rows": [[r.bettor_id, r.gross, r.commission, r.net] for r in report.rows],
-            },
-        )
+        rows = [[r.bettor_id, r.gross, r.commission, r.net] for r in report.rows]
+        self.emit(time, "settle", report.winner, report.total_commission, rows)
         final = {b: acct.balance for b, acct in sorted(self.book.accounts.items())}
         return SessionResult(
             events=self.events,
             trajectory=trajectory,
             settlement=report,
-            sentiment_rows=self.sentiment_rows,
             final_balances=final,
             starting_balances=self.starting,
             total_matched=self.book.total_matched(),

@@ -106,10 +106,16 @@ def read_pmf_csv(path: Path) -> OutcomePMF:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2 or not row[1].isdecimal():
+                raise ValueError(f"{path}: row {reader.line_num} {row!r}: count must be an int >= 0")
+            if row[0] in counts:
+                raise ValueError(f"{path}: row {reader.line_num} {row!r}: outcome listed twice")
             counts[row[0]] = int(row[1])
     if not counts:
         raise ValueError(f"{path}: PMF table has no rows")
     total = sum(counts.values())
+    if total == 0:
+        raise ValueError(f"{path}: every row has count 0")
     space = ORDER_SPACE if any("-" in k for k in counts) else WINNER_SPACE
     return OutcomePMF(space=space, n_samples=total, counts=counts)
 

@@ -183,6 +183,21 @@ def test_compare_usage_errors(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "compare", str(not_pmf), str(not_pmf))
     assert code == 1
 
+    header = "outcome,count,frequency\n"
+    for name, rows, where in (
+        ("no_count.csv", "c1,4,0.5\nc2\n", "row 3"),
+        ("negative.csv", "c1,4,1.0\nc2,-4,0.0\n", "row 3"),
+        ("all_zero.csv", "c1,0,0.0\nc2,0,0.0\n", "count 0"),
+        ("twice.csv", "c1,3,0.5\nc1,3,0.5\n", "row 3"),
+    ):
+        bad = tmp_path / name
+        bad.write_text(header + rows)
+        code, _, stderr = run_cli(capsys, "compare", str(bad), str(bad))
+        assert code == 1
+        err = json.loads(stderr)
+        assert err["error"] == "usage"
+        assert str(bad) in err["message"] and where in err["message"]
+
 
 @pytest.mark.parametrize("command", ["race", "session"])
 def test_runtime_errors_exit_2(tmp_path, capsys, command):

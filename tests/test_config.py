@@ -10,6 +10,7 @@ from racemarket.config import (
     emit_default_config,
     parse_config,
 )
+from racemarket.exchange import ExchangeError, MarketBook
 from racemarket.race import BettingClose, LogNormalSteps, UniformSteps
 
 MINIMAL = {
@@ -105,6 +106,19 @@ def test_constraint_messages_name_the_key():
         parse_config(dict(MINIMAL, batch={"target": "bench"}))
     with pytest.raises(ConfigError, match="bench.n_competitors"):
         parse_config(dict(MINIMAL, bench={"n_competitors": []}))
+
+
+def test_book_setting_bounds_read_alike_in_config_and_book():
+    for key, value, constraint in (
+        ("commission_rate", 1.0, "must be in [0, 1), got 1.0"),
+        ("grid_depth", 0, "must be >= 1, got 0"),
+    ):
+        with pytest.raises(ConfigError) as config_error:
+            parse_config(dict(MINIMAL, session={key: value}))
+        assert str(config_error.value) == f"session.{key}: {constraint}"
+        with pytest.raises(ExchangeError) as book_error:
+            MarketBook(("c1", "c2"), **{key: value})
+        assert str(book_error.value) == f"{key} {constraint}"
 
 
 def test_step_family_parameter_mixups_are_caught():

@@ -1,10 +1,15 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from racemarket.agents import AgentParams
-from racemarket.exchange import MarketBook
+from racemarket.agents import AgentParams, CancelOrder, PlaceOrder
+from racemarket.config import parse_config
+from racemarket.exchange import BACK, MarketBook
 from racemarket.race import BettingClose, RaceDivergedError
 from racemarket.seeding import derive_seed, spawn_rng
 from racemarket.session import (
+    EVENT_FIELDS,
     SessionConfig,
     SessionConfigError,
     _Session,
@@ -15,6 +20,8 @@ from racemarket.session import (
 from racemarket.race import run_race
 
 from conftest import make_race
+
+DERBY = Path(__file__).resolve().parent.parent / "configs" / "derby.json"
 
 SMALL_GROUPS = (
     AgentParams("rp", count=2, d=3),
@@ -130,6 +137,61 @@ def test_unknown_action_raises_type_error():
     assert sess.events == []
 
 
+def forced_rejects() -> _Session:
+    """A session whose first bettor has one resting bet, then three actions the book refuses."""
+    sess = _Session(small_session())
+    owner, other = sess.agents[0].bettor_id, sess.agents[1]
+    sess._apply(0.0, sess.agents[0], PlaceOrder("c1", BACK, 300, 500))
+    (submit,) = sess.events
+    book = sess.book
+
+    def book_state():
+        return repr((book.bets, book.accounts, book.matches, book.market_grid()))
+
+    before = book_state()
+    free = book.free_balance(other.bettor_id)
+    refused = (
+        (PlaceOrder("c1", BACK, 301, 500), "odds 301 not on the ladder"),
+        (PlaceOrder("c2", BACK, 300, free + 1), "need"),
+        (CancelOrder(submit["bet_id"]), f"no bet {submit['bet_id']}"),
+    )
+    for action, reason in refused:
+        n = len(sess.events)
+        sess._apply(1.0, other, action)
+        assert len(sess.events) == n + 1
+        reject = sess.events[-1]
+        assert reject["kind"] == "reject"
+        assert reject["bettor"] == other.bettor_id
+        assert reason in reject["reason"]
+        assert book_state() == before
+    assert [e["seq"] for e in sess.events] == [1, 2, 3, 4]
+    assert book.bets[submit["bet_id"]].bettor_id == owner
+    return sess
+
+
+def test_rejected_actions_log_one_reject_and_change_nothing():
+    forced_rejects()
+
+
+def test_every_event_has_its_kinds_fields_in_order():
+    events = list(forced_rejects().events)
+    derby = parse_config(json.loads(DERBY.read_text()))
+    assert derby.session.sentiment
+    for seed in (1, 2):
+        events += run_session(derby.session_config(master_seed=seed)).events
+    assert {e["kind"] for e in events} == set(EVENT_FIELDS)
+    for event in events:
+        assert list(event) == ["seq", "time", "kind", *EVENT_FIELDS[event["kind"]]]
+
+
+def test_emit_refuses_a_wrong_number_of_values():
+    sess = _Session(small_session())
+    with pytest.raises(ValueError):
+        sess.emit(0.0, "reject", "a000.rp")
+    with pytest.raises(ValueError):
+        sess.emit(0.0, "close", [], [])
+
+
 def test_no_agents_is_just_a_race():
     cfg = small_session(agents=())
     result = run_session(cfg)
@@ -237,37 +299,46 @@ def test_event_log_replays_into_the_same_settlement():
     book = MarketBook(cfg.race.competitor_ids, cfg.commission_rate)
     for bettor, balance in result.starting_balances.items():
         book.open_account(bettor, balance)
-    matched_by_bet: dict[int, int] = {}
+    pending = iter(())  # the last submit's match records, oldest first
     for event in result.events:
-        if event["kind"] == "submit":
-            bet_id, records = book.submit_bet(
-                event["bettor"],
-                event["competitor"],
-                event["side"],
-                round(event["odds"] * 100),
-                event["stake"],
-                event["time"],
+        kind = event["kind"]
+        values = [event[field] for field in EVENT_FIELDS[kind]]
+        if kind == "submit":
+            assert next(pending, None) is None  # every record of the last submit was logged
+            bettor, competitor, side, odds, stake, bet_id, matched = values
+            got_id, records = book.submit_bet(
+                bettor, competitor, side, round(odds * 100), stake, event["time"]
             )
-            assert bet_id == event["bet_id"]
-            assert sum(r.amount for r in records) == event["matched"]
-            matched_by_bet[bet_id] = event["matched"]
-        elif event["kind"] == "cancel":
-            assert (
-                book.cancel_bet(event["bet_id"], event["bettor"])
-                == event["cancelled"]
-            )
-        elif event["kind"] == "close":
-            expired = book.close_betting()
+            assert got_id == bet_id
+            assert sum(r.amount for r in records) == matched
+            pending = iter(records)
+        elif kind == "match":
+            r = next(pending)
+            assert values == [
+                r.competitor_id,
+                r.odds / 100,
+                r.amount,
+                r.back_bet_id,
+                r.lay_bet_id,
+                r.back_bettor,
+                r.lay_bettor,
+            ]
+        elif kind == "cancel":
+            bettor, bet_id, cancelled = values
+            assert book.cancel_bet(bet_id, bettor) == cancelled
+        elif kind == "close":
+            (logged,) = values
             refunds: dict[str, int] = {}
-            for _, bettor, _, refund in expired:
+            for _, bettor, _, refund in book.close_betting():
                 refunds[bettor] = refunds.get(bettor, 0) + refund
-            assert [[b, refunds[b]] for b in sorted(refunds)] == event["refunds"]
-        elif event["kind"] == "settle":
-            report = book.settle(event["winner"])
-            assert [
-                [r.bettor_id, r.gross, r.commission, r.net] for r in report.rows
-            ] == event["rows"]
-            assert report.total_commission == event["total_commission"]
+            assert [[b, refunds[b]] for b in sorted(refunds)] == logged
+        elif kind == "settle":
+            winner, total_commission, rows = values
+            report = book.settle(winner)
+            assert [[r.bettor_id, r.gross, r.commission, r.net] for r in report.rows] == rows
+            assert report.total_commission == total_commission
+    assert any(e["kind"] == "match" for e in result.events)
+    assert next(pending, None) is None
     assert {b: a.balance for b, a in book.accounts.items()} == result.final_balances
 
 
