@@ -38,7 +38,7 @@ from .exchange import (
     quantize_odds,
 )
 from .race import RaceConfig, RaceState, simulate_from
-from .seeding import FieldError
+from .seeding import Checked, FieldError
 
 #: Minimum ratio of fair odds to the best resting back quote before the
 #: shared policy lays an overrated competitor instead of posting a back.
@@ -52,7 +52,7 @@ class AgentConfigError(FieldError):
 
 
 @dataclass(frozen=True)
-class AgentParams:
+class AgentParams(Checked):
     strategy: str
     count: int = 1
     d: int = 10
@@ -434,5 +434,4 @@ _STRATEGIES: dict[str, type[Bettor]] = {
 
 
 def make_bettor(bettor_id: str, params: AgentParams, race_config: RaceConfig, rng) -> Bettor:
-    params.validate()
     return _STRATEGIES[params.strategy](bettor_id, params, race_config, rng)

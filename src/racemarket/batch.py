@@ -20,7 +20,7 @@ from statistics import fmean, stdev
 
 from .exchange import Money
 from .race import RaceConfig, Trajectory, load_kernel, run_race
-from .seeding import FieldError, derive_seed
+from .seeding import Checked, FieldError, derive_seed
 from .session import SessionConfig, run_session
 
 #: Largest field size whose full finish-order space (n!) is tracked exactly.
@@ -39,7 +39,7 @@ class BatchRunError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BatchSection:
+class BatchSection(Checked):
     """A batch as a config names it: R replications of a race or session at P workers."""
 
     replications: int = 1000
@@ -56,7 +56,7 @@ class BatchSection:
 
 
 @dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(Checked):
     """R replications of a race or session at P workers."""
 
     base: RaceConfig | SessionConfig
@@ -65,8 +65,7 @@ class BatchConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        self.base.validate()
-        BatchSection(self.replications, self.workers).validate()
+        BatchSection(self.replications, self.workers)  # checks both as it is built
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 
 def run_batch(batch: BatchConfig) -> list:
     """All R results in run-index order; worker count never changes them."""
-    batch.validate()
     # Each run derives its own seed where it runs, so a worker pool
     # parallelises the derivation too and is sent bare run indices.
     if isinstance(batch.base, SessionConfig):
@@ -257,7 +255,7 @@ BENCH_MIN_SAMPLE_S = 0.2
 
 
 @dataclass(frozen=True)
-class BenchSection:
+class BenchSection(Checked):
     """A bench grid: timing_reps timed batches of R races per field size."""
 
     n_competitors: tuple[int, ...] = (5, 10, 20, 40)
@@ -286,8 +284,6 @@ def resize_race(config: RaceConfig, n: int) -> RaceConfig:
     """Race with n competitors built by cycling the config's field as templates."""
     if n == config.n_competitors:
         return config
-    if n < 1:
-        raise ValueError(f"competitor count must be >= 1, got {n}")
     field = tuple(
         replace(config.competitors[i % config.n_competitors], cid=f"c{i + 1}")
         for i in range(n)
@@ -313,7 +309,7 @@ def bench(
     per-race mean, sd, and cv are computed across the timed samples; reps
     reports R * timing_reps.
     """
-    BenchSection(tuple(n_grid), replications, timing_reps).validate()
+    BenchSection(tuple(n_grid), replications, timing_reps)
     points = []
     for n in n_grid:
         cfg = resize_race(base, n)

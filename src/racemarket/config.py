@@ -1,10 +1,11 @@
 """JSON experiment configuration: parsing, validation, defaults, digest.
 
 The config dataclasses are the schema.  A section's keys, defaults and value
-types are read from its dataclass fields, and each bound is checked once, by
-the dataclass's validate(); an error reads `<key path>: <constraint>`.
-Every number key must be finite, which the number codec checks before any
-validate() runs.  Unknown keys are rejected.  config_to_dict walks the same
+types are read from its dataclass fields, and its bounds are checked as it is
+built, by the dataclass's validate() (seeding.Checked), so an invalid config
+cannot be constructed; an error reads `<key path>: <constraint>`.
+Every number key must be finite, which the number codec checks before the
+section is built.  Unknown keys are rejected.  config_to_dict walks the same
 fields, so config_to_dict(parse_config(x)) is the fully-explicit canonical
 form and emit_default_config() round-trips through parse_config unchanged.
 """
@@ -25,7 +26,7 @@ from .race import (
     StepDistribution,
     UniformSteps,
 )
-from .seeding import FieldError, check_master_seed
+from .seeding import Checked, FieldError, check_master_seed
 from .session import SessionConfig, SessionSection
 
 
@@ -184,13 +185,11 @@ def _parse(cls, obj, path: str):
             _fail(f"{path}.{f.key}", "required")
         else:
             kwargs[f.name] = f.default
-    value = cls(**kwargs)
     try:
-        value.validate()
+        return cls(**kwargs)
     except FieldError as exc:
         key = _KEYS.get(exc.field, exc.field)
         raise ConfigError(f"{path}.{key}: {exc.constraint}") from None
-    return value
 
 
 def _dump(value) -> dict:
@@ -205,7 +204,7 @@ def _dump(value) -> dict:
 
 
 @dataclass(frozen=True, kw_only=True)
-class ExperimentConfig:
+class ExperimentConfig(Checked):
     seed: int = 0
     race: RaceConfig
     session: SessionSection = field(default_factory=SessionSection)

@@ -113,6 +113,8 @@ def quantize_odds(raw: float) -> int:
     """
     if not raw > 1.0:
         raise InvalidOddsError(f"decimal odds must be > 1.0, got {raw}")
+    if raw >= 1000.0:  # before scaling: inf and 1e308 would overflow round()
+        return MAX_ODDS
     # Work in 1e-5 odds units so written decimals like 2.01 land exactly
     # between ladder neighbours instead of a float hair to one side.
     h = round(raw * 100_000)
@@ -286,6 +288,8 @@ class MarketBook:
     def open_account(self, bettor_id: str, balance: Money) -> Account:
         if bettor_id in self.accounts:
             raise ExchangeError(f"account {bettor_id!r} already exists")
+        if type(balance) is not int:  # not a bool, not a float
+            raise ExchangeError(f"starting balance must be an integer, got {balance!r}")
         if balance < 0:
             raise ExchangeError(f"starting balance must be >= 0, got {balance}")
         acct = Account(bettor_id, balance)
@@ -328,7 +332,7 @@ class MarketBook:
             raise ExchangeError(f"side must be 'back' or 'lay', got {side!r}")
         if not on_ladder(odds):
             raise InvalidOddsError(f"odds {odds} not on the ladder")
-        if not isinstance(stake, int) or stake <= 0:
+        if type(stake) is not int or stake <= 0:  # not a bool, not a float
             raise ExchangeError(f"stake must be a positive integer, got {stake!r}")
 
         need = escrow(side, stake, odds)

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .seeding import FieldError, make_rng
+from .seeding import Checked, FieldError, make_rng
 
 DEFAULT_TICK_LIMIT = 1_000_000
 
@@ -37,7 +37,7 @@ class RaceDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UniformSteps:
+class UniformSteps(Checked):
     """Uniform step law on [lo, hi], lo > 0."""
 
     lo: float
@@ -51,7 +51,7 @@ class UniformSteps:
 
 
 @dataclass(frozen=True)
-class LogNormalSteps:
+class LogNormalSteps(Checked):
     """Log-normal step law: scale * exp(Normal(mu, sigma))."""
 
     mu: float
@@ -69,7 +69,7 @@ StepDistribution = UniformSteps | LogNormalSteps
 
 
 @dataclass(frozen=True)
-class Responsiveness:
+class Responsiveness(Checked):
     """Two-level distance profile: early_mult before breakpoint * L, late_mult after."""
 
     early_mult: float = 1.0
@@ -86,7 +86,7 @@ class Responsiveness:
 
 
 @dataclass(frozen=True)
-class Competitor:
+class Competitor(Checked):
     cid: str
     steps: StepDistribution
     preference: float = 0.5
@@ -97,12 +97,10 @@ class Competitor:
     def validate(self) -> None:
         if not self.cid:
             raise RaceConfigError("cid", "must be non-empty")
-        self.steps.validate()
         if not self.pref_sensitivity >= 0.0:
             raise RaceConfigError("pref_sensitivity", f"must be >= 0, got {self.pref_sensitivity}")
         if not self.theta >= 0.0:
             raise RaceConfigError("theta", f"must be >= 0, got {self.theta}")
-        self.responsiveness.validate()
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class BettingClose:
 
 
 @dataclass(frozen=True)
-class RaceConfig:
+class RaceConfig(Checked):
     track_length: float
     competitors: tuple[Competitor, ...]
     dt: float = 1.0
@@ -178,8 +176,6 @@ class RaceConfig:
         ids = [c.cid for c in self.competitors]
         if len(set(ids)) != len(ids):
             raise RaceConfigError("competitors", f"ids must be unique, got {ids}")
-        for c in self.competitors:
-            c.validate()
         self.betting_close.validate(len(self.competitors))
 
 
@@ -397,7 +393,6 @@ def load_kernel():
 
 def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed."""
-    config.validate()
     n = config.n_competitors
     snapshots = [(0.0,) * n] if record else None
     kernel = load_kernel()

@@ -7,7 +7,8 @@ SplitMix64 avalanche round, so child seeds are order-sensitive in the path,
 stable across platforms, and cheap to compute in any language a port might
 use.  Results are always in [0, 2**64).
 
-FieldError, the error of every config validate(), sits here below them all.
+Checked, the base of every config dataclass, and FieldError, the error its
+validate() raises, sit here below them all.
 """
 
 import random
@@ -31,6 +32,13 @@ class FieldError(ValueError):
 
     def __str__(self) -> str:
         return f"{self.field} {self.constraint}"
+
+
+class Checked:
+    """A config dataclass that runs validate() as it is built, replace() included."""
+
+    def __post_init__(self) -> None:
+        self.validate()
 
 
 def check_master_seed(seed: int) -> None:

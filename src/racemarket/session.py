@@ -44,7 +44,7 @@ from .exchange import (
 )
 from .race import RaceConfig, Trajectory, finalize_trajectory, initial_state, race_ticks
 from .race import advance_race  # noqa: F401  perfbench's tracer patches it here by name
-from .seeding import FieldError, spawn_rng
+from .seeding import Checked, FieldError, spawn_rng
 
 
 class SessionConfigError(FieldError):
@@ -52,7 +52,7 @@ class SessionConfigError(FieldError):
 
 
 @dataclass(frozen=True)
-class SessionSection:
+class SessionSection(Checked):
     """A session's market and agent groups: a SessionConfig without race and seed."""
 
     opening_period: float = 60.0
@@ -62,8 +62,6 @@ class SessionSection:
     agents: tuple[AgentParams, ...] = tuple(AgentParams(s) for s in STRATEGY_NAMES)
 
     def validate(self) -> None:
-        for g in self.agents:
-            g.validate()
         if not self.opening_period >= 0.0:
             raise SessionConfigError("opening_period", f"must be >= 0, got {self.opening_period}")
         check_book_settings(self.commission_rate, self.grid_depth, SessionConfigError)
@@ -77,7 +75,6 @@ class SessionConfig(SessionSection):
     master_seed: int
 
     def validate(self) -> None:
-        self.race.validate()
         super().validate()
         if self.race.n_competitors < 2 and any(g.strategy == "ud" for g in self.agents):
             raise SessionConfigError("agents", "ud agents need at least two competitors")
@@ -143,7 +140,6 @@ def wake_times(params: AgentParams, master_seed: int, i: int) -> Iterator[float]
 
 class _Session:
     def __init__(self, config: SessionConfig):
-        config.validate()
         self.config = config
         self.race_cfg = config.race
         self.n = config.race.n_competitors

@@ -1,17 +1,32 @@
+import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from racemarket.agents import AgentConfigError, AgentParams
+from racemarket.batch import BatchConfig, BatchSection, BenchSection
 from racemarket.config import (
     ConfigError,
+    ExperimentConfig,
     config_digest,
     config_to_dict,
     emit_default_config,
     parse_config,
 )
 from racemarket.exchange import ExchangeError, MarketBook
-from racemarket.race import BettingClose, LogNormalSteps, UniformSteps
+from racemarket.race import (
+    BettingClose,
+    Competitor,
+    LogNormalSteps,
+    RaceConfig,
+    RaceConfigError,
+    Responsiveness,
+    UniformSteps,
+)
+from racemarket.seeding import Checked, FieldError
+from racemarket.session import SessionConfig, SessionConfigError, SessionSection
 
 MINIMAL = {
     "race": {
@@ -360,3 +375,80 @@ def test_non_finite_numbers_are_rejected_at_their_key_path(path, literal, shown)
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == f"{path}: must be a finite number, got {shown}"
+
+
+# -- a config object that exists is a valid one -------------------------------
+
+_COMP = Competitor("c1", UniformSteps(10.0, 20.0))
+_RACE = RaceConfig(500.0, (_COMP, replace(_COMP, cid="c2")))
+_UD = SessionConfig(race=_RACE, agents=(AgentParams("ud"),), master_seed=0)
+#: (valid object, field, bad value, error class, the message validate() gives)
+CHECKED_CASES = [
+    (UniformSteps(10.0, 20.0), "lo", 0.0, RaceConfigError, "lo must be > 0, got 0.0"),
+    (LogNormalSteps(1.0, 0.5), "sigma", -1.0, RaceConfigError, "sigma must be >= 0, got -1.0"),
+    (Responsiveness(), "breakpoint", 1.5, RaceConfigError, "breakpoint must be in [0, 1], got 1.5"),
+    (_COMP, "theta", -1.0, RaceConfigError, "theta must be >= 0, got -1.0"),
+    (_RACE, "dt", 0.0, RaceConfigError, "dt must be > 0, got 0.0"),
+    (_RACE, "competitors", (), RaceConfigError, "competitors must be non-empty"),
+    (
+        _RACE,
+        "betting_close",
+        BettingClose.kth(3),
+        RaceConfigError,
+        "betting_close.kth must be in [1, 2], got 3",
+    ),
+    (AgentParams("rp"), "gamma", 0.0, AgentConfigError, "gamma must be in (0, 1], got 0.0"),
+    (
+        SessionSection(),
+        "opening_period",
+        -1.0,
+        SessionConfigError,
+        "opening_period must be >= 0, got -1.0",
+    ),
+    (_UD, "grid_depth", 0, SessionConfigError, "grid_depth must be >= 1, got 0"),
+    (
+        _UD,
+        "race",
+        replace(_RACE, competitors=(_COMP,)),
+        SessionConfigError,
+        "agents ud agents need at least two competitors",
+    ),
+    (
+        BatchSection(),
+        "target",
+        "league",
+        FieldError,
+        "target must be 'race' or 'session', got 'league'",
+    ),
+    (BatchConfig(_RACE, 10, 0), "workers", 0, FieldError, "workers must be >= 1, got 0"),
+    (BenchSection(), "timing_reps", 0, FieldError, "timing_reps must be >= 1, got 0"),
+    (ExperimentConfig(race=_RACE), "seed", -1, FieldError, "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "valid, name, bad, error, message",
+    CHECKED_CASES,
+    ids=[f"{type(v).__name__}.{n}" for v, n, *_ in CHECKED_CASES],
+)
+def test_a_checked_config_cannot_be_built_invalid(valid, name, bad, error, message):
+    unchecked = copy.copy(valid)  # built without __init__, so without the check
+    object.__setattr__(unchecked, name, bad)
+    with pytest.raises(error) as direct:
+        unchecked.validate()
+    with pytest.raises(error) as built:
+        replace(valid, **{name: bad})
+    assert type(built.value) is error
+    assert str(built.value) == str(direct.value) == message
+
+
+def _checked_classes(cls=Checked):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _checked_classes(sub)
+
+
+def test_every_checked_class_has_an_invariant_case():
+    covered = {type(valid) for valid, *_ in CHECKED_CASES}
+    missing = sorted(c.__qualname__ for c in set(_checked_classes()) - covered)
+    assert not missing, f"no CHECKED_CASES entry for {missing}"

@@ -70,6 +70,8 @@ def test_quantize_worked_examples():
     assert quantize_odds(1.004) == 101  # clamp up
     assert quantize_odds(2500.0) == 100_000  # clamp down
     assert quantize_odds(999.99) == 100_000
+    assert quantize_odds(1e308) == 100_000  # no overflow scaling huge odds
+    assert quantize_odds(float("inf")) == 100_000
 
 
 def test_quantize_rejects_non_positive_margin():
@@ -77,6 +79,14 @@ def test_quantize_rejects_non_positive_margin():
         quantize_odds(1.0)
     with pytest.raises(InvalidOddsError):
         quantize_odds(0.5)
+    with pytest.raises(InvalidOddsError):
+        quantize_odds(float("nan"))
+
+
+def test_quantize_keeps_every_ladder_value_and_midpoint():
+    assert [quantize_odds(odds_to_decimal(v)) for v in LADDER] == list(LADDER)
+    for lo, hi in zip(LADDER, LADDER[1:]):
+        assert quantize_odds((lo + hi) / 200) == hi  # midpoint rounds up
 
 
 @given(st.floats(min_value=1.0001, max_value=5000.0, allow_nan=False))
@@ -156,6 +166,11 @@ def test_account_rules():
         book.open_account("alice", 10)  # duplicate
     with pytest.raises(ExchangeError):
         book.open_account("dave", -1)
+    with pytest.raises(ExchangeError, match="must be an integer"):
+        book.open_account("erin", 10.5)  # money is integer cents
+    with pytest.raises(ExchangeError, match="must be an integer"):
+        book.open_account("frank", True)
+    assert set(book.accounts) == {"alice", "bob", "carol"}
     assert book.free_balance("alice") == 1_000_000
 
 
@@ -185,6 +200,8 @@ def test_submit_validation_order_and_rollback():
         book.submit_bet("alice", "c1", BACK, 200, 0)
     with pytest.raises(ExchangeError):
         book.submit_bet("alice", "c1", BACK, 200, 10.5)
+    with pytest.raises(ExchangeError, match="positive integer, got True"):
+        book.submit_bet("alice", "c1", BACK, 200, True)
     with pytest.raises(InsufficientFundsError):
         book.submit_bet("alice", "c1", BACK, 200, 2_000_000)
     # nothing stuck in escrow after the failures

@@ -48,9 +48,8 @@ def test_config_validation_errors():
         make_race(length=0.0).validate()
     with pytest.raises(RaceConfigError):
         make_race(dt=0.0).validate()
-    dup = RaceConfig(100.0, (Competitor("x", fixed(1)), Competitor("x", fixed(1))))
     with pytest.raises(RaceConfigError):
-        dup.validate()
+        RaceConfig(100.0, (Competitor("x", fixed(1)), Competitor("x", fixed(1))))
     with pytest.raises(RaceConfigError):
         RaceConfig(100.0, ()).validate()
 

@@ -55,11 +55,8 @@ def test_config_validation():
         small_session(opening_period=-1.0).validate()
     with pytest.raises(SessionConfigError):
         small_session(grid_depth=0).validate()
-    bad = SessionConfig(
-        race=make_race(n=1), agents=(AgentParams("ud"),), master_seed=0
-    )
     with pytest.raises(SessionConfigError):
-        bad.validate()
+        SessionConfig(race=make_race(n=1), agents=(AgentParams("ud"),), master_seed=0)
 
 
 def test_expand_agents_ids_and_streams():
