@@ -10,11 +10,16 @@
  * A runner is the 10 doubles of one race._compile tuple: theta, breakpoint
  * position, early, late, early_free, late_free, lognormal (0 or 1), a, b,
  * scale.  A finish tick of -1 marks a competitor still racing.
+ *
+ * Three entry points: rm_run runs one race, rm_batch a chunk of a batch's
+ * races, and rm_wins the dry-run continuations of one state.  None keeps
+ * state between calls, so calls may run on several threads at once.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define N 624
 #define M 397
@@ -23,7 +28,7 @@
 #define LOWER_MASK 0x7fffffffU
 
 enum { RUNNER = 10 };
-/* rm_run's status codes and start modes, as _kernel.py names them */
+/* the entry points' status codes and rm_run's start modes, as _kernel.py names them */
 enum { RM_FINISHED, RM_BUDGET_SPENT, RM_DIVERGED, RM_OVERFLOW, RM_NO_MEMORY };
 enum { RM_CONTINUE, RM_SEED, RM_PRIME };
 
@@ -35,14 +40,14 @@ static void init_genrand(uint32_t *mt, uint32_t s)
     mt[N] = N;
 }
 
-/* random.seed(seed) for 0 <= seed < 2**64: init_by_array over the
- * little-endian 32-bit words of seed, one word below 2**32. */
-static void seed_mt(uint32_t *mt, uint64_t seed)
+/* random.seed(seed) for 0 <= seed < 2**64 on mt holding init_genrand's
+ * table for 19650218: init_by_array over the little-endian 32-bit words of
+ * seed, one word below 2**32. */
+static void seed_key(uint32_t *mt, uint64_t seed)
 {
     uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
     uint32_t key_length = key[1] ? 2 : 1;
     uint32_t i = 1, j = 0, k;
-    init_genrand(mt, 19650218U);
     for (k = N; k; k--) {
         mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + j;
         i++;
@@ -228,6 +233,72 @@ static int tick(const double *runners, double length, double nv_magic, double *p
     return RM_FINISHED;
 }
 
+static int field_alloc(field_t *f, int n)
+{
+    f->racing = malloc(sizeof(int) * ((size_t)n * 2 + 1));
+    f->ranked = malloc(sizeof(double) * ((size_t)n * 2 + 1));
+    if (!f->racing || !f->ranked)
+        return 0;
+    f->order = f->racing + n;
+    f->steps = f->ranked + n;
+    return 1;
+}
+
+static void field_free(field_t *f)
+{
+    free(f->racing);
+    free(f->ranked);
+}
+
+/* race.race_ticks on pos, prev, finish and counters (tick, blocked steps),
+ * drawing from mt: see rm_run.  With prime, the state is first set to
+ * race.initial_state. */
+static int race(const double *runners, int n, double length, double nv_magic, int prime,
+                double *pos, double *prev, int64_t *finish, int64_t *counters, uint32_t *mt,
+                field_t *f, int64_t stop, int64_t budget, double *snapshots)
+{
+    int64_t done = 0;
+    int status = RM_FINISHED;
+    f->m = f->sorted = 0;
+    if (prime) {
+        for (int c = 0; c < n; c++) {
+            pos[c] = prev[c] = 0.0;
+            finish[c] = -1;
+            f->racing[c] = c;
+        }
+        f->m = n;
+        counters[0] = counters[1] = 0;
+        status = tick(runners, INFINITY, nv_magic, pos, prev, finish, counters, mt, f);
+        for (int c = 0; c < n; c++) {
+            pos[c] = 0.0;
+            finish[c] = -1;
+        }
+        counters[0] = counters[1] = 0;
+        f->m = f->sorted = 0;
+    }
+    for (int c = 0; c < n && status == RM_FINISHED; c++)
+        if (finish[c] < 0)
+            f->racing[f->m++] = c;
+    while (f->m) {
+        if (counters[0] >= stop) {
+            status = RM_DIVERGED;
+            break;
+        }
+        if (done == budget) {
+            status = RM_BUDGET_SPENT;
+            break;
+        }
+        status = tick(runners, length, nv_magic, pos, prev, finish, counters, mt, f);
+        if (status != RM_FINISHED)
+            break;
+        if (snapshots)
+            for (int c = 0; c < n; c++)
+                snapshots[(size_t)done * n + c] = pos[c];
+        done++;
+    }
+    return status;
+}
+
 /* race.race_ticks run in place for at most budget ticks (-1: no budget).
  *
  * floats holds the n positions, then the n previous steps; ints the n
@@ -245,58 +316,154 @@ int rm_run(const double *runners, int n, double length, double nv_magic, uint64_
            int start, double *floats, int64_t *ints, uint32_t *mt, int64_t stop,
            int64_t budget, double *snapshots)
 {
-    double *pos = floats, *prev = floats + n;
-    int64_t *finish = ints, *counters = ints + n, done = 0;
     field_t f = {0};
-    int status = RM_FINISHED;
-    f.racing = malloc(sizeof(int) * ((size_t)n * 2 + 1));
-    f.ranked = malloc(sizeof(double) * ((size_t)n * 2 + 1));
-    if (!f.racing || !f.ranked) {
-        free(f.racing);
-        free(f.ranked);
-        return RM_NO_MEMORY;
+    int status = RM_NO_MEMORY;
+    if (field_alloc(&f, n)) {
+        if (start >= RM_SEED) {
+            init_genrand(mt, 19650218U);
+            seed_key(mt, seed);
+        }
+        status = race(runners, n, length, nv_magic, start == RM_PRIME, floats, floats + n,
+                      ints, ints + n, mt, &f, stop, budget, snapshots);
     }
-    f.order = f.racing + n;
-    f.steps = f.ranked + n;
-    if (start >= RM_SEED)
-        seed_mt(mt, seed);
-    if (start == RM_PRIME) {
+    field_free(&f);
+    return status;
+}
+
+static uint64_t splitmix64(uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+static uint64_t fnv1a(const unsigned char *data, size_t len)
+{
+    uint64_t h = 0xCBF29CE484222325ULL;
+    for (size_t k = 0; k < len; k++)
+        h = (h ^ data[k]) * 0x100000001B3ULL;
+    return h;
+}
+
+/* A finish place: race._finish_order ranks by tick, then length - position
+ * (the larger overshoot first), then index. */
+typedef struct {
+    int64_t tick;
+    double back;
+    int index;
+} place_t;
+
+static int by_place(const void *x, const void *y)
+{
+    const place_t *a = x, *b = y;
+    if (a->tick != b->tick)
+        return a->tick < b->tick ? -1 : 1;
+    if (a->back != b->back)
+        return a->back < b->back ? -1 : 1;
+    return (a->index > b->index) - (a->index < b->index);
+}
+
+/* Runs first .. first + count - 1 of a batch on master: run i is primed and
+ * raced on random.seed(seeding.derive_seed(master, "run", i)) with stop as
+ * its tick limit.  Run k of the chunk writes its n finish ticks to
+ * ticks_out + k * n and its finish order (competitor indices) to
+ * order_out + k * n.  The first run that does not finish stops the chunk:
+ * its index goes to *failed_index, its finish ticks so far to its row, and
+ * its status (as rm_run's) is returned.  Returns RM_FINISHED when every run
+ * finished.
+ */
+int rm_batch(const double *runners, int n, double length, double nv_magic, uint64_t master,
+             int64_t first, int64_t count, int64_t stop, int64_t *ticks_out, int32_t *order_out,
+             int64_t *failed_index)
+{
+    static const unsigned char run_tag[] = {'s', ':', 'r', 'u', 'n'};
+    uint32_t table[N + 1], mt[N + 1];
+    uint64_t path = splitmix64(splitmix64(master) ^ fnv1a(run_tag, sizeof run_tag));
+    int64_t counters[2];
+    field_t f = {0};
+    double *pos = malloc(sizeof(double) * ((size_t)n * 2 + 1));
+    place_t *places = malloc(sizeof(place_t) * ((size_t)n + 1));
+    int status = RM_NO_MEMORY;
+    if (!field_alloc(&f, n) || !pos || !places) {
+        *failed_index = first;
+        goto out;
+    }
+    init_genrand(table, 19650218U);
+    status = RM_FINISHED;
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t i = (uint64_t)(first + k);
+        unsigned char index_key[10] = {'i', ':'};
+        int64_t *finish = ticks_out + (size_t)k * n;
+        for (int b = 0; b < 8; b++)
+            index_key[2 + b] = (unsigned char)(i >> (56 - 8 * b));
+        memcpy(mt, table, sizeof table);
+        seed_key(mt, splitmix64(path ^ fnv1a(index_key, sizeof index_key)));
+        status = race(runners, n, length, nv_magic, 1, pos, pos + n, finish, counters, mt, &f,
+                      stop, -1, NULL);
+        if (status != RM_FINISHED) {
+            *failed_index = (int64_t)i;
+            break;
+        }
         for (int c = 0; c < n; c++) {
-            pos[c] = prev[c] = 0.0;
-            finish[c] = -1;
-            f.racing[c] = c;
+            places[c].tick = finish[c];
+            places[c].back = length - pos[c];
+            places[c].index = c;
         }
-        f.m = n;
-        counters[0] = counters[1] = 0;
-        status = tick(runners, INFINITY, nv_magic, pos, prev, finish, counters, mt, &f);
-        for (int c = 0; c < n; c++) {
-            pos[c] = 0.0;
-            finish[c] = -1;
-        }
-        counters[0] = counters[1] = 0;
-        f.m = f.sorted = 0;
+        qsort(places, (size_t)n, sizeof *places, by_place);
+        for (int c = 0; c < n; c++)
+            order_out[(size_t)k * n + c] = places[c].index;
     }
-    for (int c = 0; c < n && status == RM_FINISHED; c++)
-        if (finish[c] < 0)
-            f.racing[f.m++] = c;
-    while (f.m) {
-        if (counters[0] >= stop) {
-            status = RM_DIVERGED;
+out:
+    field_free(&f);
+    free(pos);
+    free(places);
+    return status;
+}
+
+/* Win counts of d continuations of one state, continuation k drawing from
+ * random.seed(seeds[k]), as race.simulate_from runs them: wins[c] counts the
+ * continuations that c wins (first by race._finish_order).  floats and ints
+ * hold the state as for rm_run and are left as they are, unless a
+ * continuation does not finish: then they hold its state, and its status
+ * (as rm_run's) is returned.  Returns RM_FINISHED when all d finished.
+ */
+int rm_wins(const double *runners, int n, double length, double nv_magic, const uint64_t *seeds,
+            int64_t d, double *floats, int64_t *ints, int64_t stop, int64_t *wins)
+{
+    size_t floats_size = sizeof(double) * (size_t)n * 2;
+    size_t ints_size = sizeof(int64_t) * ((size_t)n + 2);
+    uint32_t table[N + 1], mt[N + 1];
+    field_t f = {0};
+    double *pos = malloc(floats_size + sizeof(double));
+    int64_t *finish = malloc(ints_size);
+    int status = RM_NO_MEMORY;
+    if (!field_alloc(&f, n) || !pos || !finish)
+        goto out;
+    init_genrand(table, 19650218U);
+    status = RM_FINISHED;
+    for (int64_t k = 0; k < d; k++) {
+        memcpy(pos, floats, floats_size);
+        memcpy(finish, ints, ints_size);
+        memcpy(mt, table, sizeof table);
+        seed_key(mt, seeds[k]);
+        status = race(runners, n, length, nv_magic, 0, pos, pos + n, finish, finish + n, mt, &f,
+                      stop, -1, NULL);
+        if (status != RM_FINISHED) {
+            memcpy(floats, pos, floats_size);
+            memcpy(ints, finish, ints_size);
             break;
         }
-        if (done == budget) {
-            status = RM_BUDGET_SPENT;
-            break;
-        }
-        status = tick(runners, length, nv_magic, pos, prev, finish, counters, mt, &f);
-        if (status != RM_FINISHED)
-            break;
-        if (snapshots)
-            for (int c = 0; c < n; c++)
-                snapshots[(size_t)done * n + c] = pos[c];
-        done++;
+        int w = 0;
+        for (int c = 1; c < n; c++)
+            if (finish[c] < finish[w] ||
+                (finish[c] == finish[w] && length - pos[c] < length - pos[w]))
+                w = c;
+        wins[w]++;
     }
-    free(f.racing);
-    free(f.ranked);
+out:
+    field_free(&f);
+    free(pos);
+    free(finish);
     return status;
 }

@@ -37,7 +37,7 @@ from .exchange import (
     odds_to_decimal,
     quantize_odds,
 )
-from .race import RaceConfig, RaceState, simulate_from
+from .race import RaceConfig, RaceState, kernel_wins, load_kernel, simulate_from
 from .seeding import Checked, FieldError
 
 #: Minimum ratio of fair odds to the best resting back quote before the
@@ -152,15 +152,20 @@ def rp_predict(state: RaceState, config: RaceConfig, d: int, rng) -> tuple[float
     """Laplace-smoothed win probabilities from d dry-run continuations.
 
     (wins_c + 1) / (d + n), so d = 0 is the uniform prior and every
-    competitor keeps nonzero probability.
+    competitor keeps nonzero probability.  The d seeds are drawn from rng
+    first; the kernel runs all d continuations in one call, and without it
+    each is one simulate_from.
     """
     n = config.n_competitors
     wins = [0] * n
     if d > 0:
-        index = {cid: i for i, cid in enumerate(config.competitor_ids)}
-        for _ in range(d):
-            order = simulate_from(state, config, rng.getrandbits(64))
-            wins[index[order[0]]] += 1
+        seeds = [rng.getrandbits(64) for _ in range(d)]
+        if load_kernel() is not None:
+            wins = kernel_wins(state, config, seeds)
+        else:
+            index = {cid: i for i, cid in enumerate(config.competitor_ids)}
+            for seed in seeds:
+                wins[index[simulate_from(state, config, seed)[0]]] += 1
     return tuple((w + 1) / (d + n) for w in wins)
 
 

@@ -13,18 +13,21 @@ worker processes import-light.
 import multiprocessing
 import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from statistics import fmean, stdev
 
 from .exchange import Money
-from .race import RaceConfig, Trajectory, load_kernel, run_race
+from .race import RaceConfig, kernel_batch, load_kernel, run_race
 from .seeding import Checked, FieldError, derive_seed
 from .session import SessionConfig, run_session
 
 #: Largest field size whose full finish-order space (n!) is tracked exactly.
 MAX_FULL_OUTCOME_COMPETITORS = 6
+#: Most runs in one chunk of a race batch, so its result buffers stay small.
+CHUNK_RUNS = 1024
 
 
 class BatchRunError(RuntimeError):
@@ -94,12 +97,29 @@ class SessionSummary:
     winner_ticks: int
 
 
-def _race_job(config: RaceConfig, master_seed: int, i: int) -> RaceResult:
-    try:
-        traj: Trajectory = run_race(config, derive_seed(master_seed, "run", i), record=False)
-    except Exception as exc:
-        raise BatchRunError(i, repr(exc))
-    return RaceResult(i, traj.finish_order, traj.finish_ticks, traj.n_ticks)
+def _race_chunk(
+    config: RaceConfig, master_seed: int, first: int, count: int
+) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
+    """(finish order, finish ticks) of runs first .. first + count - 1.
+
+    Run i is a race on derive_seed(master_seed, "run", i): all in one
+    kernel call, or one run_race each without the kernel.  The first run
+    that fails raises BatchRunError with its index.
+    """
+    if load_kernel() is None:
+        rows = []
+        for i in range(first, first + count):
+            try:
+                traj = run_race(config, derive_seed(master_seed, "run", i), record=False)
+            except Exception as exc:
+                raise BatchRunError(i, repr(exc))
+            rows.append((traj.finish_order, traj.finish_ticks))
+        return rows
+    ticks, orders, error = kernel_batch(config, master_seed, first, count)
+    if error is not None:
+        raise BatchRunError(first + len(ticks), repr(error))
+    ids = config.competitor_ids
+    return [(tuple(map(ids.__getitem__, order)), t) for order, t in zip(orders, ticks)]
 
 
 def _session_job(config: SessionConfig, master_seed: int, i: int) -> SessionSummary:
@@ -125,17 +145,18 @@ def _pin_worker(cpus: tuple[int, ...], started) -> None:
     os.sched_setaffinity(0, {cpus[k % len(cpus)]})
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers are spread one per usable CPU.
+def _worker_pool(workers: int, executor=ProcessPoolExecutor):
+    """A pool of processes (or threads) whose workers are spread one per usable CPU.
 
-    Left to itself the kernel can keep freshly forked workers on the parent's
-    CPU for a whole batch, so that a 2-worker batch is no faster than a
-    serial one; binding each worker to its own CPU rules that out.
+    Left to itself the kernel can keep freshly started workers on the
+    parent's CPU for a whole batch, so that a 2-worker batch is no faster
+    than a serial one; binding each worker to its own CPU rules that out.
+    On Linux the binding of a thread is its own.
     """
     cpus = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_setaffinity") else ()
     if len(cpus) < 2:
-        return ProcessPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(
+        return executor(max_workers=workers)
+    return executor(
         max_workers=workers,
         initializer=_pin_worker,
         initargs=(cpus, multiprocessing.Value("i", 0)),
@@ -143,21 +164,42 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def run_batch(batch: BatchConfig) -> list:
-    """All R results in run-index order; worker count never changes them."""
-    # Each run derives its own seed where it runs, so a worker pool
-    # parallelises the derivation too and is sent bare run indices.
+    """All R results in run-index order; worker count never changes them.
+
+    Race batches run in chunks of at most CHUNK_RUNS runs.  With the kernel
+    each chunk is one C call, which releases the GIL, so the chunks run on
+    threads.  Without it, and for session batches, runs go to a process
+    pool.  Each run derives its own seed where it runs, so workers are sent
+    bare run indices (a race chunk's first index and count).
+    """
+    runs, workers = batch.replications, batch.workers
     if isinstance(batch.base, SessionConfig):
         job = partial(_session_job, batch.base, batch.master_seed)
-    else:
-        job = partial(_race_job, batch.base, batch.master_seed)
-    runs = range(batch.replications)
-    if batch.workers == 1:
-        return [job(i) for i in runs]
-    chunk = max(1, batch.replications // (batch.workers * 8))
-    # forked workers inherit the race kernel loaded here instead of each loading it
-    load_kernel()
-    with _worker_pool(batch.workers) as pool:
-        return list(pool.map(job, runs, chunksize=chunk))
+        if workers == 1:
+            return [job(i) for i in range(runs)]
+        # forked workers inherit the race kernel loaded here instead of each loading it
+        load_kernel()
+        with _worker_pool(workers) as pool:
+            chunksize = max(1, runs // (workers * 8))
+            return list(pool.map(job, range(runs), chunksize=chunksize))
+    chunk = partial(_race_chunk, batch.base, batch.master_seed)
+    size = min(CHUNK_RUNS, -(-runs // workers))
+    firsts = range(0, runs, size)
+    counts = [min(size, runs - first) for first in firsts]
+    if workers == 1:
+        return _race_results(map(chunk, firsts, counts))
+    executor = ThreadPoolExecutor if load_kernel() is not None else ProcessPoolExecutor
+    with _worker_pool(workers, executor) as pool:
+        return _race_results(pool.map(chunk, firsts, counts))
+
+
+def _race_results(chunks) -> list[RaceResult]:
+    """The RaceResults of _race_chunk's rows, numbered in order.
+
+    Each chunk's results are built as it arrives, while the later ones run.
+    """
+    rows = chain.from_iterable(chunks)
+    return [RaceResult(i, order, ticks, max(ticks)) for i, (order, ticks) in enumerate(rows)]
 
 
 # -- outcome distributions ------------------------------------------------

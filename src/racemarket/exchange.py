@@ -330,6 +330,8 @@ class MarketBook:
             raise ExchangeError(f"unknown competitor {competitor_id!r}")
         if side not in (BACK, LAY):
             raise ExchangeError(f"side must be 'back' or 'lay', got {side!r}")
+        if type(odds) is not int:  # not a bool, and no float that equals a ladder value
+            raise InvalidOddsError(f"odds must be an integer, got {odds!r}")
         if not on_ladder(odds):
             raise InvalidOddsError(f"odds {odds} not on the ladder")
         if type(stake) is not int or stake <= 0:  # not a bool, not a float

@@ -12,13 +12,14 @@ slowest competitor has crossed the finish line.
 
 run_race and simulate_from run whole races in C (_kernel.c, built on first
 use), bit for bit with race_ticks, which they fall back to without a compiler.
+kernel_batch and kernel_wins run many races in one kernel call.
 """
 
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .seeding import Checked, FieldError, make_rng
 
@@ -309,8 +310,8 @@ def advance_race(state: RaceState, config: RaceConfig, rng) -> RaceState:
     return state
 
 
-def _diverged(config: RaceConfig, state: RaceState) -> RaceDivergedError:
-    done = f"{state.finished_count()}/{config.n_competitors} finished"
+def _diverged(config: RaceConfig, finished: int) -> RaceDivergedError:
+    done = f"{finished}/{config.n_competitors} finished"
     return RaceDivergedError(f"race exceeded tick_limit={config.tick_limit} with {done}")
 
 
@@ -325,7 +326,7 @@ def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator
     runners, racing = config._runners, _racing(state)
     while racing:
         if state.tick >= stop:
-            raise _diverged(config, state)
+            raise _diverged(config, state.finished_count())
         ran, racing = racing, _tick(runners, config.track_length, state, racing, rng)
         yield ran
 
@@ -405,8 +406,8 @@ def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     else:
         state = RaceState(0, [0.0] * n, [0.0] * n, [None] * n)
         length, stop = config.track_length, config.tick_limit
-        if not kernel.run(config._runners, length, state, seed, stop, snapshots, prime=True):
-            raise _diverged(config, state)
+        diverged = partial(_diverged, config)
+        kernel.run(config._runners, length, state, seed, stop, diverged, snapshots, prime=True)
     return finalize_trajectory(state, config, snapshots)
 
 
@@ -421,6 +422,36 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     if kernel is None:
         for _ in race_ticks(config, st, make_rng(seed), stop):
             pass
-    elif not kernel.run(config._runners, config.track_length, st, seed, stop):
-        raise _diverged(config, st)
+    else:
+        kernel.run(config._runners, config.track_length, st, seed, stop, partial(_diverged, config))
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))
+
+
+# The kernel's many-race calls; run_race and simulate_from are their
+# references.  Both need load_kernel() to have found the kernel.
+
+
+def kernel_batch(config: RaceConfig, master_seed: int, first: int, count: int):
+    """Runs first .. first + count - 1 of a batch on master_seed, in one kernel call.
+
+    Run i is run_race(config, derive_seed(master_seed, "run", i),
+    record=False).  Returns (ticks, orders, error): each run's finish ticks
+    and finish order (competitor indices) up to the first run that failed,
+    and None or the error that run_race raises on that run.
+    """
+    return load_kernel().batch(
+        config._runners, config.track_length, master_seed, first, count, config.tick_limit,
+        partial(_diverged, config),
+    )
+
+
+def kernel_wins(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:
+    """Wins per competitor index of simulate_from(state, config, seed) over seeds.
+
+    All continuations run in one kernel call.  The first that fails raises
+    the error simulate_from raises on it.
+    """
+    return load_kernel().wins(
+        config._runners, config.track_length, state, seeds, state.tick + config.tick_limit,
+        partial(_diverged, config),
+    )

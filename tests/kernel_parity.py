@@ -1,10 +1,13 @@
 """The C race kernel against the Python loop, with the standard library only.
 
-Runs run_race (trajectory recorded) and simulate_from from mid-race states
-on random fields, once through the C kernel and once through race_ticks,
-and compares the results by repr, which tells every float bit apart.  It
-needs no pytest, so it checks the kernel on any interpreter whose random
-module it must match:
+Runs run_race (trajectory recorded), simulate_from and rp_predict from
+mid-race states, and chunks of batch runs on random fields, once through
+the C kernel and once through race_ticks, and compares the results by repr,
+which tells every float bit apart.  A batch chunk is one rm_batch call,
+which derives each run's seed in C, and rp_predict's dry runs are one
+rm_wins call; on the Python loop they are derive_seed with run_race, and
+simulate_from.  It needs no pytest, so it checks the kernel on any
+interpreter whose random module it must match:
 
     PYTHONPATH=src python tests/kernel_parity.py [cases]
 
@@ -17,6 +20,8 @@ import sys
 from contextlib import contextmanager
 
 from racemarket import _kernel
+from racemarket.agents import rp_predict
+from racemarket.batch import CHUNK_RUNS, BatchRunError, _race_chunk
 from racemarket.race import (
     Competitor,
     LogNormalSteps,
@@ -34,6 +39,11 @@ from racemarket.seeding import make_rng
 #: Seeds at the edges of CPython's seeding: one 32-bit key word or two, and
 #: negative seeds, which make_rng masks to 64 bits.
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**40) - 3)
+#: First run indices of batch chunks: both sides of run_batch's chunk
+#: boundary, and indices whose 8 big-endian bytes reach the top word.
+RUN_INDICES = (0, CHUNK_RUNS - 2, CHUNK_RUNS, 255, 2**32 - 2, 2**63 - 5)
+#: Dry runs per rp_predict.
+DRY_RUNS = 7
 
 
 @contextmanager
@@ -60,7 +70,7 @@ def both_ways(fn):
                     got.append(repr(fn()))
             else:
                 got.append(repr(fn()))
-        except (RaceDivergedError, OverflowError) as exc:
+        except (RaceDivergedError, OverflowError, BatchRunError) as exc:
             got.append(f"{type(exc).__name__}: {exc}")
     return tuple(got)
 
@@ -95,13 +105,18 @@ def mid_race(config: RaceConfig, seed: int, ticks: int):
     return state
 
 
-def differences(config: RaceConfig, seed: int, ticks: int) -> list[str]:
-    """Where the kernel and the Python loop part on this race and seed."""
+def differences(config: RaceConfig, seed: int, ticks: int, first: int = 0) -> list[str]:
+    """Where the kernel and the Python loop part on this race and seed.
+
+    The batch chunk is runs first .. first + 2 with seed as the master.
+    """
     problems = []
     state = mid_race(config, seed + 1, ticks)
     runs = {
         "run_race": lambda: run_race(config, seed),
         "simulate_from": lambda: simulate_from(state, config, seed),
+        "rp_predict": lambda: rp_predict(state, config, DRY_RUNS, make_rng(seed)),
+        f"runs {first}..": lambda: _race_chunk(config, seed, first, 3),
     }
     for name, fn in runs.items():
         kernel, loop = both_ways(fn)
@@ -122,7 +137,7 @@ def main(argv: list[str]) -> int:
         n = rng.choice((1, 2, 5, rng.randint(1, 40), 160 if k % 20 == 0 else 8))
         config = random_field(rng, n, rng.uniform(10.0, 120.0))
         seed = EDGE_SEEDS[k] if k < len(EDGE_SEEDS) else rng.getrandbits(64)
-        problems = differences(config, seed, rng.randint(0, 30))
+        problems = differences(config, seed, rng.randint(0, 30), rng.choice(RUN_INDICES))
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1

@@ -1,9 +1,12 @@
 import os
 import pickle
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from racemarket import _kernel
 from racemarket.agents import AgentParams
 from racemarket.batch import (
     BatchConfig,
@@ -21,7 +24,7 @@ from racemarket.batch import (
     resize_race,
     run_batch,
 )
-from racemarket.race import LogNormalSteps, UniformSteps
+from racemarket.race import Competitor, LogNormalSteps, RaceConfig, UniformSteps, load_kernel
 from racemarket.session import SessionConfig
 
 from conftest import make_race
@@ -43,6 +46,24 @@ def test_run_batch_worker_count_is_invisible():
     seq = run_batch(cfg)
     par = run_batch(BatchConfig(cfg.base, 30, master_seed=2, workers=3))
     assert seq == par
+
+
+def test_race_batches_on_threads_share_one_kernel():
+    if load_kernel() is None:
+        pytest.skip("race batches run on threads only with the kernel")
+    # two batches at once, each on more threads than cores and switching
+    # often, share the kernel and its cache of flattened runners
+    configs = (make_race(n=3, length=200.0), make_race(n=5, lo=5.0, length=150.0))
+    serial = [run_batch(BatchConfig(c, 300, master_seed=3)) for c in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as outer:
+            batches = [outer.submit(run_batch, BatchConfig(c, 300, 3, workers=4)) for c in configs]
+            together = [b.result(timeout=60) for b in batches]
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == serial
 
 
 def _worker_cpus(_):
@@ -79,18 +100,39 @@ def test_run_batch_sessions():
     assert len({r.winner_ticks for r in seq}) > 1
 
 
-def test_batch_run_error_carries_index_and_pickles():
-    cfg = make_race(n=2, lo=1.0, hi=1.0, length=100.0, tick_limit=5)
+#: Batches of 8 runs that fail at runs 1, 2 and 6 (divergence) and at
+#: runs 1, 6 and 7 (overflow), with BatchRunError's message for run 1.
+FAILING_BATCHES = {
+    "diverged": (
+        make_race(n=2, lo=1.0, hi=30.0, length=100.0, tick_limit=8),
+        0,
+        "run 1: RaceDivergedError('race exceeded tick_limit=8 with 1/2 finished')",
+    ),
+    "overflow": (
+        RaceConfig(
+            track_length=100.0,
+            competitors=tuple(Competitor(f"c{k}", LogNormalSteps(700.0, 5.0)) for k in range(3)),
+        ),
+        4,
+        "run 1: OverflowError('math range error')",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("loop", [False, True], ids=["kernel", "python_loop"])
+@pytest.mark.parametrize("failure", sorted(FAILING_BATCHES))
+def test_batch_run_error_carries_index_and_pickles(monkeypatch, failure, loop, workers):
+    # the lowest failing run is named, whichever chunk or worker meets a failure first
+    if loop:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    config, master_seed, message = FAILING_BATCHES[failure]
     with pytest.raises(BatchRunError) as info:
-        run_batch(BatchConfig(cfg, 3, master_seed=0))
-    assert info.value.run_index == 0
+        run_batch(BatchConfig(config, 8, master_seed, workers))
+    assert (info.value.run_index, str(info.value)) == (1, message)
     clone = pickle.loads(pickle.dumps(info.value))
     assert isinstance(clone, BatchRunError)
-    assert clone.run_index == 0
-    assert str(clone) == str(info.value)
-    # the same failure must surface through worker processes too
-    with pytest.raises(BatchRunError):
-        run_batch(BatchConfig(cfg, 3, master_seed=0, workers=2))
+    assert (clone.run_index, str(clone)) == (1, message)
 
 
 def test_batch_config_validation():

@@ -210,6 +210,22 @@ def test_submit_validation_order_and_rollback():
     assert not book.bets
 
 
+@pytest.mark.parametrize("odds", [250.0, True, 2.5])
+def test_odds_that_are_not_ints_are_refused(odds):
+    # 250.0 equals a ladder value and True equals 1; either would put float
+    # or bool arithmetic into the integer-cent accounts
+    book = make_book()
+    resting, _ = book.submit_bet("alice", "c1", BACK, 250, 100)
+    before = {b: (a.balance, a.reserved) for b, a in book.accounts.items()}
+    with pytest.raises(InvalidOddsError, match="odds must be an integer, got"):
+        book.submit_bet("bob", "c1", LAY, odds, 101)
+    assert {b: (a.balance, a.reserved) for b, a in book.accounts.items()} == before
+    assert all(type(v) is int for pair in before.values() for v in pair)
+    assert list(book.bets) == [resting]
+    assert book.bets_of("bob") == []
+    assert book.bets[resting].unmatched == 100
+
+
 def test_escrow_amounts():
     book = make_book()
     book.submit_bet("alice", "c1", BACK, 500, 1000)

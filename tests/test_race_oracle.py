@@ -10,9 +10,12 @@ exact position ties, finished rivals, theta = 0 competitors and mixed step
 laws must come out bit-identical on both: positions, previous steps, finish
 ticks, blocked steps, and the generator state.
 
-run_race and simulate_from run whole races in C; the last tests check the
-C kernel against the Python loop (race_ticks), which stays the reference:
-whole trajectories, finish orders and errors must be identical.
+run_race and simulate_from run whole races in C, a batch chunk runs many
+races in one C call that derives their seeds too, and rp_predict runs all
+its dry runs in one C call; the last tests check the C kernel against the
+Python loop (race_ticks, derive_seed and simulate_from), which stays the
+reference: whole trajectories, finish orders, win counts and errors must be
+identical.
 """
 
 import math
@@ -23,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_parity import EDGE_SEEDS, both_ways, differences, mid_race
-from racemarket.batch import resize_race
+from kernel_parity import DRY_RUNS, EDGE_SEEDS, RUN_INDICES, both_ways, differences, mid_race
+from racemarket.agents import rp_predict
+from racemarket.batch import CHUNK_RUNS, BatchConfig, _race_chunk, resize_race, run_batch
 from racemarket.config import parse_config
 from racemarket.race import (
     Competitor,
@@ -36,6 +40,7 @@ from racemarket.race import (
     advance_race,
     finalize_trajectory,
     initial_state,
+    kernel_wins,
     preference_factor,
     run_race,
     simulate_from,
@@ -220,6 +225,8 @@ def test_rounded_gap_tie_picks_the_lowest_index():
     assert state.prev_steps[0] == 2.0
     # held to c2's step, c1 stays boxed in; held to c3's it would pass them
     assert both_ways(lambda: simulate_from(start, config, 0)) == (repr(("c2", "c3", "c1")),) * 2
+    kernel, loop = both_ways(lambda: rp_predict(start, config, DRY_RUNS, make_rng(1)))
+    assert kernel == loop
 
 
 @settings(max_examples=300, deadline=None)
@@ -282,12 +289,52 @@ def test_kernel_continues_any_state_like_python_loop(race, seed):
     before = bits(state)
     kernel, loop = both_ways(lambda: simulate_from(state, config, seed))
     assert kernel == loop
+    # the same states' dry runs in one kernel call, against simulate_from's winners
+    kernel, loop = both_ways(lambda: rp_predict(state, config, DRY_RUNS, make_rng(seed)))
+    assert kernel == loop
     assert bits(state) == before
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_kernel_seeds_like_random_seed(seed):
     assert differences(derby_race(), seed, 30) == []
+
+
+@pytest.mark.parametrize("first", RUN_INDICES)
+@pytest.mark.parametrize("master", EDGE_SEEDS)
+def test_batch_chunk_derives_seeds_like_derive_seed(master, first):
+    config = RaceConfig(track_length=200.0, competitors=derby_race().competitors)
+    kernel, loop = both_ways(lambda: _race_chunk(config, master, first, 3))
+    assert kernel == loop
+
+
+def test_batch_across_a_chunk_boundary_equals_python_loop():
+    field = (Competitor("c1", LogNormalSteps(1.0, 0.8)), Competitor("c2", UniformSteps(1.0, 5.0)))
+    config = RaceConfig(track_length=12.0, competitors=field)
+    for workers in (1, 2):
+        batch = BatchConfig(config, CHUNK_RUNS + 2, master_seed=2**64 - 1, workers=workers)
+        kernel, loop = both_ways(lambda: run_batch(batch))
+        assert kernel == loop
+
+
+def test_dry_run_winner_by_overshoot_then_index():
+    field = (
+        Competitor("c1", UniformSteps(10.0, 10.0)),
+        Competitor("c2", UniformSteps(20.0, 20.0)),
+        Competitor("c3", UniformSteps(15.0, 15.0)),
+    )
+    config = RaceConfig(track_length=100.0, competitors=field)
+    seeds = [1, 2**64 - 1, 7]
+    # c1 and c2 cross on the same tick, c2 further past the line
+    further = RaceState(3, [95.0, 90.0, 10.0], [10.0, 20.0, 15.0], [None, None, None])
+    # the same overshoot: the lower index wins
+    level = RaceState(3, [95.0, 85.0, 10.0], [10.0, 20.0, 15.0], [None, None, None])
+    # c3 finished before
+    done = RaceState(3, [95.0, 85.0, 101.0], [10.0, 20.0, 15.0], [None, None, 2])
+    for state, wins in ((further, [0, 3, 0]), (level, [3, 0, 0]), (done, [0, 0, 3])):
+        assert kernel_wins(state, config, seeds) == wins
+        kernel, loop = both_ways(lambda: rp_predict(state, config, 3, make_rng(0)))
+        assert kernel == loop == repr(tuple((w + 1) / 6 for w in wins))
 
 
 @pytest.mark.parametrize("n", [1, 160])
@@ -318,9 +365,14 @@ def test_kernel_divergence_raises_the_loop_message():
     assert both_ways(lambda: run_race(config, 1)) == (expected, expected)
     state = mid_race(config, 2, 2)
     assert both_ways(lambda: simulate_from(state, config, 3)) == (expected, expected)
+    assert both_ways(lambda: rp_predict(state, config, 3, make_rng(0))) == (expected, expected)
     unfinished = replace(config, tick_limit=2)
     expected = "RaceDivergedError: race exceeded tick_limit=2 with 0/2 finished"
     assert both_ways(lambda: run_race(unfinished, 1)) == (expected, expected)
+    expected = (
+        "BatchRunError: run 4: RaceDivergedError('race exceeded tick_limit=2 with 0/2 finished')"
+    )
+    assert both_ways(lambda: _race_chunk(unfinished, 1, 4, 3)) == (expected, expected)
 
 
 def test_kernel_overflow_raises_like_math_exp():
@@ -328,3 +380,7 @@ def test_kernel_overflow_raises_like_math_exp():
     config = RaceConfig(track_length=100.0, competitors=field)
     expected = "OverflowError: math range error"
     assert both_ways(lambda: run_race(config, 1)) == (expected, expected)
+    state = RaceState(0, [0.0], [1.0], [None])
+    assert both_ways(lambda: rp_predict(state, config, 3, make_rng(0))) == (expected, expected)
+    expected = "BatchRunError: run 9: OverflowError('math range error')"
+    assert both_ways(lambda: _race_chunk(config, 1, 9, 3)) == (expected, expected)
