@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from statistics import fmean, stdev
+from typing import NamedTuple
 
 from .exchange import Money
 from .race import RaceConfig, kernel_batch, load_kernel, run_race
@@ -71,8 +72,11 @@ class BatchConfig(Checked):
         BatchSection(self.replications, self.workers)  # checks both as it is built
 
 
-@dataclass(frozen=True)
-class RaceResult:
+class RaceResult(NamedTuple):
+    """One race of a batch.  A tuple, as the thread that runs the batch
+    builds one per run, and a NamedTuple takes under half the time of a
+    frozen dataclass to build."""
+
     run_index: int
     finish_order: tuple[str, ...]
     finish_ticks: tuple[int, ...]

@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
 def _load(args) -> tuple[ExperimentConfig, int]:
     if args.config is not None:
         try:
-            text = args.config.read_text()
+            text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}")
         cfg = parse_config(text)
@@ -196,7 +196,7 @@ def _cmd_defaults(args) -> int:
     text = json.dumps(emit_default_config(), indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text)
+        args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

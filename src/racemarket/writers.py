@@ -1,20 +1,35 @@
 """File products: CSV tables, JSON-lines event logs, run metadata.
 
 All numbers are written with repr precision so outputs are byte-stable for
-identical inputs.  Money columns are integer minor units.
+identical inputs.  Money columns are integer minor units.  Every file is
+written, and a PMF table read, as UTF-8 whatever the locale.
 
 Every CSV has the same bytes as `csv.writer`'s default dialect: fields are
-quoted only where needed (`QUOTE_MINIMAL`) and lines end in `\r\n`.  The two
-large tables, `trajectory.csv` and `sentiment.csv`, skip `csv.writer` and
-write preformatted lines under one rule: each id is quoted once, as `csv`
-would quote it, floats are written by `repr` (which never needs quoting),
-and each line ends in `\r\n`.
+quoted only where needed (`QUOTE_MINIMAL`) and lines end in `\\r\\n`.
+`events.jsonl` has the bytes of `json.JSONEncoder(separators=(",", ":"))`,
+one event per line.
+
+The three large files, `events.jsonl`, `trajectory.csv` and
+`sentiment.csv`, are written as preformatted lines under one rule: each
+distinct string is encoded once (quoted as `csv` would quote it, or
+JSON-encoded), floats are written by their repr, and lines are joined into
+bounded chunks before each write.  An event line is one %-format of its
+kind's template, built once from `session.EVENT_FIELDS`.  An event the
+template would not write byte for byte goes through the encoder: one with
+a bool, a non-finite float, an int or float subclass or its keys in
+another order, and the kinds without a template (close and settle, one
+each per session).  The CSV lines need no such fallback, as `csv` quotes
+an id alike wherever it stands and never quotes a float's repr.
+`tests/test_writers.py` holds `csv.writer` and `JSONEncoder` as the byte
+oracles of both.
 """
 
 import csv
 import functools
 import io
 import json
+from math import inf
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -22,18 +37,44 @@ from .batch import ORDER_SPACE, WINNER_SPACE, BenchPoint, OutcomePMF, RaceResult
 from .exchange import SettlementReport
 from .race import Trajectory
 from .seeding import RNG_ALGORITHM
+from .session import EVENT_FIELDS
 
 
 # json.dumps builds a new encoder per call when given separators; share one.
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-# Sentiment rows joined into one string per write; bounds the memory a write takes.
-_SENTIMENT_CHUNK_ROWS = 2048
+# Lines joined into one string per write; bounds the memory a write takes.
+_CHUNK_LINES = 2048
+
+
+class _Memo(dict):
+    """fn(key) for each key looked up, computed once."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _FloatReprs(dict):
+    """repr(x) for each float x looked up, computed once.
+
+    0.0 and -0.0 are one key with two reprs, so zeros are not kept.
+    """
+
+    def __missing__(self, x):
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -51,7 +92,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     if traj.ticks is None:
         raise ValueError("trajectory was recorded without per-tick snapshots")
     prefixes = [f",{_csv_field(cid)}," for cid in traj.competitor_ids]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("tick,competitor_id,position\r\n")
         for tick, row in enumerate(traj.ticks):
             fh.write("".join([f"{tick}{prefix}{pos!r}\r\n" for prefix, pos in zip(prefixes, row)]))
@@ -63,21 +104,153 @@ def write_finish_csv(path: Path, traj: Trajectory) -> None:
     _write_csv(path, ["competitor_id", "finish_tick", "finish_rank"], rows)
 
 
+#: The type of each field a kind's line template writes, in EVENT_FIELDS
+#: order: a list holds floats and a dict is a grid payload.  close and
+#: settle, one each per session, have no template.
+_TEMPLATE_TYPES: dict[str, tuple[type, ...]] = {
+    "submit": (str, str, str, float, int, int, int),
+    "match": (str, float, int, int, int, str, str),
+    "cancel": (str, int, int),
+    "reject": (str, str),
+    "sentiment": (str, list),
+    "race_tick": (int, list),
+    "expire": (int, str, int, int),
+    "grid_snapshot": (dict,),
+}
+
+# How a template writes a value v of each type: its placeholder, the
+# expression it formats, and what v must pass besides having exactly that type.
+_SLOTS = {
+    int: ("%d", "{v}", None),
+    float: ("%s", "floats[{v}]", "-inf < {v} < inf"),
+    str: ("%s", "strings[{v}]", None),
+    list: ("[%s]", "_float_list({v})", None),
+    dict: ("%s", "_grid_json({v}, strings)", None),
+}
+
+
+def _float_list(values: list) -> str:
+    """A list of finite floats as JSON, without its brackets.
+
+    float.__repr__ raises TypeError on a value that is not a float; a float
+    subclass is written as the encoder writes it, by float.__repr__.
+    """
+    text = ",".join(map(float.__repr__, values))
+    if "n" in text:  # nan or inf, which the encoder writes as NaN or Infinity
+        raise ValueError
+    return text
+
+
+def _levels_json(levels: list) -> str:
+    """A grid side's [[odds, stake], ...] levels as JSON, without the outer brackets."""
+    if type(levels) is not list:
+        raise ValueError
+    out = []
+    for level in levels:
+        if type(level) is not list or len(level) != 2:
+            raise ValueError
+        odds, stake = level
+        if type(odds) is not float or type(stake) is not int or not -inf < odds < inf:
+            raise ValueError
+        out.append(f"[{odds!r},{stake}]")
+    return ",".join(out)
+
+
+def _grid_json(grid: dict, strings: _Memo) -> str:
+    """A grid_snapshot payload, {cid: {"backs": levels, "lays": levels}}, as JSON."""
+    rows = []
+    for cid, row in grid.items():
+        if type(cid) is not str or type(row) is not dict or tuple(row) != ("backs", "lays"):
+            raise ValueError
+        backs, lays = map(_levels_json, row.values())
+        rows.append(f'{strings[cid]}:{{"backs":[{backs}],"lays":[{lays}]}}')
+    return "{" + ",".join(rows) + "}"
+
+
+def _json_literal(text: str) -> str:
+    """text as a JSON string, escaped for a %-template."""
+    return _EVENT_ENCODER.encode(text).replace("%", "%%")
+
+
+# One kind's line function; _compile_line fills in the fields.
+_LINE_SOURCE = """\
+def line(event, strings, floats):
+    if tuple(event) != keys:
+        raise ValueError
+    {values}, = get(event)
+    if {tests}:
+        raise ValueError
+    return template % ({args},)
+"""
+
+
+def _compile_line(kind: str):
+    """line(event, strings, floats): one `kind` event as its JSON line.
+
+    The line is one %-format of a template that holds every key and the
+    kind.  strings and floats memoise the JSON of each string and float.
+    line raises ValueError for an event the template would not write byte
+    for byte.
+    """
+    names = ("seq", "time", *EVENT_FIELDS[kind])
+    values = [f"v{i}" for i in range(len(names))]
+    members, args, tests = [], [], []
+    for name, typ, v in zip(names, (int, float, *_TEMPLATE_TYPES[kind]), values, strict=True):
+        placeholder, arg, test = _SLOTS[typ]
+        members.append(f"{_json_literal(name)}:{placeholder}")
+        args.append(arg.format(v=v))
+        tests.append(f"type({v}) is not {typ.__name__}")
+        if test is not None:
+            tests.append(f"not {test.format(v=v)}")
+    members.insert(2, f'"kind":{_json_literal(kind)}')
+    source = _LINE_SOURCE.format(values=", ".join(values), tests=" or ".join(tests), args=", ".join(args))
+    namespace = {
+        "keys": (*names[:2], "kind", *names[2:]),
+        "get": itemgetter(*names),
+        "template": "{" + ",".join(members) + "}\n",
+        "inf": inf,
+        "_float_list": _float_list,
+        "_grid_json": _grid_json,
+    }
+    exec(source, namespace)
+    return namespace["line"]
+
+
+@functools.cache
+def _event_lines() -> dict:
+    """Each templated kind's line function.  Compiling them takes a few
+    milliseconds, so a process pays it when it first writes events."""
+    return {kind: _compile_line(kind) for kind in _TEMPLATE_TYPES}
+
+
 def write_events_jsonl(path: Path, events: list[dict]) -> None:
-    encode = _EVENT_ENCODER.encode
-    with open(path, "w") as fh:
-        fh.writelines(f"{encode(event)}\n" for event in events)
+    lines, encode = _event_lines(), _EVENT_ENCODER.encode
+    strings = _Memo(encode)
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(events), _CHUNK_LINES):
+            floats = _FloatReprs()  # a chunk's times and odds
+            chunk = []
+            for event in events[start : start + _CHUNK_LINES]:
+                try:
+                    chunk.append(lines[event["kind"]](event, strings, floats))
+                except (KeyError, TypeError, ValueError):  # no template, or not one it writes
+                    chunk.append(f"{encode(event)}\n")
+            fh.write("".join(chunk))
 
 
 def write_sentiment_csv(path: Path, rows: list[tuple[float, str, str, float]]) -> None:
-    field = functools.cache(_csv_field)  # each distinct id is quoted once
-    with open(path, "w", newline="") as fh:
+    fields = _Memo(_csv_field)
+    time = bettor = object()  # is no row's time or bettor
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time,bettor_id,competitor_id,decimal_odds\r\n")
-        for start in range(0, len(rows), _SENTIMENT_CHUNK_ROWS):
-            lines = [
-                f"{float(t)!r},{field(bettor)},{field(cid)},{float(odds)!r}\r\n"
-                for t, bettor, cid, odds in rows[start : start + _SENTIMENT_CHUNK_ROWS]
-            ]
+        for start in range(0, len(rows), _CHUNK_LINES):
+            floats = _FloatReprs()
+            lines = []
+            for t, b, cid, odds in rows[start : start + _CHUNK_LINES]:
+                if t is not time or b is not bettor:  # one sentiment event's rows share both
+                    time, bettor = t, b
+                    prefix = f"{float(t)!r},{fields[b]},"
+                lines.append(f"{prefix}{fields[cid]},{floats[float(odds)]}\r\n")
             fh.write("".join(lines))
 
 
@@ -98,7 +271,7 @@ def read_pmf_csv(path: Path) -> OutcomePMF:
     orders and bare keys are winner marginals.
     """
     counts: dict[str, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["outcome", "count"]:
@@ -153,6 +326,6 @@ def write_metadata(
         "config_digest": config_digest,
         "outputs": sorted(outputs),
     }
-    with open(out_dir / "metadata.json", "w") as fh:
+    with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -41,6 +41,16 @@ def test_run_batch_race_results_in_order():
     assert len({r.finish_ticks for r in results}) > 1
 
 
+def test_race_result_is_an_immutable_record():
+    r = RaceResult(3, ("c2", "c1"), (12, 10), 12)
+    assert (r.winner, r.winner_ticks) == ("c2", 10)
+    with pytest.raises(AttributeError):
+        r.n_ticks = 13
+    assert r == RaceResult(3, ("c2", "c1"), (12, 10), 12) != RaceResult(4, ("c2", "c1"), (12, 10), 12)
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert repr(r) == "RaceResult(run_index=3, finish_order=('c2', 'c1'), finish_ticks=(12, 10), n_ticks=12)"
+
+
 def test_run_batch_worker_count_is_invisible():
     cfg = BatchConfig(make_race(n=3, length=200.0), 30, master_seed=2, workers=1)
     seq = run_batch(cfg)

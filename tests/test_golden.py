@@ -37,6 +37,15 @@ QUOTED_RACE_DIGESTS = {
     "trajectory.csv": "189d822500064666469452695c6736fccee19eedc533243bea191cf1ebe06bfa",
     "finish.csv": "07af2852a76fdd420f1cd60e370eca6e050ba81d58b99063792f0f0703218177",
 }
+# `racemarket session --sentiment` on derby.json with ids that JSON must escape
+# and csv must quote, on a 400-unit track.  Computed with the JSONEncoder
+# writer, before events.jsonl was written from line templates.
+AWKWARD_IDS = ('c"1', "back\\slash", "Ωmega", "new\nline")
+AWKWARD_SESSION_DIGESTS = {
+    "events.jsonl": "f7847b1d754fd75c2ce137c2665d43c2ea83e2f70b9f9b5a7a04fce535ed949a",
+    "sentiment.csv": "c666e737ec65f2bce90c35c86784b5ed42702c8e44da4b577bb67868fe40dd41",
+    "trajectory.csv": "cbb16161ef10732dca005f7a6af825f92413a3f7b619c885643ae7efdb98a2c3",
+}
 BATCH_RACES = 200
 BATCH_RESULTS = "0e0dbcf6a46c154da6762d013c3be47349651435d288264fe92429f341acc777"
 DERBY_CONFIG_DIGEST = "33578ea444e2550ecaf106e26e388f69e82e6d8f57fab051094c49e71ee77bee"
@@ -108,6 +117,21 @@ def test_quoted_ids_race_outputs(tmp_path, capsys):
     assert code == 0
     got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in QUOTED_RACE_DIGESTS}
     assert got == QUOTED_RACE_DIGESTS
+
+
+def test_awkward_ids_session_outputs(tmp_path, capsys):
+    cfg = derby()
+    comps = cfg.race.competitors
+    renamed = tuple(replace(c, cid=cid) for c, cid in zip(comps, AWKWARD_IDS)) + comps[4:]
+    awkward = replace(cfg, race=replace(cfg.race, track_length=400.0, competitors=renamed))
+    path = tmp_path / "awkward.json"
+    path.write_text(json.dumps(config_to_dict(awkward)))
+    out = tmp_path / "out"
+    code = cli_main(["session", "--sentiment", "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    got = {name: sha256((out / name).read_bytes()) for name in AWKWARD_SESSION_DIGESTS}
+    assert got == AWKWARD_SESSION_DIGESTS
 
 
 @pytest.mark.parametrize("workers", [1, 2])
