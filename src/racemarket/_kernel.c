@@ -28,9 +28,8 @@
 #define LOWER_MASK 0x7fffffffU
 
 enum { RUNNER = 10 };
-/* the entry points' status codes and rm_run's start modes, as _kernel.py names them */
+/* the entry points' status codes, as _kernel.py names them */
 enum { RM_FINISHED, RM_BUDGET_SPENT, RM_DIVERGED, RM_OVERFLOW, RM_NO_MEMORY };
-enum { RM_CONTINUE, RM_SEED, RM_PRIME };
 
 static void init_genrand(uint32_t *mt, uint32_t s)
 {
@@ -302,29 +301,30 @@ static int race(const double *runners, int n, double length, double nv_magic, in
 /* race.race_ticks run in place for at most budget ticks (-1: no budget).
  *
  * floats holds the n positions, then the n previous steps; ints the n
- * finish ticks, then the tick and the blocked steps.  start is RM_CONTINUE
- * to go on drawing from mt, RM_SEED to seed mt with random.seed(seed)
- * first, RM_PRIME to also set the state to race.initial_state: everyone at
- * 0 with previous steps from one tick off the line of an endless track.
- * When snapshots is not NULL, the n positions after each tick are appended
- * to it.  Returns RM_FINISHED when nobody is racing, RM_BUDGET_SPENT when
- * budget ticks ran and some still race, RM_DIVERGED when the tick reached
- * stop first, RM_OVERFLOW when a lognormal draw overflowed (the tick is
- * left half done), or RM_NO_MEMORY.
+ * finish ticks, then the tick and the blocked steps.  With prime, mt is
+ * first seeded with random.seed(seed) and the state set to
+ * race.initial_state: everyone at 0 with previous steps from one tick off
+ * the line of an endless track; without, the race goes on drawing from mt,
+ * as a call whose budget ran out left it.  When snapshots is not NULL, the
+ * n positions after each tick are appended to it.  Returns RM_FINISHED
+ * when nobody is racing, RM_BUDGET_SPENT when budget ticks ran and some
+ * still race, RM_DIVERGED when the tick reached stop first, RM_OVERFLOW
+ * when a lognormal draw overflowed (the tick is left half done), or
+ * RM_NO_MEMORY.
  */
 int rm_run(const double *runners, int n, double length, double nv_magic, uint64_t seed,
-           int start, double *floats, int64_t *ints, uint32_t *mt, int64_t stop,
+           int prime, double *floats, int64_t *ints, uint32_t *mt, int64_t stop,
            int64_t budget, double *snapshots)
 {
     field_t f = {0};
     int status = RM_NO_MEMORY;
     if (field_alloc(&f, n)) {
-        if (start >= RM_SEED) {
+        if (prime) {
             init_genrand(mt, 19650218U);
             seed_key(mt, seed);
         }
-        status = race(runners, n, length, nv_magic, start == RM_PRIME, floats, floats + n,
-                      ints, ints + n, mt, &f, stop, budget, snapshots);
+        status = race(runners, n, length, nv_magic, prime, floats, floats + n, ints, ints + n,
+                      mt, &f, stop, budget, snapshots);
     }
     field_free(&f);
     return status;

@@ -35,9 +35,8 @@ _MAX_TICK = 2**63 - 1
 #: A snapshot buffer holds about this many positions; longer races refill it.
 _SNAPSHOT_DOUBLES = 1 << 14
 
-# the kernel's status codes and rm_run's start modes
+# the kernel's status codes
 _FINISHED, _BUDGET_SPENT, _DIVERGED, _OVERFLOW, _NO_MEMORY = range(5)
-_CONTINUE, _SEED, _PRIME = range(3)
 
 _doubles = ctypes.POINTER(ctypes.c_double)
 _int64s = ctypes.POINTER(ctypes.c_int64)
@@ -133,7 +132,7 @@ class Kernel:
             ctypes.c_double,  # length
             ctypes.c_double,  # nv_magic
             ctypes.c_uint64,  # seed
-            ctypes.c_int,  # start
+            ctypes.c_int,  # prime
             _doubles,  # floats
             _int64s,  # ints
             _words,  # mt
@@ -195,20 +194,20 @@ class Kernel:
         ints = (ctypes.c_int64 * (n + 2))(*finish, state.tick, state.blocked_steps)
         return floats, ints
 
-    def run(self, runners, length, state, seed, stop, diverged, snapshots=None, prime=False):
-        """race_ticks on state in place, drawing from random.Random(seed & 2**64 - 1).
+    def run(self, runners, length, state, seed, stop, diverged, snapshots=None):
+        """One race into state: initial_state, then race_ticks, both drawing
+        from random.Random(seed & 2**64 - 1).
 
-        runners is _compile's output.  With prime, state is first reset to
-        initial_state.  Each tick's positions are appended to snapshots
-        unless it is None.  Raises the error the Python loop raises where it
-        stops: diverged(finished) when the tick reached stop with
+        runners is _compile's output.  Each tick's positions are appended to
+        snapshots unless it is None.  Raises the error the Python loop raises
+        where it stops: diverged(finished) when the tick reached stop with
         competitors still racing.
         """
         n = len(runners)
         flat = self._flat(runners)
         floats, ints = self._state(state)
         mt = (ctypes.c_uint32 * 625)()
-        start = _PRIME if prime else _SEED
+        prime = 1
         stop = min(stop, _MAX_TICK)
         rows, buf = -1, None
         if snapshots is not None:
@@ -217,10 +216,10 @@ class Kernel:
         while True:
             tick = ints[n]
             status = self._run(
-                flat, n, length, NV_MAGICCONST, seed & _MASK64, start, floats, ints, mt, stop,
+                flat, n, length, NV_MAGICCONST, seed & _MASK64, prime, floats, ints, mt, stop,
                 rows, buf,
             )
-            start = _CONTINUE
+            prime = 0
             if buf is not None:
                 rows_done = ints[n] - tick
                 snapshots.extend(tuple(buf[k : k + n]) for k in range(0, rows_done * n, n))

@@ -37,7 +37,8 @@ from .exchange import (
     odds_to_decimal,
     quantize_odds,
 )
-from .race import RaceConfig, RaceState, kernel_wins, load_kernel, simulate_from
+from .race import RaceConfig, RaceState, win_counts
+from .race import simulate_from  # noqa: F401  perfbench's tracer patches it here by name
 from .seeding import Checked, FieldError
 
 #: Minimum ratio of fair odds to the best resting back quote before the
@@ -153,19 +154,11 @@ def rp_predict(state: RaceState, config: RaceConfig, d: int, rng) -> tuple[float
 
     (wins_c + 1) / (d + n), so d = 0 is the uniform prior and every
     competitor keeps nonzero probability.  The d seeds are drawn from rng
-    first; the kernel runs all d continuations in one call, and without it
-    each is one simulate_from.
+    first, then race.win_counts runs one simulate_from continuation per seed.
     """
     n = config.n_competitors
-    wins = [0] * n
-    if d > 0:
-        seeds = [rng.getrandbits(64) for _ in range(d)]
-        if load_kernel() is not None:
-            wins = kernel_wins(state, config, seeds)
-        else:
-            index = {cid: i for i, cid in enumerate(config.competitor_ids)}
-            for seed in seeds:
-                wins[index[simulate_from(state, config, seed)[0]]] += 1
+    seeds = [rng.getrandbits(64) for _ in range(d)]
+    wins = win_counts(state, config, seeds) if d > 0 else [0] * n
     return tuple((w + 1) / (d + n) for w in wins)
 
 

@@ -21,7 +21,8 @@ from statistics import fmean, stdev
 from typing import NamedTuple
 
 from .exchange import Money
-from .race import RaceConfig, kernel_batch, load_kernel, run_race
+from .race import RaceConfig, batch_runs, load_kernel
+from .race import run_race  # noqa: F401  perfbench's tracer patches it here by name
 from .seeding import Checked, FieldError, derive_seed
 from .session import SessionConfig, run_session
 
@@ -106,24 +107,13 @@ def _race_chunk(
 ) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
     """(finish order, finish ticks) of runs first .. first + count - 1.
 
-    Run i is a race on derive_seed(master_seed, "run", i): all in one
-    kernel call, or one run_race each without the kernel.  The first run
-    that fails raises BatchRunError with its index.
+    Run i is a race on derive_seed(master_seed, "run", i) (race.batch_runs).
+    The first run that fails raises BatchRunError with its index.
     """
-    if load_kernel() is None:
-        rows = []
-        for i in range(first, first + count):
-            try:
-                traj = run_race(config, derive_seed(master_seed, "run", i), record=False)
-            except Exception as exc:
-                raise BatchRunError(i, repr(exc))
-            rows.append((traj.finish_order, traj.finish_ticks))
-        return rows
-    ticks, orders, error = kernel_batch(config, master_seed, first, count)
+    ticks, orders, error = batch_runs(config, master_seed, first, count)
     if error is not None:
         raise BatchRunError(first + len(ticks), repr(error))
-    ids = config.competitor_ids
-    return [(tuple(map(ids.__getitem__, order)), t) for order, t in zip(orders, ticks)]
+    return list(zip(orders, ticks))
 
 
 def _session_job(config: SessionConfig, master_seed: int, i: int) -> SessionSummary:

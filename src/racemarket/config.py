@@ -20,7 +20,6 @@ from typing import Any, Callable, NamedTuple, get_args, get_origin
 from .batch import BatchSection, BenchSection
 from .race import (
     BettingClose,
-    Competitor,
     LogNormalSteps,
     RaceConfig,
     StepDistribution,
@@ -86,13 +85,6 @@ _FAMILIES = {"uniform": UniformSteps, "lognormal": LogNormalSteps}
 _FAMILY_OF = {cls: name for name, cls in _FAMILIES.items()}
 
 
-def _parse_id(v, path: str) -> str:
-    cid = _str(v, path)
-    if "-" in cid or "," in cid:  # both separate ids in outcome keys
-        _fail(path, f"must not contain '-' or ',', got {cid!r}")
-    return cid
-
-
 def _parse_steps(obj, path: str):
     if not isinstance(obj, dict):
         _fail(path, f"must be an object, got {type(obj).__name__}")
@@ -129,7 +121,6 @@ _CODECS: dict[Any, tuple[Callable, Callable | None]] = {
     StepDistribution: (_parse_steps, _dump_steps),
     BettingClose: (_parse_close, _dump_close),
 }
-_PARSERS = {(Competitor, "cid"): _parse_id}
 
 
 # -- the field walk -----------------------------------------------------------
@@ -167,7 +158,6 @@ def _schema(cls) -> tuple[_Field, ...]:
     out = []
     for f in fields(cls):
         parse, dump = _codec(f.type)
-        parse = _PARSERS.get((cls, f.name), parse)
         default = f.default if f.default_factory is MISSING else f.default_factory()
         default = _DEFAULTS.get((cls, f.name), default)
         out.append(_Field(f.name, _KEYS.get(f.name, f.name), default, parse, dump))

@@ -10,9 +10,13 @@ being boxed in behind a slower rival.  All updates within a tick are
 synchronous, computed from start-of-tick positions.  The race ends when the
 slowest competitor has crossed the finish line.
 
-run_race and simulate_from run whole races in C (_kernel.c, built on first
-use), bit for bit with race_ticks, which they fall back to without a compiler.
-kernel_batch and kernel_wins run many races in one kernel call.
+This module alone chooses between the C kernel (_kernel.c, built on first
+use) and the Python loop, race_ticks, which the kernel repeats bit for bit.
+run_race runs one race in C, batch_runs a chunk of a batch's races and
+win_counts a prediction's dry runs, each in one kernel call; without a
+compiler each falls back to its reference: run_race to race_ticks,
+batch_runs to run_race per run and win_counts to simulate_from, which is
+always the Python loop.
 """
 
 import math
@@ -21,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .seeding import Checked, FieldError, make_rng
+from .seeding import Checked, FieldError, derive_seed, make_rng
 
 DEFAULT_TICK_LIMIT = 1_000_000
 
@@ -98,6 +102,8 @@ class Competitor(Checked):
     def validate(self) -> None:
         if not self.cid:
             raise RaceConfigError("cid", "must be non-empty")
+        if "-" in self.cid or "," in self.cid:  # both separate ids in outcome keys
+            raise RaceConfigError("cid", f"must not contain '-' or ',', got {self.cid!r}")
         if not self.pref_sensitivity >= 0.0:
             raise RaceConfigError("pref_sensitivity", f"must be >= 0, got {self.pref_sensitivity}")
         if not self.theta >= 0.0:
@@ -320,8 +326,8 @@ def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator
 
     Yields, after each tick, the competitors that raced in it (index order);
     raises RaceDivergedError if the tick reaches stop first.  A session's
-    race steps through this loop, and so do run_race and simulate_from when
-    the C kernel is not there.
+    race and simulate_from step through this loop, and so does run_race
+    when the C kernel is not there.
     """
     runners, racing = config._runners, _racing(state)
     while racing:
@@ -405,9 +411,8 @@ def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
                 snapshots.append(tuple(state.positions))
     else:
         state = RaceState(0, [0.0] * n, [0.0] * n, [None] * n)
-        length, stop = config.track_length, config.tick_limit
-        diverged = partial(_diverged, config)
-        kernel.run(config._runners, length, state, seed, stop, diverged, snapshots, prime=True)
+        length, stop, diverged = config.track_length, config.tick_limit, partial(_diverged, config)
+        kernel.run(config._runners, length, state, seed, stop, diverged, snapshots)
     return finalize_trajectory(state, config, snapshots)
 
 
@@ -417,41 +422,54 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     The caller's state is not mutated; draws come from a fresh stream so
     repeated calls with distinct seeds give i.i.d. continuations.
     """
-    st, stop = state.clone(), state.tick + config.tick_limit
-    kernel = load_kernel()
-    if kernel is None:
-        for _ in race_ticks(config, st, make_rng(seed), stop):
-            pass
-    else:
-        kernel.run(config._runners, config.track_length, st, seed, stop, partial(_diverged, config))
+    st = state.clone()
+    for _ in race_ticks(config, st, make_rng(seed), state.tick + config.tick_limit):
+        pass
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))
 
 
-# The kernel's many-race calls; run_race and simulate_from are their
-# references.  Both need load_kernel() to have found the kernel.
-
-
-def kernel_batch(config: RaceConfig, master_seed: int, first: int, count: int):
-    """Runs first .. first + count - 1 of a batch on master_seed, in one kernel call.
+def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
+    """Runs first .. first + count - 1 of a batch on master_seed.
 
     Run i is run_race(config, derive_seed(master_seed, "run", i),
-    record=False).  Returns (ticks, orders, error): each run's finish ticks
-    and finish order (competitor indices) up to the first run that failed,
-    and None or the error that run_race raises on that run.
+    record=False); with the kernel all count runs are one call.  Returns
+    (ticks, orders, error): each run's finish ticks and finish order
+    (competitor ids) up to the first run that failed, and None or the error
+    run_race raises on that run.
     """
-    return load_kernel().batch(
+    kernel = load_kernel()
+    if kernel is None:
+        ticks, orders = [], []
+        for i in range(first, first + count):
+            try:
+                traj = run_race(config, derive_seed(master_seed, "run", i), record=False)
+            except Exception as exc:
+                return ticks, orders, exc
+            ticks.append(traj.finish_ticks)
+            orders.append(traj.finish_order)
+        return ticks, orders, None
+    ticks, orders, error = kernel.batch(
         config._runners, config.track_length, master_seed, first, count, config.tick_limit,
         partial(_diverged, config),
     )
+    ids = config.competitor_ids
+    return ticks, [tuple(map(ids.__getitem__, order)) for order in orders], error
 
 
-def kernel_wins(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:
+def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:
     """Wins per competitor index of simulate_from(state, config, seed) over seeds.
 
-    All continuations run in one kernel call.  The first that fails raises
-    the error simulate_from raises on it.
+    With the kernel all continuations are one call.  The first that fails
+    raises the error simulate_from raises on it.
     """
-    return load_kernel().wins(
+    kernel = load_kernel()
+    if kernel is None:
+        wins = [0] * config.n_competitors
+        index = {cid: i for i, cid in enumerate(config.competitor_ids)}
+        for seed in seeds:
+            wins[index[simulate_from(state, config, seed)[0]]] += 1
+        return wins
+    return kernel.wins(
         config._runners, config.track_length, state, seeds, state.tick + config.tick_limit,
         partial(_diverged, config),
     )

@@ -42,9 +42,14 @@ class Checked:
 
 
 def check_master_seed(seed: int) -> None:
-    """A run is named by its config digest and a master seed >= 0."""
+    """A run is named by its config digest and a master seed in [0, 2**64).
+
+    derive_seed keeps a seed's low 64 bits, so a larger one would alias one below.
+    """
     if seed < 0:
         raise FieldError("seed", f"must be >= 0, got {seed}")
+    if seed > MASK64:
+        raise FieldError("seed", f"must be < 2**64, got {seed}")
 
 
 def splitmix64(x: int) -> int:

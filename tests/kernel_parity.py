@@ -1,13 +1,13 @@
 """The C race kernel against the Python loop, with the standard library only.
 
-Runs run_race (trajectory recorded), simulate_from and rp_predict from
-mid-race states, and chunks of batch runs on random fields, once through
-the C kernel and once through race_ticks, and compares the results by repr,
-which tells every float bit apart.  A batch chunk is one rm_batch call,
-which derives each run's seed in C, and rp_predict's dry runs are one
-rm_wins call; on the Python loop they are derive_seed with run_race, and
-simulate_from.  It needs no pytest, so it checks the kernel on any
-interpreter whose random module it must match:
+Runs run_race (trajectory recorded), rp_predict from mid-race states, and
+chunks of batch runs on random fields, once through the C kernel and once
+through race_ticks, and compares the results by repr, which tells every
+float bit apart.  A batch chunk is one rm_batch call, which derives each
+run's seed in C, and rp_predict's dry runs are one rm_wins call; on the
+Python loop they are derive_seed with run_race, and simulate_from.  It
+needs no pytest, so it checks the kernel on any interpreter whose random
+module it must match:
 
     PYTHONPATH=src python tests/kernel_parity.py [cases]
 
@@ -32,7 +32,6 @@ from racemarket.race import (
     advance_race,
     initial_state,
     run_race,
-    simulate_from,
 )
 from racemarket.seeding import make_rng
 
@@ -48,7 +47,7 @@ DRY_RUNS = 7
 
 @contextmanager
 def python_loop():
-    """Within the block, run_race and simulate_from find no kernel."""
+    """Within the block, race.py finds no kernel."""
     load = _kernel.load
     _kernel.load = lambda: None
     try:
@@ -114,7 +113,6 @@ def differences(config: RaceConfig, seed: int, ticks: int, first: int = 0) -> li
     state = mid_race(config, seed + 1, ticks)
     runs = {
         "run_race": lambda: run_race(config, seed),
-        "simulate_from": lambda: simulate_from(state, config, seed),
         "rp_predict": lambda: rp_predict(state, config, DRY_RUNS, make_rng(seed)),
         f"runs {first}..": lambda: _race_chunk(config, seed, first, 3),
     }

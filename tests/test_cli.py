@@ -161,6 +161,12 @@ def test_usage_errors_exit_1_with_json_line(tmp_path, capsys):
 
     code, _, stderr = run_cli(capsys, "race", "--seed", "-4")
     assert code == 1
+    # derive_seed keeps 64 bits, so 2**64 would run as seed 0
+    code, _, stderr = run_cli(capsys, "race", "--seed", str(2**64))
+    assert code == 1
+    err = json.loads(stderr)
+    assert err["error"] == "usage"
+    assert err["message"] == "seed must be < 2**64, got 18446744073709551616"
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"race": {"competitors": []}}')

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,8 +167,10 @@ def test_competitor_id_rules():
 
     with pytest.raises(ConfigError, match="id"):
         parse_config(comp(""))
-    with pytest.raises(ConfigError, match="id"):
-        parse_config(comp("a-b"))  # separator is reserved for outcome keys
+    # the separators of outcome keys; the text is Competitor.validate's, at the key path
+    message = "race.competitors[0].id: must not contain '-' or ',', got 'a-b'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(comp("a-b"))
     with pytest.raises(ConfigError, match="id"):
         parse_config(comp("a,b"))
     parse_config(comp("hoof_7"))
@@ -388,6 +391,7 @@ CHECKED_CASES = [
     (LogNormalSteps(1.0, 0.5), "sigma", -1.0, RaceConfigError, "sigma must be >= 0, got -1.0"),
     (Responsiveness(), "breakpoint", 1.5, RaceConfigError, "breakpoint must be in [0, 1], got 1.5"),
     (_COMP, "theta", -1.0, RaceConfigError, "theta must be >= 0, got -1.0"),
+    (_COMP, "cid", "a-b", RaceConfigError, "cid must not contain '-' or ',', got 'a-b'"),
     (_RACE, "dt", 0.0, RaceConfigError, "dt must be > 0, got 0.0"),
     (_RACE, "competitors", (), RaceConfigError, "competitors must be non-empty"),
     (
@@ -423,13 +427,29 @@ CHECKED_CASES = [
     (BatchConfig(_RACE, 10, 0), "workers", 0, FieldError, "workers must be >= 1, got 0"),
     (BenchSection(), "timing_reps", 0, FieldError, "timing_reps must be >= 1, got 0"),
     (ExperimentConfig(race=_RACE), "seed", -1, FieldError, "seed must be >= 0, got -1"),
+    (
+        ExperimentConfig(race=_RACE),
+        "seed",
+        2**64,
+        FieldError,
+        "seed must be < 2**64, got 18446744073709551616",
+    ),
 ]
+
+
+def _case_ids(cases) -> list[str]:
+    """Type.field, with the bad value after a field's first case."""
+    ids = []
+    for valid, name, bad, *_ in cases:
+        case = f"{type(valid).__name__}.{name}"
+        ids.append(f"{case}={bad!r}" if case in ids else case)
+    return ids
 
 
 @pytest.mark.parametrize(
     "valid, name, bad, error, message",
     CHECKED_CASES,
-    ids=[f"{type(v).__name__}.{n}" for v, n, *_ in CHECKED_CASES],
+    ids=_case_ids(CHECKED_CASES),
 )
 def test_a_checked_config_cannot_be_built_invalid(valid, name, bad, error, message):
     unchecked = copy.copy(valid)  # built without __init__, so without the check

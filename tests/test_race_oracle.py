@@ -10,12 +10,12 @@ exact position ties, finished rivals, theta = 0 competitors and mixed step
 laws must come out bit-identical on both: positions, previous steps, finish
 ticks, blocked steps, and the generator state.
 
-run_race and simulate_from run whole races in C, a batch chunk runs many
-races in one C call that derives their seeds too, and rp_predict runs all
-its dry runs in one C call; the last tests check the C kernel against the
-Python loop (race_ticks, derive_seed and simulate_from), which stays the
-reference: whole trajectories, finish orders, win counts and errors must be
-identical.
+run_race runs a whole race in C, a batch chunk runs many races in one C
+call that derives their seeds too, and rp_predict runs all its dry runs in
+one C call; the last tests check the C kernel against the Python loop
+(race_ticks, derive_seed and simulate_from, which is always the loop), which
+stays the reference: whole trajectories, finish orders, win counts and
+errors must be identical.
 """
 
 import math
@@ -34,16 +34,17 @@ from racemarket.race import (
     Competitor,
     LogNormalSteps,
     RaceConfig,
+    RaceDivergedError,
     RaceState,
     Responsiveness,
     UniformSteps,
     advance_race,
     finalize_trajectory,
     initial_state,
-    kernel_wins,
     preference_factor,
     run_race,
     simulate_from,
+    win_counts,
 )
 from racemarket.seeding import make_rng
 
@@ -224,7 +225,7 @@ def test_rounded_gap_tie_picks_the_lowest_index():
     assert bits(advance_race(state, config, make_rng(0))) == bits(reference)
     assert state.prev_steps[0] == 2.0
     # held to c2's step, c1 stays boxed in; held to c3's it would pass them
-    assert both_ways(lambda: simulate_from(start, config, 0)) == (repr(("c2", "c3", "c1")),) * 2
+    assert simulate_from(start, config, 0) == ("c2", "c3", "c1")
     kernel, loop = both_ways(lambda: rp_predict(start, config, DRY_RUNS, make_rng(1)))
     assert kernel == loop
 
@@ -287,9 +288,7 @@ def test_kernel_continues_any_state_like_python_loop(race, seed):
     # exact ties, tiny previous steps and finished rivals, as in the tick test
     config, state = race
     before = bits(state)
-    kernel, loop = both_ways(lambda: simulate_from(state, config, seed))
-    assert kernel == loop
-    # the same states' dry runs in one kernel call, against simulate_from's winners
+    # dry runs in one kernel call, against simulate_from's winners
     kernel, loop = both_ways(lambda: rp_predict(state, config, DRY_RUNS, make_rng(seed)))
     assert kernel == loop
     assert bits(state) == before
@@ -332,7 +331,7 @@ def test_dry_run_winner_by_overshoot_then_index():
     # c3 finished before
     done = RaceState(3, [95.0, 85.0, 101.0], [10.0, 20.0, 15.0], [None, None, 2])
     for state, wins in ((further, [0, 3, 0]), (level, [3, 0, 0]), (done, [0, 0, 3])):
-        assert kernel_wins(state, config, seeds) == wins
+        assert win_counts(state, config, seeds) == wins
         kernel, loop = both_ways(lambda: rp_predict(state, config, 3, make_rng(0)))
         assert kernel == loop == repr(tuple((w + 1) / 6 for w in wins))
 
@@ -364,7 +363,8 @@ def test_kernel_divergence_raises_the_loop_message():
     expected = "RaceDivergedError: race exceeded tick_limit=5 with 1/2 finished"
     assert both_ways(lambda: run_race(config, 1)) == (expected, expected)
     state = mid_race(config, 2, 2)
-    assert both_ways(lambda: simulate_from(state, config, 3)) == (expected, expected)
+    with pytest.raises(RaceDivergedError, match="^race exceeded tick_limit=5 with 1/2 finished$"):
+        simulate_from(state, config, 3)
     assert both_ways(lambda: rp_predict(state, config, 3, make_rng(0))) == (expected, expected)
     unfinished = replace(config, tick_limit=2)
     expected = "RaceDivergedError: race exceeded tick_limit=2 with 0/2 finished"
