@@ -14,6 +14,11 @@
  * Three entry points: rm_run runs one race, rm_batch a chunk of a batch's
  * races, and rm_wins the dry-run continuations of one state.  None keeps
  * state between calls, so calls may run on several threads at once.
+ *
+ * Streams are seeded in lanes: seed_lanes runs random.seed for up to LANES
+ * seeds at once, each a column of one table, and lane_out hands a column to
+ * the one generator a race draws from.  rm_batch and rm_wins seed each group
+ * of LANES runs or continuations in one call; rm_run seeds one lane.
  */
 
 #include <math.h>
@@ -36,37 +41,62 @@ static void init_genrand(uint32_t *mt, uint32_t s)
     mt[0] = s;
     for (uint32_t i = 1; i < N; i++)
         mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i;
-    mt[N] = N;
 }
 
-/* random.seed(seed) for 0 <= seed < 2**64 on mt holding init_genrand's
- * table for 19650218: init_by_array over the little-endian 32-bit words of
- * seed, one word below 2**32. */
-static void seed_key(uint32_t *mt, uint64_t seed)
+/* Streams seeded side by side: column l of a [N][LANES] table is lane l's
+ * generator.  The seeding's multiply chain is serial within a stream, so the
+ * loops below step all lanes at each position: the lanes' chains overlap and
+ * the work is not bound by the multiply's latency. */
+enum { LANES = 8 };
+
+/* random.seed(seeds[l]) for each lane l < lanes (0 <= seed < 2**64), on
+ * start holding init_genrand's table for 19650218: init_by_array over the
+ * seed's little-endian 32-bit words, one word below 2**32.  Step s adds
+ * key[j] + j with j = s mod the key length: key[0] on every step for a
+ * 1-word key, key[0] and key[1] + 1 in turn for a 2-word one.  Lanes from
+ * lanes on are seeded with 0 and not read. */
+static void seed_lanes(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
+                       const uint64_t *seeds, int lanes)
 {
-    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    uint32_t key_length = key[1] ? 2 : 1;
-    uint32_t i = 1, j = 0, k;
-    for (k = N; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + j;
-        i++;
-        j++;
-        if (i >= N) {
-            mt[0] = mt[N - 1];
-            i = 1;
-        }
-        if (j >= key_length)
-            j = 0;
+    uint32_t add[2][LANES];
+    for (int l = 0; l < LANES; l++) {
+        uint64_t seed = l < lanes ? seeds[l] : 0;
+        add[0][l] = (uint32_t)seed;
+        add[1][l] = seed >> 32 ? (uint32_t)(seed >> 32) + 1 : (uint32_t)seed;
     }
-    for (k = N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - i;
-        i++;
-        if (i >= N) {
-            mt[0] = mt[N - 1];
+    for (int i = 0; i < N; i++)
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = start[i];
+    int i = 1;
+    for (int k = 0; k < N; k++) {
+        const uint32_t *a = add[k & 1];
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1664525U)) + a[l];
+        if (++i >= N) {
+            memcpy(mt[0], mt[N - 1], sizeof mt[0]);
             i = 1;
         }
     }
-    mt[0] = 0x80000000U;
+    for (int k = 0; k < N - 1; k++) {
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1566083941U)) -
+                       (uint32_t)i;
+        if (++i >= N) {
+            memcpy(mt[0], mt[N - 1], sizeof mt[0]);
+            i = 1;
+        }
+    }
+    for (int l = 0; l < LANES; l++)
+        mt[0][l] = 0x80000000U;
+}
+
+/* The generator mt (N words, then the index) takes lane's stream, freshly
+ * seeded. */
+static void lane_out(uint32_t *mt, uint32_t (*lanes)[LANES], int lane)
+{
+    for (int i = 0; i < N; i++)
+        mt[i] = lanes[i][lane];
+    mt[N] = N;
 }
 
 static uint32_t genrand_uint32(uint32_t *mt)
@@ -320,8 +350,10 @@ int rm_run(const double *runners, int n, double length, double nv_magic, uint64_
     int status = RM_NO_MEMORY;
     if (field_alloc(&f, n)) {
         if (prime) {
+            uint32_t lanes[N][LANES];
             init_genrand(mt, 19650218U);
-            seed_key(mt, seed);
+            seed_lanes(lanes, mt, &seed, 1);
+            lane_out(mt, lanes, 0);
         }
         status = race(runners, n, length, nv_magic, prime, floats, floats + n, ints, ints + n,
                       mt, &f, stop, budget, snapshots);
@@ -378,8 +410,9 @@ int rm_batch(const double *runners, int n, double length, double nv_magic, uint6
              int64_t *failed_index)
 {
     static const unsigned char run_tag[] = {'s', ':', 'r', 'u', 'n'};
-    uint32_t table[N + 1], mt[N + 1];
+    uint32_t table[N], mt[N + 1], lanes[N][LANES];
     uint64_t path = splitmix64(splitmix64(master) ^ fnv1a(run_tag, sizeof run_tag));
+    uint64_t seeds[LANES];
     int64_t counters[2];
     field_t f = {0};
     double *pos = malloc(sizeof(double) * ((size_t)n * 2 + 1));
@@ -392,17 +425,23 @@ int rm_batch(const double *runners, int n, double length, double nv_magic, uint6
     init_genrand(table, 19650218U);
     status = RM_FINISHED;
     for (int64_t k = 0; k < count; k++) {
-        uint64_t i = (uint64_t)(first + k);
-        unsigned char index_key[10] = {'i', ':'};
         int64_t *finish = ticks_out + (size_t)k * n;
-        for (int b = 0; b < 8; b++)
-            index_key[2 + b] = (unsigned char)(i >> (56 - 8 * b));
-        memcpy(mt, table, sizeof table);
-        seed_key(mt, splitmix64(path ^ fnv1a(index_key, sizeof index_key)));
+        if (k % LANES == 0) {
+            int size = count - k < LANES ? (int)(count - k) : LANES;
+            for (int l = 0; l < size; l++) {
+                uint64_t i = (uint64_t)(first + k + l);
+                unsigned char index_key[10] = {'i', ':'};
+                for (int b = 0; b < 8; b++)
+                    index_key[2 + b] = (unsigned char)(i >> (56 - 8 * b));
+                seeds[l] = splitmix64(path ^ fnv1a(index_key, sizeof index_key));
+            }
+            seed_lanes(lanes, table, seeds, size);
+        }
+        lane_out(mt, lanes, (int)(k % LANES));
         status = race(runners, n, length, nv_magic, 1, pos, pos + n, finish, counters, mt, &f,
                       stop, -1, NULL);
         if (status != RM_FINISHED) {
-            *failed_index = (int64_t)i;
+            *failed_index = first + k;
             break;
         }
         for (int c = 0; c < n; c++) {
@@ -433,7 +472,7 @@ int rm_wins(const double *runners, int n, double length, double nv_magic, const 
 {
     size_t floats_size = sizeof(double) * (size_t)n * 2;
     size_t ints_size = sizeof(int64_t) * ((size_t)n + 2);
-    uint32_t table[N + 1], mt[N + 1];
+    uint32_t table[N], mt[N + 1], lanes[N][LANES];
     field_t f = {0};
     double *pos = malloc(floats_size + sizeof(double));
     int64_t *finish = malloc(ints_size);
@@ -443,10 +482,11 @@ int rm_wins(const double *runners, int n, double length, double nv_magic, const 
     init_genrand(table, 19650218U);
     status = RM_FINISHED;
     for (int64_t k = 0; k < d; k++) {
+        if (k % LANES == 0)
+            seed_lanes(lanes, table, seeds + k, d - k < LANES ? (int)(d - k) : LANES);
         memcpy(pos, floats, floats_size);
         memcpy(finish, ints, ints_size);
-        memcpy(mt, table, sizeof table);
-        seed_key(mt, seeds[k]);
+        lane_out(mt, lanes, (int)(k % LANES));
         status = race(runners, n, length, nv_magic, 0, pos, pos + n, finish, finish + n, mt, &f,
                       stop, -1, NULL);
         if (status != RM_FINISHED) {

@@ -77,13 +77,28 @@ def build(command: list[str], directory: Path) -> Path:
     return path
 
 
-@cache
+_LOAD_LOCK = threading.Lock()
+
+
 def load() -> "Kernel | None":
-    """The kernel, built on first call; None, with one RuntimeWarning, without a compiler."""
+    """The kernel, built on the first call; None without a compiler.
+
+    Threads that call at once wait for the first call's build: cache alone
+    would run it in each, and one reading sysconfig while another fills it
+    in finds no CC.
+    """
+    with _LOAD_LOCK:
+        return _load()
+
+
+@cache
+def _load() -> "Kernel | None":
     command = compile_command()
     if command is None:
+        # _load <- load <- race.load_kernel <- a race.py entry point (or
+        # run_batch): the warning names the code that called that
         warnings.warn(
-            "no C compiler found; races run in the Python loop", RuntimeWarning, stacklevel=2
+            "no C compiler found; races run in the Python loop", RuntimeWarning, stacklevel=5
         )
         return None
     pycache = SOURCE.parent / "__pycache__"

@@ -180,9 +180,9 @@ def run_batch(batch: BatchConfig) -> list:
     size = min(CHUNK_RUNS, -(-runs // workers))
     firsts = range(0, runs, size)
     counts = [min(size, runs - first) for first in firsts]
+    executor = ThreadPoolExecutor if load_kernel() is not None else ProcessPoolExecutor
     if workers == 1:
         return _race_results(map(chunk, firsts, counts))
-    executor = ThreadPoolExecutor if load_kernel() is not None else ProcessPoolExecutor
     with _worker_pool(workers, executor) as pool:
         return _race_results(pool.map(chunk, firsts, counts))
 

@@ -391,7 +391,9 @@ def load_kernel():
     """The C race kernel (_kernel.Kernel), or None without a C compiler.
 
     Its module, with ctypes, is imported at the first whole race, so
-    importing the package stays as light as it was.
+    importing the package stays as light as it was.  Only this module's
+    entry points and run_batch call it, so the one warning a missing
+    compiler gives names the code that called them.
     """
     from . import _kernel
 

@@ -97,6 +97,9 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class SessionResult:
+    """A finished session.  The events are read-only: grid snapshots share
+    the rows of a competitor whose book did not change between them."""
+
     events: list[dict]
     trajectory: Trajectory
     settlement: SettlementReport
@@ -164,6 +167,8 @@ class _Session:
         self.snapshots: list[tuple[float, ...]] = [tuple(self.state.positions)]
         self.events: list[dict] = []
         self._obs_cache: tuple[tuple, tuple, tuple] | None = None
+        # each competitor's last grid payload row, with the book's GridRow it was built from
+        self._grid_rows: dict[str, tuple] = {}
 
     # -- event log ----------------------------------------------------------
 
@@ -289,14 +294,25 @@ class _Session:
         )
 
     def _grid_payload(self) -> dict:
-        grid = self.book.market_grid()
-        return {
-            cid: {
-                "backs": [[odds_to_decimal(l.odds), l.stake] for l in row.backs],
-                "lays": [[odds_to_decimal(l.odds), l.stake] for l in row.lays],
-            }
-            for cid, row in grid.items()
-        }
+        """The book's grid as {cid: {"backs": levels, "lays": levels}}.
+
+        The book keeps a competitor's GridRow until its book changes, so
+        while the row is the same object its payload row is reused: the
+        snapshots share it.
+        """
+        payload, built = {}, self._grid_rows
+        for cid, row in self.book.market_grid().items():
+            last = built.get(cid)
+            if last is None or last[0] is not row:
+                last = built[cid] = (
+                    row,
+                    {
+                        "backs": [[odds_to_decimal(l.odds), l.stake] for l in row.backs],
+                        "lays": [[odds_to_decimal(l.odds), l.stake] for l in row.lays],
+                    },
+                )
+            payload[cid] = last[1]
+        return payload
 
 
 def run_session(config: SessionConfig) -> SessionResult:

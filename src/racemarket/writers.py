@@ -14,7 +14,10 @@ The three large files, `events.jsonl`, `trajectory.csv` and
 distinct string is encoded once (quoted as `csv` would quote it, or
 JSON-encoded), floats are written by their repr, and lines are joined into
 bounded chunks before each write.  An event line is one %-format of its
-kind's template, built once from `session.EVENT_FIELDS`.  An event the
+kind's template, built once from `session.EVENT_FIELDS`.  A session's grid
+snapshots share the row of a competitor whose book did not change, so each
+grid row's JSON is memoised by the row's identity for one
+`write_events_jsonl` call, as the strings are by value.  An event the
 template would not write byte for byte goes through the encoder: one with
 a bool, a non-finite float, an int or float subclass or its keys in
 another order, and the kinds without a template (close and settle, one
@@ -125,7 +128,7 @@ _SLOTS = {
     float: ("%s", "floats[{v}]", "-inf < {v} < inf"),
     str: ("%s", "strings[{v}]", None),
     list: ("[%s]", "_float_list({v})", None),
-    dict: ("%s", "_grid_json({v}, strings)", None),
+    dict: ("%s", "_grid_json({v}, strings, rows)", None),
 }
 
 
@@ -156,15 +159,30 @@ def _levels_json(levels: list) -> str:
     return ",".join(out)
 
 
-def _grid_json(grid: dict, strings: _Memo) -> str:
-    """A grid_snapshot payload, {cid: {"backs": levels, "lays": levels}}, as JSON."""
-    rows = []
+def _row_json(row: dict) -> str:
+    """One competitor's grid row, {"backs": levels, "lays": levels}, as JSON."""
+    if type(row) is not dict or tuple(row) != ("backs", "lays"):
+        raise ValueError
+    backs, lays = map(_levels_json, row.values())
+    return f'{{"backs":[{backs}],"lays":[{lays}]}}'
+
+
+def _grid_json(grid: dict, strings: _Memo, rows: dict) -> str:
+    """A grid_snapshot payload, {cid: row}, as JSON.
+
+    rows memoises each row's JSON by the row's identity, as (row, JSON):
+    holding the row keeps its id from being reused.  A row that cannot be
+    written raises each time it is met.
+    """
+    out = []
     for cid, row in grid.items():
-        if type(cid) is not str or type(row) is not dict or tuple(row) != ("backs", "lays"):
+        if type(cid) is not str:
             raise ValueError
-        backs, lays = map(_levels_json, row.values())
-        rows.append(f'{strings[cid]}:{{"backs":[{backs}],"lays":[{lays}]}}')
-    return "{" + ",".join(rows) + "}"
+        hit = rows.get(id(row))
+        if hit is None:
+            hit = rows[id(row)] = (row, _row_json(row))
+        out.append(f"{strings[cid]}:{hit[1]}")
+    return "{" + ",".join(out) + "}"
 
 
 def _json_literal(text: str) -> str:
@@ -174,7 +192,7 @@ def _json_literal(text: str) -> str:
 
 # One kind's line function; _compile_line fills in the fields.
 _LINE_SOURCE = """\
-def line(event, strings, floats):
+def line(event, strings, floats, rows):
     if tuple(event) != keys:
         raise ValueError
     {values}, = get(event)
@@ -185,10 +203,11 @@ def line(event, strings, floats):
 
 
 def _compile_line(kind: str):
-    """line(event, strings, floats): one `kind` event as its JSON line.
+    """line(event, strings, floats, rows): one `kind` event as its JSON line.
 
     The line is one %-format of a template that holds every key and the
-    kind.  strings and floats memoise the JSON of each string and float.
+    kind.  strings and floats memoise the JSON of each string and float,
+    rows that of each grid row (see _grid_json).
     line raises ValueError for an event the template would not write byte
     for byte.
     """
@@ -225,14 +244,14 @@ def _event_lines() -> dict:
 
 def write_events_jsonl(path: Path, events: list[dict]) -> None:
     lines, encode = _event_lines(), _EVENT_ENCODER.encode
-    strings = _Memo(encode)
+    strings, rows = _Memo(encode), {}
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(events), _CHUNK_LINES):
             floats = _FloatReprs()  # a chunk's times and odds
             chunk = []
             for event in events[start : start + _CHUNK_LINES]:
                 try:
-                    chunk.append(lines[event["kind"]](event, strings, floats))
+                    chunk.append(lines[event["kind"]](event, strings, floats, rows))
                 except (KeyError, TypeError, ValueError):  # no template, or not one it writes
                     chunk.append(f"{encode(event)}\n")
             fh.write("".join(chunk))

@@ -1,12 +1,15 @@
 """The C race kernel against the Python loop, with the standard library only.
 
-Runs run_race (trajectory recorded), rp_predict from mid-race states, and
+Runs run_race (trajectory recorded), win_counts from mid-race states, and
 chunks of batch runs on random fields, once through the C kernel and once
 through race_ticks, and compares the results by repr, which tells every
 float bit apart.  A batch chunk is one rm_batch call, which derives each
-run's seed in C, and rp_predict's dry runs are one rm_wins call; on the
-Python loop they are derive_seed with run_race, and simulate_from.  It
-needs no pytest, so it checks the kernel on any interpreter whose random
+run's seed in C, and a win_counts call is one rm_wins call; on the Python
+loop they are derive_seed with run_race, and simulate_from.  The kernel
+seeds its streams in groups of 8, so a case draws its number of dry runs
+from 1 to 20, mixes seeds below 2**32 (a 1-word key) into them, and runs
+chunks of 11: every case fills some group partly and many fill a second.
+It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
     PYTHONPATH=src python tests/kernel_parity.py [cases]
@@ -20,7 +23,6 @@ import sys
 from contextlib import contextmanager
 
 from racemarket import _kernel
-from racemarket.agents import rp_predict
 from racemarket.batch import CHUNK_RUNS, BatchRunError, _race_chunk
 from racemarket.race import (
     Competitor,
@@ -32,6 +34,7 @@ from racemarket.race import (
     advance_race,
     initial_state,
     run_race,
+    win_counts,
 )
 from racemarket.seeding import make_rng
 
@@ -41,8 +44,11 @@ EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**40) - 3)
 #: First run indices of batch chunks: both sides of run_batch's chunk
 #: boundary, and indices whose 8 big-endian bytes reach the top word.
 RUN_INDICES = (0, CHUNK_RUNS - 2, CHUNK_RUNS, 255, 2**32 - 2, 2**63 - 5)
-#: Dry runs per rp_predict.
-DRY_RUNS = 7
+#: Dry runs per prediction where a test does not draw the number: one
+#: group of 8 seeded streams and one more.
+DRY_RUNS = 9
+#: Runs per batch chunk: one group of 8 seeded streams and 3 more.
+CHUNK = 11
 
 
 @contextmanager
@@ -104,17 +110,34 @@ def mid_race(config: RaceConfig, seed: int, ticks: int):
     return state
 
 
-def differences(config: RaceConfig, seed: int, ticks: int, first: int = 0) -> list[str]:
+def chunk_start(first: int, count: int) -> int:
+    """first, moved down where needed so that run first + count - 1 is below 2**63 - 1."""
+    return min(first, 2**63 - 1 - count)
+
+
+def dry_run_seeds(seed: int, d: int) -> list[int]:
+    """d seeds from make_rng(seed), each of 64 bits or, at random, below 2**32."""
+    rng = make_rng(seed)
+    return [rng.getrandbits(rng.choice((32, 64))) for _ in range(d)]
+
+
+def differences(
+    config: RaceConfig, seed: int, ticks: int, first: int = 0, d: int = DRY_RUNS
+) -> list[str]:
     """Where the kernel and the Python loop part on this race and seed.
 
-    The batch chunk is runs first .. first + 2 with seed as the master.
+    The dry runs are d continuations of a mid-race state, on
+    dry_run_seeds(seed, d); the batch chunk is CHUNK runs from first (see
+    chunk_start) with seed as the master.
     """
     problems = []
     state = mid_race(config, seed + 1, ticks)
+    seeds = dry_run_seeds(seed, d)
+    first = chunk_start(first, CHUNK)
     runs = {
         "run_race": lambda: run_race(config, seed),
-        "rp_predict": lambda: rp_predict(state, config, DRY_RUNS, make_rng(seed)),
-        f"runs {first}..": lambda: _race_chunk(config, seed, first, 3),
+        f"win_counts d={d}": lambda: win_counts(state, config, seeds),
+        f"runs {first}..": lambda: _race_chunk(config, seed, first, CHUNK),
     }
     for name, fn in runs.items():
         kernel, loop = both_ways(fn)
@@ -135,7 +158,8 @@ def main(argv: list[str]) -> int:
         n = rng.choice((1, 2, 5, rng.randint(1, 40), 160 if k % 20 == 0 else 8))
         config = random_field(rng, n, rng.uniform(10.0, 120.0))
         seed = EDGE_SEEDS[k] if k < len(EDGE_SEEDS) else rng.getrandbits(64)
-        problems = differences(config, seed, rng.randint(0, 30), rng.choice(RUN_INDICES))
+        ticks, first, d = rng.randint(0, 30), rng.choice(RUN_INDICES), rng.randint(1, 20)
+        problems = differences(config, seed, ticks, first, d)
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1

@@ -6,14 +6,19 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import racemarket
 from racemarket import _kernel
-from racemarket.race import run_race
+from racemarket.batch import BatchConfig, run_batch
+from racemarket.race import batch_runs, initial_state, run_race, win_counts
+from racemarket.seeding import make_rng
 
 from conftest import make_race
 
@@ -41,7 +46,7 @@ def test_kernel_loads_where_a_compiler_is_found():
 
 def test_without_a_compiler_races_run_in_python_with_one_warning(monkeypatch):
     monkeypatch.setattr(_kernel, "compile_command", lambda: None)
-    _kernel.load.cache_clear()
+    _kernel._load.cache_clear()
     try:
         with pytest.warns(RuntimeWarning, match="no C compiler found"):
             assert _kernel.load() is None
@@ -50,7 +55,58 @@ def test_without_a_compiler_races_run_in_python_with_one_warning(monkeypatch):
             assert _kernel.load() is None
             assert run_race(make_race(), 1).finish_order
     finally:
-        _kernel.load.cache_clear()
+        _kernel._load.cache_clear()
+
+
+def test_the_no_compiler_warning_names_the_caller_of_the_race(monkeypatch):
+    monkeypatch.setattr(_kernel, "compile_command", lambda: None)
+    config = make_race(n=3, length=60.0)
+    state = initial_state(config, make_rng(1))
+    calls = (
+        lambda: run_race(config, 1),
+        lambda: batch_runs(config, 1, 0, 2),
+        lambda: win_counts(state, config, [1, 2]),
+        lambda: run_batch(BatchConfig(config, 2, 1, workers=1)),
+    )
+    try:
+        for call in calls:
+            _kernel._load.cache_clear()
+            with pytest.warns(RuntimeWarning, match="no C compiler found") as record:
+                call()
+            assert [Path(w.filename) for w in record] == [Path(__file__)]
+    finally:
+        _kernel._load.cache_clear()
+
+
+def test_threads_loading_at_once_wait_for_one_build(monkeypatch):
+    # cache alone would let each thread run the build, and one that read
+    # sysconfig while another filled it in found no compiler
+    calls = []
+    command = _kernel.compile_command
+
+    def slow_command():
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        return command()
+
+    monkeypatch.setattr(_kernel, "compile_command", slow_command)
+    barrier = threading.Barrier(8)
+
+    def load(_):
+        barrier.wait()
+        return _kernel.load()
+
+    _kernel._load.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the no-compiler warning, where there is none
+            with ThreadPoolExecutor(8) as pool:
+                kernels = list(pool.map(load, range(8)))
+    finally:
+        _kernel._load.cache_clear()
+    assert len(calls) == 1
+    assert all(k is kernels[0] for k in kernels)
+    assert (kernels[0] is None) == (command() is None)
 
 
 def test_a_failed_build_raises_and_leaves_nothing_behind(tmp_path):
@@ -70,11 +126,11 @@ def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch, tmp_path
     temp.mkdir()
     monkeypatch.setattr(_kernel, "SOURCE", package / "_kernel.c")
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    _kernel.load.cache_clear()
+    _kernel._load.cache_clear()
     try:
         assert _kernel.load() is not None
     finally:
-        _kernel.load.cache_clear()
+        _kernel._load.cache_clear()
     assert sorted(p.name for p in package.iterdir()) == ["__pycache__", "_kernel.c"]
     assert list(temp.iterdir()) == []
 

@@ -26,7 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_parity import DRY_RUNS, EDGE_SEEDS, RUN_INDICES, both_ways, differences, mid_race
+from kernel_parity import (
+    DRY_RUNS,
+    EDGE_SEEDS,
+    RUN_INDICES,
+    both_ways,
+    chunk_start,
+    differences,
+    mid_race,
+)
 from racemarket.agents import rp_predict
 from racemarket.batch import CHUNK_RUNS, BatchConfig, _race_chunk, resize_race, run_batch
 from racemarket.config import parse_config
@@ -294,6 +302,44 @@ def test_kernel_continues_any_state_like_python_loop(race, seed):
     assert bits(state) == before
 
 
+#: Seeds with a 1-word key (below 2**32) and with a 2-word key.
+mixed_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@st.composite
+def open_races(draw):
+    """2 to 8 copies of one competitor with a spread step law, a few ticks in.
+
+    The copies differ only by index, so each continuation's winner is left
+    to its draws: a wrong stream changes the win counts.
+    """
+    lo = draw(st.floats(0.5, 5.0))
+    steps = draw(
+        st.one_of(
+            st.builds(UniformSteps, st.just(lo), st.floats(lo + 1.0, lo + 10.0)),
+            st.builds(LogNormalSteps, st.floats(0.0, 1.5), st.floats(0.2, 1.0)),
+        )
+    )
+    theta, n = draw(st.sampled_from(THETAS)), draw(st.integers(2, 8))
+    field = tuple(Competitor(f"c{i + 1}", steps, theta=theta) for i in range(n))
+    config = RaceConfig(track_length=draw(st.floats(20.0, 60.0)), competitors=field)
+    return config, mid_race(config, draw(st.integers(0, 2**32)), draw(st.integers(0, 5)))
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 17])
+@settings(max_examples=15, deadline=None)
+@given(race=open_races(), data=st.data())
+def test_win_counts_in_seed_groups_equal_simulate_from(d, race, data):
+    # the kernel seeds its streams 8 at a time: d fills no group, one, one
+    # and one more, two and one more; each stream keeps its own key length
+    config, state = race
+    seeds = data.draw(st.lists(mixed_seeds, min_size=d, max_size=d))
+    before = bits(state)
+    kernel, loop = both_ways(lambda: win_counts(state, config, seeds))
+    assert kernel == loop
+    assert bits(state) == before
+
+
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_kernel_seeds_like_random_seed(seed):
     assert differences(derby_race(), seed, 30) == []
@@ -302,9 +348,12 @@ def test_kernel_seeds_like_random_seed(seed):
 @pytest.mark.parametrize("first", RUN_INDICES)
 @pytest.mark.parametrize("master", EDGE_SEEDS)
 def test_batch_chunk_derives_seeds_like_derive_seed(master, first):
+    # 3 runs fill part of one group of 8 seeded streams, 11 a group and part of the next
     config = RaceConfig(track_length=200.0, competitors=derby_race().competitors)
-    kernel, loop = both_ways(lambda: _race_chunk(config, master, first, 3))
-    assert kernel == loop
+    for count in (3, 11):
+        start = chunk_start(first, count)
+        kernel, loop = both_ways(lambda: _race_chunk(config, master, start, count))
+        assert kernel == loop
 
 
 def test_batch_across_a_chunk_boundary_equals_python_loop():

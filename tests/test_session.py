@@ -329,6 +329,16 @@ def test_event_log_replays_into_the_same_settlement():
             for _, bettor, _, refund in book.close_betting():
                 refunds[bettor] = refunds.get(bettor, 0) + refund
             assert [[b, refunds[b]] for b in sorted(refunds)] == logged
+        elif kind == "grid_snapshot":
+            # a snapshot that shares a row with the last one still shows the book as it is
+            (grid,) = values
+            assert grid == {
+                cid: {
+                    "backs": [[l.odds / 100, l.stake] for l in row.backs],
+                    "lays": [[l.odds / 100, l.stake] for l in row.lays],
+                }
+                for cid, row in book.market_grid().items()
+            }
         elif kind == "settle":
             winner, total_commission, rows = values
             report = book.settle(winner)
@@ -354,6 +364,23 @@ def test_grid_snapshot_follows_the_book():
                     assert odds == sorted(odds, reverse=best_first)
                     deepest = max(deepest, len(odds))
         assert deepest == depth  # the config's grid_depth reaches the book
+
+
+def test_grid_snapshots_share_the_rows_the_book_kept():
+    session = _Session(small_session(seed=17))
+    first = session._grid_payload()
+    again = session._grid_payload()
+    assert again == first and again is not first
+    assert all(again[cid] is first[cid] for cid in first)
+    session.book.submit_bet(session.agents[0].bettor_id, "c2", BACK, 250, 100, 0.0)
+    after = session._grid_payload()
+    assert after["c2"] is not first["c2"]
+    assert after["c2"] == {"backs": [[2.5, 100]], "lays": []}
+    assert after["c1"] is first["c1"] and after["c3"] is first["c3"]
+    # a whole session's snapshots share rows (the replay test checks them against the book)
+    result = run_session(small_session(seed=17))
+    snaps = [e["grid"] for e in result.events if e["kind"] == "grid_snapshot"]
+    assert any(a[c] is b[c] for a, b in zip(snaps, snaps[1:]) for c in a)
 
 
 def test_all_strategies_survive_a_full_session():

@@ -248,10 +248,32 @@ def test_session_events_are_written_by_their_templates():
     events = run_session(cfg.session_config(master_seed=3)).events
     assert {e["kind"] for e in events} >= set(_event_lines()) - {"reject"}  # no order was refused
     events += [sample_event(kind) for kind in EVENT_FIELDS]
-    strings, floats = _Memo(ORACLE.encode), _FloatReprs()
+    strings, floats, rows = _Memo(ORACLE.encode), _FloatReprs(), {}
     for event in events:
         if event["kind"] not in ("close", "settle"):
-            assert _event_lines()[event["kind"]](event, strings, floats) == f"{ORACLE.encode(event)}\n"
+            line = _event_lines()[event["kind"]](event, strings, floats, rows)
+            assert line == f"{ORACLE.encode(event)}\n"
+
+
+def test_shared_grid_rows_match_the_encoder(tmp_path):
+    # Snapshots share the row of a competitor whose book did not change, and
+    # the writer memoises a row's JSON by identity.  A shared row the template
+    # cannot write falls back every time it is met, and a memo lasts one call.
+    kept = {"backs": [[2.5, 100], [2.0, 50]], "lays": [[3.0, 70]]}
+    bad = {"backs": [[2.5, True]], "lays": []}
+    events = []
+    for seq in range(1, 9):
+        moving = {"backs": [], "lays": [[1.5, seq]]}
+        grid = {"c1": kept, 'c"2': bad if seq % 3 == 0 else moving, "c3": kept}
+        events.append(sample_event("grid_snapshot", seq=seq, grid=grid))
+    events.append(sample_event("grid_snapshot", seq=9, grid={"c1": bad, "c3": kept}))
+    events.append(sample_event("grid_snapshot", seq=10, grid={1: kept}))
+    path = tmp_path / "events.jsonl"
+    write_events_jsonl(path, events)
+    assert path.read_bytes() == oracle_events(events)
+    kept["lays"][0][1] = 71
+    write_events_jsonl(path, events)
+    assert path.read_bytes() == oracle_events(events)
 
 
 json_scalars = st.one_of(st.integers(), st.floats(), st.text(), st.booleans(), st.none())
