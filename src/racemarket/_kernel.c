@@ -11,14 +11,18 @@
  * position, early, late, early_free, late_free, lognormal (0 or 1), a, b,
  * scale.  A finish tick of -1 marks a competitor still racing.
  *
- * Three entry points: rm_run runs one race, rm_batch a chunk of a batch's
- * races, and rm_wins the dry-run continuations of one state.  None keeps
- * state between calls, so calls may run on several threads at once.
+ * Two entry points run races and one derives seeds: rm_run continues one
+ * race from a given state and generator, rm_races runs many races, each on
+ * its own seed, from race.initial_state (a batch's runs) or from one given
+ * state (a prediction's dry runs), and rm_run_seeds derives a batch's run
+ * seeds.
+ * None keeps state between calls, so calls may run on several threads at
+ * once.
  *
  * Streams are seeded in lanes: seed_lanes runs random.seed for up to LANES
  * seeds at once, each a column of one table, and lane_out hands a column to
- * the one generator a race draws from.  rm_batch and rm_wins seed each group
- * of LANES runs or continuations in one call; rm_run seeds one lane.
+ * the one generator a race draws from.  rm_races seeds each group of LANES
+ * races in one call.
  */
 
 #include <math.h>
@@ -280,32 +284,15 @@ static void field_free(field_t *f)
 }
 
 /* race.race_ticks on pos, prev, finish and counters (tick, blocked steps),
- * drawing from mt: see rm_run.  With prime, the state is first set to
- * race.initial_state. */
-static int race(const double *runners, int n, double length, double nv_magic, int prime,
-                double *pos, double *prev, int64_t *finish, int64_t *counters, uint32_t *mt,
-                field_t *f, int64_t stop, int64_t budget, double *snapshots)
+ * drawing from mt: see rm_run. */
+static int race(const double *runners, int n, double length, double nv_magic, double *pos,
+                double *prev, int64_t *finish, int64_t *counters, uint32_t *mt, field_t *f,
+                int64_t stop, int64_t budget, double *snapshots)
 {
     int64_t done = 0;
     int status = RM_FINISHED;
     f->m = f->sorted = 0;
-    if (prime) {
-        for (int c = 0; c < n; c++) {
-            pos[c] = prev[c] = 0.0;
-            finish[c] = -1;
-            f->racing[c] = c;
-        }
-        f->m = n;
-        counters[0] = counters[1] = 0;
-        status = tick(runners, INFINITY, nv_magic, pos, prev, finish, counters, mt, f);
-        for (int c = 0; c < n; c++) {
-            pos[c] = 0.0;
-            finish[c] = -1;
-        }
-        counters[0] = counters[1] = 0;
-        f->m = f->sorted = 0;
-    }
-    for (int c = 0; c < n && status == RM_FINISHED; c++)
+    for (int c = 0; c < n; c++)
         if (finish[c] < 0)
             f->racing[f->m++] = c;
     while (f->m) {
@@ -328,36 +315,49 @@ static int race(const double *runners, int n, double length, double nv_magic, in
     return status;
 }
 
+/* race.initial_state into pos, prev, finish and counters, drawing from mt:
+ * everyone at 0 with previous steps from one tick off the line of an endless
+ * track.  Returns RM_OVERFLOW or RM_FINISHED. */
+static int prime(const double *runners, int n, double nv_magic, double *pos, double *prev,
+                 int64_t *finish, int64_t *counters, uint32_t *mt, field_t *f)
+{
+    for (int c = 0; c < n; c++) {
+        pos[c] = prev[c] = 0.0;
+        finish[c] = -1;
+        f->racing[c] = c;
+    }
+    f->m = n;
+    f->sorted = 0;
+    counters[0] = counters[1] = 0;
+    int status = tick(runners, INFINITY, nv_magic, pos, prev, finish, counters, mt, f);
+    for (int c = 0; c < n; c++) {
+        pos[c] = 0.0;
+        finish[c] = -1;
+    }
+    counters[0] = counters[1] = 0;
+    return status;
+}
+
 /* race.race_ticks run in place for at most budget ticks (-1: no budget).
  *
  * floats holds the n positions, then the n previous steps; ints the n
- * finish ticks, then the tick and the blocked steps.  With prime, mt is
- * first seeded with random.seed(seed) and the state set to
- * race.initial_state: everyone at 0 with previous steps from one tick off
- * the line of an endless track; without, the race goes on drawing from mt,
- * as a call whose budget ran out left it.  When snapshots is not NULL, the
- * n positions after each tick are appended to it.  Returns RM_FINISHED
- * when nobody is racing, RM_BUDGET_SPENT when budget ticks ran and some
- * still race, RM_DIVERGED when the tick reached stop first, RM_OVERFLOW
- * when a lognormal draw overflowed (the tick is left half done), or
- * RM_NO_MEMORY.
+ * finish ticks, then the tick and the blocked steps; mt the generator as
+ * random.getstate() gives it (N words, then the index), which the race goes
+ * on drawing from.  A call whose budget ran out leaves all three ready for
+ * the next.  When snapshots is not NULL, the n positions after each tick are
+ * appended to it.  Returns RM_FINISHED when nobody is racing,
+ * RM_BUDGET_SPENT when budget ticks ran and some still race, RM_DIVERGED
+ * when the tick reached stop first, RM_OVERFLOW when a lognormal draw
+ * overflowed (the tick is left half done), or RM_NO_MEMORY.
  */
-int rm_run(const double *runners, int n, double length, double nv_magic, uint64_t seed,
-           int prime, double *floats, int64_t *ints, uint32_t *mt, int64_t stop,
-           int64_t budget, double *snapshots)
+int rm_run(const double *runners, int n, double length, double nv_magic, double *floats,
+           int64_t *ints, uint32_t *mt, int64_t stop, int64_t budget, double *snapshots)
 {
     field_t f = {0};
     int status = RM_NO_MEMORY;
-    if (field_alloc(&f, n)) {
-        if (prime) {
-            uint32_t lanes[N][LANES];
-            init_genrand(mt, 19650218U);
-            seed_lanes(lanes, mt, &seed, 1);
-            lane_out(mt, lanes, 0);
-        }
-        status = race(runners, n, length, nv_magic, prime, floats, floats + n, ints, ints + n,
-                      mt, &f, stop, budget, snapshots);
-    }
+    if (field_alloc(&f, n))
+        status = race(runners, n, length, nv_magic, floats, floats + n, ints, ints + n, mt, &f,
+                      stop, budget, snapshots);
     field_free(&f);
     return status;
 }
@@ -378,6 +378,21 @@ static uint64_t fnv1a(const unsigned char *data, size_t len)
     return h;
 }
 
+/* seeds[k] = seeding.derive_seed(master, "run", first + k) for k < count:
+ * the seeds of a batch's runs first .. first + count - 1. */
+void rm_run_seeds(uint64_t master, int64_t first, int64_t count, uint64_t *seeds)
+{
+    static const unsigned char run_tag[] = {'s', ':', 'r', 'u', 'n'};
+    uint64_t path = splitmix64(splitmix64(master) ^ fnv1a(run_tag, sizeof run_tag));
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t i = (uint64_t)first + (uint64_t)k;
+        unsigned char index_key[10] = {'i', ':'};
+        for (int b = 0; b < 8; b++)
+            index_key[2 + b] = (unsigned char)(i >> (56 - 8 * b));
+        seeds[k] = splitmix64(path ^ fnv1a(index_key, sizeof index_key));
+    }
+}
+
 /* A finish place: race._finish_order ranks by tick, then length - position
  * (the larger overshoot first), then index. */
 typedef struct {
@@ -396,54 +411,48 @@ static int by_place(const void *x, const void *y)
     return (a->index > b->index) - (a->index < b->index);
 }
 
-/* Runs first .. first + count - 1 of a batch on master: run i is primed and
- * raced on random.seed(seeding.derive_seed(master, "run", i)) with stop as
- * its tick limit.  Run k of the chunk writes its n finish ticks to
- * ticks_out + k * n and its finish order (competitor indices) to
- * order_out + k * n.  The first run that does not finish stops the chunk:
- * its index goes to *failed_index, its finish ticks so far to its row, and
- * its status (as rm_run's) is returned.  Returns RM_FINISHED when every run
- * finished.
+/* count races, race k drawing from random.seed(seeds[k]) with stop as its
+ * tick limit.  Each starts from race.initial_state when floats is NULL, and
+ * otherwise from the state floats and ints hold (as for rm_run; only read).
+ * Race k writes its n finish ticks to ticks_out + k * n and its finish order
+ * (competitor indices, by race._finish_order) to order_out + k * n.  The
+ * first race that does not finish stops the call, with its finish ticks so
+ * far in its row.  Returns the number of races finished; *status is
+ * RM_FINISHED when all count finished, and otherwise the failing race's
+ * status, as rm_run's.
  */
-int rm_batch(const double *runners, int n, double length, double nv_magic, uint64_t master,
-             int64_t first, int64_t count, int64_t stop, int64_t *ticks_out, int32_t *order_out,
-             int64_t *failed_index)
+int64_t rm_races(const double *runners, int n, double length, double nv_magic,
+                 const uint64_t *seeds, int64_t count, const double *floats, const int64_t *ints,
+                 int64_t stop, int64_t *ticks_out, int32_t *order_out, int *status)
 {
-    static const unsigned char run_tag[] = {'s', ':', 'r', 'u', 'n'};
     uint32_t table[N], mt[N + 1], lanes[N][LANES];
-    uint64_t path = splitmix64(splitmix64(master) ^ fnv1a(run_tag, sizeof run_tag));
-    uint64_t seeds[LANES];
-    int64_t counters[2];
+    int64_t counters[2], k = 0;
     field_t f = {0};
     double *pos = malloc(sizeof(double) * ((size_t)n * 2 + 1));
     place_t *places = malloc(sizeof(place_t) * ((size_t)n + 1));
-    int status = RM_NO_MEMORY;
-    if (!field_alloc(&f, n) || !pos || !places) {
-        *failed_index = first;
+    *status = RM_NO_MEMORY;
+    if (!field_alloc(&f, n) || !pos || !places)
         goto out;
-    }
     init_genrand(table, 19650218U);
-    status = RM_FINISHED;
-    for (int64_t k = 0; k < count; k++) {
+    *status = RM_FINISHED;
+    for (; k < count; k++) {
         int64_t *finish = ticks_out + (size_t)k * n;
-        if (k % LANES == 0) {
-            int size = count - k < LANES ? (int)(count - k) : LANES;
-            for (int l = 0; l < size; l++) {
-                uint64_t i = (uint64_t)(first + k + l);
-                unsigned char index_key[10] = {'i', ':'};
-                for (int b = 0; b < 8; b++)
-                    index_key[2 + b] = (unsigned char)(i >> (56 - 8 * b));
-                seeds[l] = splitmix64(path ^ fnv1a(index_key, sizeof index_key));
-            }
-            seed_lanes(lanes, table, seeds, size);
-        }
+        if (k % LANES == 0)
+            seed_lanes(lanes, table, seeds + k, count - k < LANES ? (int)(count - k) : LANES);
         lane_out(mt, lanes, (int)(k % LANES));
-        status = race(runners, n, length, nv_magic, 1, pos, pos + n, finish, counters, mt, &f,
-                      stop, -1, NULL);
-        if (status != RM_FINISHED) {
-            *failed_index = first + k;
-            break;
+        if (floats) {
+            memcpy(pos, floats, sizeof(double) * (size_t)n * 2);
+            memcpy(finish, ints, sizeof(int64_t) * (size_t)n);
+            counters[0] = ints[n];
+            counters[1] = ints[n + 1];
+        } else {
+            *status = prime(runners, n, nv_magic, pos, pos + n, finish, counters, mt, &f);
         }
+        if (*status == RM_FINISHED)
+            *status = race(runners, n, length, nv_magic, pos, pos + n, finish, counters, mt, &f,
+                           stop, -1, NULL);
+        if (*status != RM_FINISHED)
+            break;
         for (int c = 0; c < n; c++) {
             places[c].tick = finish[c];
             places[c].back = length - pos[c];
@@ -457,53 +466,5 @@ out:
     field_free(&f);
     free(pos);
     free(places);
-    return status;
-}
-
-/* Win counts of d continuations of one state, continuation k drawing from
- * random.seed(seeds[k]), as race.simulate_from runs them: wins[c] counts the
- * continuations that c wins (first by race._finish_order).  floats and ints
- * hold the state as for rm_run and are left as they are, unless a
- * continuation does not finish: then they hold its state, and its status
- * (as rm_run's) is returned.  Returns RM_FINISHED when all d finished.
- */
-int rm_wins(const double *runners, int n, double length, double nv_magic, const uint64_t *seeds,
-            int64_t d, double *floats, int64_t *ints, int64_t stop, int64_t *wins)
-{
-    size_t floats_size = sizeof(double) * (size_t)n * 2;
-    size_t ints_size = sizeof(int64_t) * ((size_t)n + 2);
-    uint32_t table[N], mt[N + 1], lanes[N][LANES];
-    field_t f = {0};
-    double *pos = malloc(floats_size + sizeof(double));
-    int64_t *finish = malloc(ints_size);
-    int status = RM_NO_MEMORY;
-    if (!field_alloc(&f, n) || !pos || !finish)
-        goto out;
-    init_genrand(table, 19650218U);
-    status = RM_FINISHED;
-    for (int64_t k = 0; k < d; k++) {
-        if (k % LANES == 0)
-            seed_lanes(lanes, table, seeds + k, d - k < LANES ? (int)(d - k) : LANES);
-        memcpy(pos, floats, floats_size);
-        memcpy(finish, ints, ints_size);
-        lane_out(mt, lanes, (int)(k % LANES));
-        status = race(runners, n, length, nv_magic, 0, pos, pos + n, finish, finish + n, mt, &f,
-                      stop, -1, NULL);
-        if (status != RM_FINISHED) {
-            memcpy(floats, pos, floats_size);
-            memcpy(ints, finish, ints_size);
-            break;
-        }
-        int w = 0;
-        for (int c = 1; c < n; c++)
-            if (finish[c] < finish[w] ||
-                (finish[c] == finish[w] && length - pos[c] < length - pos[w]))
-                w = c;
-        wins[w]++;
-    }
-out:
-    field_free(&f);
-    free(pos);
-    free(finish);
-    return status;
+    return k;
 }

@@ -18,6 +18,7 @@ import sysconfig
 import tempfile
 import threading
 import warnings
+from array import array
 from contextlib import suppress
 from functools import cache
 from itertools import chain
@@ -42,6 +43,8 @@ _doubles = ctypes.POINTER(ctypes.c_double)
 _int64s = ctypes.POINTER(ctypes.c_int64)
 _int32s = ctypes.POINTER(ctypes.c_int32)
 _words = ctypes.POINTER(ctypes.c_uint32)
+#: An MT19937 state as random.getstate()[1] holds it: 624 words, then the index.
+_Generator = ctypes.c_uint32 * 625
 _seeds = ctypes.POINTER(ctypes.c_uint64)
 
 
@@ -134,7 +137,7 @@ def _failure(status: int, finish, diverged) -> Exception:
 
 
 class Kernel:
-    """rm_run, rm_batch and rm_wins of one loaded library, on RaceState and _compile data.
+    """rm_run, rm_races and rm_run_seeds of one loaded library, on RaceState and _compile data.
 
     Each call works in its own memory, so threads may share a Kernel.
     """
@@ -146,8 +149,6 @@ class Kernel:
             ctypes.c_int,  # n
             ctypes.c_double,  # length
             ctypes.c_double,  # nv_magic
-            ctypes.c_uint64,  # seed
-            ctypes.c_int,  # prime
             _doubles,  # floats
             _int64s,  # ints
             _words,  # mt
@@ -156,35 +157,25 @@ class Kernel:
             _doubles,  # snapshots
         )
         self._run.restype = ctypes.c_int
-        self._batch = lib.rm_batch
-        self._batch.argtypes = (
-            _doubles,  # runners
-            ctypes.c_int,  # n
-            ctypes.c_double,  # length
-            ctypes.c_double,  # nv_magic
-            ctypes.c_uint64,  # master
-            ctypes.c_int64,  # first
-            ctypes.c_int64,  # count
-            ctypes.c_int64,  # stop
-            _int64s,  # ticks_out
-            _int32s,  # order_out
-            _int64s,  # failed_index
-        )
-        self._batch.restype = ctypes.c_int
-        self._wins = lib.rm_wins
-        self._wins.argtypes = (
+        self._races = lib.rm_races
+        self._races.argtypes = (
             _doubles,  # runners
             ctypes.c_int,  # n
             ctypes.c_double,  # length
             ctypes.c_double,  # nv_magic
             _seeds,  # seeds
-            ctypes.c_int64,  # d
+            ctypes.c_int64,  # count
             _doubles,  # floats
             _int64s,  # ints
             ctypes.c_int64,  # stop
-            _int64s,  # wins
+            _int64s,  # ticks_out
+            _int32s,  # order_out
+            ctypes.POINTER(ctypes.c_int),  # status
         )
-        self._wins.restype = ctypes.c_int
+        self._races.restype = ctypes.c_int64
+        self._run_seeds = lib.rm_run_seeds
+        self._run_seeds.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, _seeds)
+        self._run_seeds.restype = None
         # the last runners flattened: a dry-run predictor runs one config many times
         self._last = (None, None)
 
@@ -209,20 +200,24 @@ class Kernel:
         ints = (ctypes.c_int64 * (n + 2))(*finish, state.tick, state.blocked_steps)
         return floats, ints
 
-    def run(self, runners, length, state, seed, stop, diverged, snapshots=None):
-        """One race into state: initial_state, then race_ticks, both drawing
-        from random.Random(seed & 2**64 - 1).
+    def run(self, runners, length, state, words, stop, diverged, snapshots=None):
+        """race_ticks on state, in place, drawing from the generator words holds.
 
-        runners is _compile's output.  Each tick's positions are appended to
-        snapshots unless it is None.  Raises the error the Python loop raises
-        where it stops: diverged(finished) when the tick reached stop with
-        competitors still racing.
+        runners is _compile's output; words is random.getstate()[1] (624
+        words, then the index) of the stream the race goes on drawing from;
+        the Random it came from is not advanced.
+        Each tick's positions are appended to snapshots unless it is None.
+        Raises the error the Python loop raises where it stops:
+        diverged(finished) when the tick reached stop with competitors still
+        racing.
         """
         n = len(runners)
         flat = self._flat(runners)
         floats, ints = self._state(state)
-        mt = (ctypes.c_uint32 * 625)()
-        prime = 1
+        words = array("I", words)
+        if words.itemsize * len(words) != ctypes.sizeof(_Generator):
+            raise ValueError("a generator state is 625 32-bit words for the kernel")
+        mt = _Generator.from_buffer(words)
         stop = min(stop, _MAX_TICK)
         rows, buf = -1, None
         if snapshots is not None:
@@ -230,11 +225,7 @@ class Kernel:
             buf = (ctypes.c_double * (rows * n))()
         while True:
             tick = ints[n]
-            status = self._run(
-                flat, n, length, NV_MAGICCONST, seed & _MASK64, prime, floats, ints, mt, stop,
-                rows, buf,
-            )
-            prime = 0
+            status = self._run(flat, n, length, NV_MAGICCONST, floats, ints, mt, stop, rows, buf)
             if buf is not None:
                 rows_done = ints[n] - tick
                 snapshots.extend(tuple(buf[k : k + n]) for k in range(0, rows_done * n, n))
@@ -247,44 +238,35 @@ class Kernel:
         if status != _FINISHED:
             raise _failure(status, ints[:n], diverged)
 
-    def batch(self, runners, length, master, first, count, stop, diverged):
-        """Runs first .. first + count - 1 of a batch on master, in one call.
+    def races(self, runners, length, seeds, state, stop, diverged):
+        """One race per seed, in one call: race k draws from random.Random(seeds[k]).
 
-        Run i is primed and raced on random.Random(derive_seed(master, "run",
-        i)) with stop as its tick limit.  Returns (ticks, orders, error):
-        each run's finish ticks and finish order (competitor indices) up to
-        the first run that failed, and None or that run's error, as the
-        Python loop raises it (diverged(finished) for a divergence).
+        seeds is run_seeds' array or a sequence of ints below 2**64.  Each
+        race starts from initial_state when state is None, and otherwise
+        from state, which is not changed; it runs until the tick reaches
+        stop.  Returns (ticks, orders, error): each race's finish ticks and
+        finish order (competitor indices) up to the first race that failed,
+        and None or that race's error, as the Python loop raises it
+        (diverged(finished) for a divergence).
         """
-        n = len(runners)
+        n, count = len(runners), len(seeds)
+        if not isinstance(seeds, ctypes.Array):
+            seeds = (ctypes.c_uint64 * count)(*seeds)
+        floats, ints = (None, None) if state is None else self._state(state)
         ticks = (ctypes.c_int64 * (count * n))()
         orders = (ctypes.c_int32 * (count * n))()
-        failed = ctypes.c_int64(first + count)
-        status = self._batch(
-            self._flat(runners), n, length, NV_MAGICCONST, master & _MASK64, first, count,
-            min(stop, _MAX_TICK), ticks, orders, ctypes.byref(failed),
+        status = ctypes.c_int()
+        done = n * self._races(
+            self._flat(runners), n, length, NV_MAGICCONST, seeds, count, floats, ints,
+            min(stop, _MAX_TICK), ticks, orders, ctypes.byref(status),
         )
-        done = (failed.value - first) * n
         error = None
-        if status != _FINISHED:
-            error = _failure(status, ticks[done : done + n], diverged)
+        if status.value != _FINISHED:
+            error = _failure(status.value, ticks[done : done + n], diverged)
         return _rows(ticks[:done], n), _rows(orders[:done], n), error
 
-    def wins(self, runners, length, state, seeds, stop, diverged) -> list[int]:
-        """Wins per competitor over one continuation of state per seed, in one call.
-
-        Continuation k draws from random.Random(seeds[k]) (each below 2**64)
-        and runs until the tick reaches stop; state is not changed.  Raises
-        the error of the first continuation that fails, as the Python loop
-        raises it (diverged(finished) for a divergence).
-        """
-        n = len(runners)
-        floats, ints = self._state(state)
-        wins = (ctypes.c_int64 * n)()
-        status = self._wins(
-            self._flat(runners), n, length, NV_MAGICCONST, (ctypes.c_uint64 * len(seeds))(*seeds),
-            len(seeds), floats, ints, min(stop, _MAX_TICK), wins,
-        )
-        if status != _FINISHED:
-            raise _failure(status, ints[:n], diverged)
-        return wins[:]
+    def run_seeds(self, master, first, count):
+        """derive_seed(master, "run", i) for i in first .. first + count - 1, as a C array."""
+        seeds = (ctypes.c_uint64 * count)()
+        self._run_seeds(master & _MASK64, first, count, seeds)
+        return seeds

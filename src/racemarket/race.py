@@ -12,11 +12,11 @@ slowest competitor has crossed the finish line.
 
 This module alone chooses between the C kernel (_kernel.c, built on first
 use) and the Python loop, race_ticks, which the kernel repeats bit for bit.
-run_race runs one race in C, batch_runs a chunk of a batch's races and
-win_counts a prediction's dry runs, each in one kernel call; without a
-compiler each falls back to its reference: run_race to race_ticks,
-batch_runs to run_race per run and win_counts to simulate_from, which is
-always the Python loop.
+run_race primes its race in Python and runs it in C; batch_runs (a chunk of
+a batch's races) and win_counts (a prediction's dry runs) are one kernel
+call each, through the one many-race loop.  Without a compiler each falls
+back to its reference: run_race to race_ticks, batch_runs to run_race per
+run and win_counts to simulate_from, which is always the Python loop.
 """
 
 import math
@@ -402,19 +402,19 @@ def load_kernel():
 
 def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed."""
-    n = config.n_competitors
-    snapshots = [(0.0,) * n] if record else None
+    snapshots = [(0.0,) * config.n_competitors] if record else None
     kernel = load_kernel()
+    rng = make_rng(seed)
+    state = initial_state(config, rng)
     if kernel is None:
-        rng = make_rng(seed)
-        state = initial_state(config, rng)
         for _ in race_ticks(config, state, rng, config.tick_limit):
             if record:
                 snapshots.append(tuple(state.positions))
     else:
-        state = RaceState(0, [0.0] * n, [0.0] * n, [None] * n)
-        length, stop, diverged = config.track_length, config.tick_limit, partial(_diverged, config)
-        kernel.run(config._runners, length, state, seed, stop, diverged, snapshots)
+        kernel.run(
+            config._runners, config.track_length, state, rng.getstate()[1], config.tick_limit,
+            partial(_diverged, config), snapshots,
+        )
     return finalize_trajectory(state, config, snapshots)
 
 
@@ -437,8 +437,12 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
     record=False); with the kernel all count runs are one call.  Returns
     (ticks, orders, error): each run's finish ticks and finish order
     (competitor ids) up to the first run that failed, and None or the error
-    run_race raises on that run.
+    run_race raises on that run.  Run indices are signed 64-bit, as the
+    kernel counts them: ValueError for one outside [0, 2**63 - 1].
     """
+    last = first + count - 1
+    if first < 0 or last > 2**63 - 1:
+        raise ValueError(f"run indices must be in [0, 2**63 - 1], got {first}..{last}")
     kernel = load_kernel()
     if kernel is None:
         ticks, orders = [], []
@@ -450,9 +454,9 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
             ticks.append(traj.finish_ticks)
             orders.append(traj.finish_order)
         return ticks, orders, None
-    ticks, orders, error = kernel.batch(
-        config._runners, config.track_length, master_seed, first, count, config.tick_limit,
-        partial(_diverged, config),
+    ticks, orders, error = kernel.races(
+        config._runners, config.track_length, kernel.run_seeds(master_seed, first, count), None,
+        config.tick_limit, partial(_diverged, config),
     )
     ids = config.competitor_ids
     return ticks, [tuple(map(ids.__getitem__, order)) for order in orders], error
@@ -461,17 +465,23 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
 def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:
     """Wins per competitor index of simulate_from(state, config, seed) over seeds.
 
-    With the kernel all continuations are one call.  The first that fails
-    raises the error simulate_from raises on it.
+    With the kernel all continuations are one call, and a continuation's
+    winner is the first of its finish order.  The first that fails raises
+    the error simulate_from raises on it.
     """
+    wins = [0] * config.n_competitors
     kernel = load_kernel()
     if kernel is None:
-        wins = [0] * config.n_competitors
         index = {cid: i for i, cid in enumerate(config.competitor_ids)}
         for seed in seeds:
             wins[index[simulate_from(state, config, seed)[0]]] += 1
         return wins
-    return kernel.wins(
-        config._runners, config.track_length, state, seeds, state.tick + config.tick_limit,
+    _, orders, error = kernel.races(
+        config._runners, config.track_length, seeds, state, state.tick + config.tick_limit,
         partial(_diverged, config),
     )
+    if error is not None:
+        raise error
+    for order in orders:
+        wins[order[0]] += 1
+    return wins

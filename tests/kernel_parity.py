@@ -3,12 +3,14 @@
 Runs run_race (trajectory recorded), win_counts from mid-race states, and
 chunks of batch runs on random fields, once through the C kernel and once
 through race_ticks, and compares the results by repr, which tells every
-float bit apart.  A batch chunk is one rm_batch call, which derives each
-run's seed in C, and a win_counts call is one rm_wins call; on the Python
-loop they are derive_seed with run_race, and simulate_from.  The kernel
-seeds its streams in groups of 8, so a case draws its number of dry runs
-from 1 to 20, mixes seeds below 2**32 (a 1-word key) into them, and runs
-chunks of 11: every case fills some group partly and many fill a second.
+float bit apart.  run_race primes its race in Python and hands the stream
+to rm_run.  A batch chunk is one rm_races call from the primed start on the
+seeds rm_run_seeds derives, and a win_counts call is one rm_races call from
+a mid-race state; on the Python loop they are derive_seed with run_race,
+and simulate_from.  rm_races seeds its streams in groups of 8, so a case
+draws its number of dry runs from 1 to 20, mixes seeds below 2**32 (a
+1-word key) into them, and runs chunks of 11: every case fills some group
+partly and many fill a second.
 It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
@@ -75,7 +77,7 @@ def both_ways(fn):
                     got.append(repr(fn()))
             else:
                 got.append(repr(fn()))
-        except (RaceDivergedError, OverflowError, BatchRunError) as exc:
+        except (RaceDivergedError, OverflowError, BatchRunError, ValueError) as exc:
             got.append(f"{type(exc).__name__}: {exc}")
     return tuple(got)
 

@@ -190,3 +190,16 @@ def test_batch_workers_inherit_the_kernel_the_parent_loaded(tmp_path):
     parent = proc.communicate(timeout=120)[0].strip()
     assert proc.returncode == 0
     assert log.read_text().split() == [parent]
+
+
+def test_the_kernel_refuses_buffers_of_the_wrong_size():
+    compiler()
+    kernel = _kernel.load()
+    config = make_race(n=2)
+    runners = config._runners
+    state = initial_state(config, make_rng(1))
+    words = make_rng(1).getstate()[1]
+    with pytest.raises(ValueError, match="a runner is 10 numbers"):
+        kernel.run(((*runners[0], 0.0), runners[1]), 50.0, state, words, 100, None)
+    with pytest.raises(ValueError, match="a generator state is 625 32-bit words"):
+        kernel.run(runners, 50.0, state, words[:-1], 100, None)

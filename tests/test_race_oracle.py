@@ -10,9 +10,10 @@ exact position ties, finished rivals, theta = 0 competitors and mixed step
 laws must come out bit-identical on both: positions, previous steps, finish
 ticks, blocked steps, and the generator state.
 
-run_race runs a whole race in C, a batch chunk runs many races in one C
-call that derives their seeds too, and rp_predict runs all its dry runs in
-one C call; the last tests check the C kernel against the Python loop
+run_race primes its race in Python and runs it in C, a batch chunk runs
+many races from the primed start in one C call on seeds C derives, and
+rp_predict runs all its dry runs in one such call from its state; the last
+tests check the C kernel against the Python loop
 (race_ticks, derive_seed and simulate_from, which is always the loop), which
 stays the reference: whole trajectories, finish orders, win counts and
 errors must be identical.
@@ -54,7 +55,7 @@ from racemarket.race import (
     simulate_from,
     win_counts,
 )
-from racemarket.seeding import make_rng
+from racemarket.seeding import MASK64, make_rng
 
 
 def ref_draw(steps, rng) -> float:
@@ -342,7 +343,14 @@ def test_win_counts_in_seed_groups_equal_simulate_from(d, race, data):
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_kernel_seeds_like_random_seed(seed):
-    assert differences(derby_race(), seed, 30) == []
+    config = derby_race()
+    assert differences(config, seed, 30) == []
+    # run_race seeds in Python; the kernel seeds only many-race streams, so
+    # every edge seed is also a dry run of one call
+    state = mid_race(config, seed, 30)
+    seeds = [s & MASK64 for s in EDGE_SEEDS]
+    kernel, loop = both_ways(lambda: win_counts(state, config, seeds))
+    assert kernel == loop
 
 
 @pytest.mark.parametrize("first", RUN_INDICES)
@@ -354,6 +362,16 @@ def test_batch_chunk_derives_seeds_like_derive_seed(master, first):
         start = chunk_start(first, count)
         kernel, loop = both_ways(lambda: _race_chunk(config, master, start, count))
         assert kernel == loop
+
+
+def test_batch_chunk_refuses_run_indices_past_int64():
+    config = RaceConfig(track_length=200.0, competitors=derby_race().competitors)
+    for first, count in ((2**63 - 2, 3), (-1, 2)):
+        last = first + count - 1
+        expected = f"ValueError: run indices must be in [0, 2**63 - 1], got {first}..{last}"
+        assert both_ways(lambda: _race_chunk(config, 1, first, count)) == (expected, expected)
+    kernel, loop = both_ways(lambda: _race_chunk(config, 1, 2**63 - 3, 3))
+    assert kernel == loop
 
 
 def test_batch_across_a_chunk_boundary_equals_python_loop():
