@@ -15,7 +15,10 @@
  * race from a given state and generator, rm_races runs many races, each on
  * its own seed, from race.initial_state (a batch's runs) or from one given
  * state (a prediction's dry runs), and rm_run_seeds derives a batch's run
- * seeds.
+ * seeds.  A fourth, rm_position_lines, writes trajectory.csv's lines, each
+ * position as repr writes it, by an exact shortest-digit loop over 0.0 and
+ * [2**-6, 2**53); it refuses any other value, and the writer then writes
+ * that chunk by repr.
  * None keeps state between calls, so calls may run on several threads at
  * once.
  *
@@ -467,4 +470,130 @@ out:
     free(pos);
     free(places);
     return k;
+}
+
+/* repr(x) written to out, for x = 0.0 or 2**-6 <= x < 2**53; returns its
+ * length, at most REPR_MAX, or 0 for any other x (-0.0, negatives,
+ * subnormals, below 2**-6, 2**53 and up, nan, inf), which is not written.
+ *
+ * The digits are the shortest that read back as x, by Burger & Dybvig's
+ * free-format loop (Steele & White's dragon4) in exact integers: x is r / s,
+ * and the halfway points to its neighbours are x - mm / s and x + mp / s,
+ * which read back as x when m is even.  Of the two shortest candidates d and
+ * d + 1 in the last place, the nearer is kept, and the even one on a tie, as
+ * CPython's dtoa.c mode 0 keeps it.  In this range x = m * 2**e with
+ * m < 2**53 and -58 <= e <= 0, so s <= 2**60 and every sum and product below
+ * stays under 10 * 2**60 < 2**64.  (Here x's own digits end no further
+ * out than a bound's, so neither the inclusive bounds nor the power of two's
+ * nearer lower bound ever changes a digit; they keep the loop exact beyond
+ * this range.)  repr writes such an x in fixed notation, with ".0" after an
+ * integral value. */
+enum { REPR_MAX = 20 };
+
+static int repr_double(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits == 0) {
+        memcpy(out, "0.0", 3);
+        return 3;
+    }
+    /* the biased exponent, with the sign bit above it: 1017 is 2**-6, 1075 2**52 */
+    int biased = (int)(bits >> 52);
+    if (biased < 1017 || biased > 1075)
+        return 0;
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    int e = biased - 1075;
+    /* a power of two is twice as far from its upper neighbour as from its lower */
+    int lopsided = m == 1ULL << 52;
+    uint64_t r = m << (1 + lopsided), s = 1ULL << (1 + lopsided - e), mp = 1ULL + lopsided, mm = 1;
+    int even = (m & 1) == 0, k = 0;
+    /* scale so that 10**(k - 1) <= the upper bound < 10**k (<= when even) */
+    while (even ? r + mp >= s : r + mp > s) {
+        s *= 10;
+        k++;
+    }
+    while (even ? (r + mp) * 10 < s : (r + mp) * 10 <= s) {
+        r *= 10;
+        mp *= 10;
+        mm *= 10;
+        k--;
+    }
+    char digits[REPR_MAX];
+    int nd = 0;
+    for (;;) {
+        r *= 10;
+        mp *= 10;
+        mm *= 10;
+        int d = (int)(r / s);
+        r %= s;
+        int low = even ? r <= mm : r < mm;          /* d reads back as x */
+        int high = even ? r + mp >= s : r + mp > s; /* so does d + 1 */
+        if (!low && !high) {
+            digits[nd++] = (char)('0' + d);
+            continue;
+        }
+        if (!low || (high && (2 * r > s || (2 * r == s && d % 2))))
+            d++;
+        digits[nd++] = (char)('0' + d);
+        break;
+    }
+    /* x = 0.digits * 10**k, and -1 <= k <= 16 here */
+    char *p = out;
+    if (k <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (int z = k; z < 0; z++)
+            *p++ = '0';
+        memcpy(p, digits, (size_t)nd);
+        p += nd;
+    } else if (k < nd) {
+        memcpy(p, digits, (size_t)k);
+        p += k;
+        *p++ = '.';
+        memcpy(p, digits + k, (size_t)(nd - k));
+        p += nd - k;
+    } else {
+        memcpy(p, digits, (size_t)nd);
+        p += nd;
+        for (int z = nd; z < k; z++)
+            *p++ = '0';
+        *p++ = '.';
+        *p++ = '0';
+    }
+    return (int)(p - out);
+}
+
+/* trajectory.csv's lines for rows of n positions, row t at tick
+ * first_tick + t: value c of a row is the line of the tick, competitor c's
+ * prefix, repr of the value and "\r\n".  values holds the rows one after
+ * another; prefix c is prefixes[ends[c - 1] .. ends[c]) (from 0 for c = 0),
+ * the competitor's ",<csv-quoted id>,".  out must hold rows * (n * (the
+ * last tick's digits + REPR_MAX + 2) + ends[n - 1]) bytes.  Returns the
+ * number of bytes written, or -1 when a value is one repr_double refuses.
+ */
+int64_t rm_position_lines(const double *values, int64_t rows, int n, int64_t first_tick,
+                          const char *prefixes, const int64_t *ends, char *out)
+{
+    char *p = out;
+    for (int64_t t = 0; t < rows; t++) {
+        char tick[20];
+        int width = 0;
+        for (uint64_t v = (uint64_t)(first_tick + t); width == 0 || v; v /= 10)
+            tick[sizeof tick - ++width] = (char)('0' + v % 10);
+        for (int c = 0; c < n; c++) {
+            int64_t start = c ? ends[c - 1] : 0;
+            memcpy(p, tick + sizeof tick - width, (size_t)width);
+            p += width;
+            memcpy(p, prefixes + start, (size_t)(ends[c] - start));
+            p += ends[c] - start;
+            int len = repr_double(values[(size_t)t * n + c], p);
+            if (!len)
+                return -1;
+            p += len;
+            *p++ = '\r';
+            *p++ = '\n';
+        }
+    }
+    return p - out;
 }

@@ -21,7 +21,7 @@ import warnings
 from array import array
 from contextlib import suppress
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from random import NV_MAGICCONST
 
@@ -33,6 +33,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _RUNNER_DOUBLES = 10
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_TICK = 2**63 - 1
+#: The longest repr rm_position_lines writes, REPR_MAX in the C source.
+_REPR_MAX = 20
 #: A snapshot buffer holds about this many positions; longer races refill it.
 _SNAPSHOT_DOUBLES = 1 << 14
 
@@ -99,9 +101,12 @@ def _load() -> "Kernel | None":
     command = compile_command()
     if command is None:
         # _load <- load <- race.load_kernel <- a race.py entry point (or
-        # run_batch): the warning names the code that called that
+        # run_batch, or write_trajectory_csv): the warning names the code
+        # that called that
         warnings.warn(
-            "no C compiler found; races run in the Python loop", RuntimeWarning, stacklevel=5
+            "no C compiler found; races and trajectory.csv lines run in Python",
+            RuntimeWarning,
+            stacklevel=5,
         )
         return None
     pycache = SOURCE.parent / "__pycache__"
@@ -118,11 +123,6 @@ def _load() -> "Kernel | None":
         shutil.rmtree(private)
 
 
-def _rows(values: list, n: int) -> list[tuple]:
-    """values cut into tuples of n, in order: zip over one iterator n times."""
-    return list(zip(*[iter(values)] * n))
-
-
 def _failure(status: int, finish, diverged) -> Exception:
     """The error of a race the kernel stopped with status, as the Python loop raises it.
 
@@ -137,7 +137,7 @@ def _failure(status: int, finish, diverged) -> Exception:
 
 
 class Kernel:
-    """rm_run, rm_races and rm_run_seeds of one loaded library, on RaceState and _compile data.
+    """The entry points of one loaded library, on RaceState, _compile and Trajectory data.
 
     Each call works in its own memory, so threads may share a Kernel.
     """
@@ -176,6 +176,17 @@ class Kernel:
         self._run_seeds = lib.rm_run_seeds
         self._run_seeds.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, _seeds)
         self._run_seeds.restype = None
+        self._position_lines = lib.rm_position_lines
+        self._position_lines.argtypes = (
+            _doubles,  # values
+            ctypes.c_int64,  # rows
+            ctypes.c_int,  # n
+            ctypes.c_int64,  # first_tick
+            ctypes.c_char_p,  # prefixes
+            _int64s,  # ends
+            ctypes.c_char_p,  # out
+        )
+        self._position_lines.restype = ctypes.c_int64
         # the last runners flattened: a dry-run predictor runs one config many times
         self._last = (None, None)
 
@@ -244,10 +255,12 @@ class Kernel:
         seeds is run_seeds' array or a sequence of ints below 2**64.  Each
         race starts from initial_state when state is None, and otherwise
         from state, which is not changed; it runs until the tick reaches
-        stop.  Returns (ticks, orders, error): each race's finish ticks and
-        finish order (competitor indices) up to the first race that failed,
-        and None or that race's error, as the Python loop raises it
-        (diverged(finished) for a divergence).
+        stop.  Returns (done, ticks, orders, error): the number of races
+        finished before the first that failed; two C arrays holding race k's
+        n finish ticks and its finish order (competitor indices) at
+        [k * n : (k + 1) * n] for k < done; and None or the failed race's
+        error, as the Python loop raises it (diverged(finished) for a
+        divergence).
         """
         n, count = len(runners), len(seeds)
         if not isinstance(seeds, ctypes.Array):
@@ -256,14 +269,42 @@ class Kernel:
         ticks = (ctypes.c_int64 * (count * n))()
         orders = (ctypes.c_int32 * (count * n))()
         status = ctypes.c_int()
-        done = n * self._races(
+        done = self._races(
             self._flat(runners), n, length, NV_MAGICCONST, seeds, count, floats, ints,
             min(stop, _MAX_TICK), ticks, orders, ctypes.byref(status),
         )
         error = None
         if status.value != _FINISHED:
-            error = _failure(status.value, ticks[done : done + n], diverged)
-        return _rows(ticks[:done], n), _rows(orders[:done], n), error
+            error = _failure(status.value, ticks[done * n : (done + 1) * n], diverged)
+        return done, ticks, orders, error
+
+    def position_lines(self, prefixes):
+        """lines(rows, tick): trajectory.csv's lines for rows of positions, as bytes.
+
+        prefixes[c] is competitor c's ",<csv-quoted id>,".  Row k of rows is
+        tick tick + k, one float per competitor, and its value c is the line
+        f"{tick + k}{prefixes[c]}{value!r}\\r\\n", in UTF-8.  lines returns
+        None, writing nothing, when a row does not hold one value per
+        competitor or a value is one rm_position_lines refuses: -0.0, nan,
+        an infinity, or one outside [2**-6, 2**53) other than 0.0.
+        """
+        n = len(prefixes)
+        encoded = [p.encode() for p in prefixes]
+        joined = b"".join(encoded)
+        ends = (ctypes.c_int64 * n)(*accumulate(map(len, encoded)))
+
+        def lines(rows, tick):
+            if any(len(row) != n for row in rows):
+                return None
+            values = array("d", chain.from_iterable(rows))
+            count = len(rows)
+            size = count * (n * (len(str(tick + count - 1)) + _REPR_MAX + 2) + len(joined))
+            out = ctypes.create_string_buffer(size)
+            doubles = (ctypes.c_double * len(values)).from_buffer(values)
+            written = self._position_lines(doubles, count, n, tick, joined, ends, out)
+            return None if written < 0 else ctypes.string_at(out, written)
+
+        return lines
 
     def run_seeds(self, master, first, count):
         """derive_seed(master, "run", i) for i in first .. first + count - 1, as a C array."""

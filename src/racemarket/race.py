@@ -390,10 +390,11 @@ def finalize_trajectory(
 def load_kernel():
     """The C race kernel (_kernel.Kernel), or None without a C compiler.
 
-    Its module, with ctypes, is imported at the first whole race, so
-    importing the package stays as light as it was.  Only this module's
-    entry points and run_batch call it, so the one warning a missing
-    compiler gives names the code that called them.
+    Its module, with ctypes, is imported at the first whole race or
+    trajectory.csv, so importing the package stays as light as it was.
+    Only this module's entry points, run_batch and write_trajectory_csv
+    call it, so the one warning a missing compiler gives names the code
+    that called them.
     """
     from . import _kernel
 
@@ -430,6 +431,11 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))
 
 
+def _rows(values, n: int) -> list[tuple]:
+    """values cut into tuples of n, in order: zip over one iterator n times."""
+    return list(zip(*[iter(values)] * n))
+
+
 def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
     """Runs first .. first + count - 1 of a batch on master_seed.
 
@@ -454,12 +460,12 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
             ticks.append(traj.finish_ticks)
             orders.append(traj.finish_order)
         return ticks, orders, None
-    ticks, orders, error = kernel.races(
+    done, ticks, orders, error = kernel.races(
         config._runners, config.track_length, kernel.run_seeds(master_seed, first, count), None,
         config.tick_limit, partial(_diverged, config),
     )
-    ids = config.competitor_ids
-    return ticks, [tuple(map(ids.__getitem__, order)) for order in orders], error
+    n, ids = config.n_competitors, config.competitor_ids
+    return _rows(ticks[: done * n], n), _rows(map(ids.__getitem__, orders[: done * n]), n), error
 
 
 def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:
@@ -476,12 +482,13 @@ def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[i
         for seed in seeds:
             wins[index[simulate_from(state, config, seed)[0]]] += 1
         return wins
-    _, orders, error = kernel.races(
+    done, _, orders, error = kernel.races(
         config._runners, config.track_length, seeds, state, state.tick + config.tick_limit,
         partial(_diverged, config),
     )
     if error is not None:
         raise error
-    for order in orders:
-        wins[order[0]] += 1
+    n = config.n_competitors
+    for winner in orders[: done * n : n]:
+        wins[winner] += 1
     return wins

@@ -12,17 +12,19 @@ one event per line.
 The three large files, `events.jsonl`, `trajectory.csv` and
 `sentiment.csv`, are written as preformatted lines under one rule: each
 distinct string is encoded once (quoted as `csv` would quote it, or
-JSON-encoded), floats are written by their repr, and lines are joined into
-bounded chunks before each write.  An event line is one %-format of its
-kind's template, built once from `session.EVENT_FIELDS`.  A session's grid
-snapshots share the row of a competitor whose book did not change, so each
-grid row's JSON is memoised by the row's identity for one
-`write_events_jsonl` call, as the strings are by value.  An event the
-template would not write byte for byte goes through the encoder: one with
-a bool, a non-finite float, an int or float subclass or its keys in
-another order, and the kinds without a template (close and settle, one
-each per session).  The CSV lines need no such fallback, as `csv` quotes
-an id alike wherever it stands and never quotes a float's repr.
+JSON-encoded), floats are written by repr, or by the kernel's digit loop,
+which equals it, and lines are joined into bounded chunks before each
+write.  An event line is one %-format of its kind's template, built once
+from `session.EVENT_FIELDS`.  A session's grid snapshots share the row of
+a competitor whose book did not change, so each grid row's JSON is
+memoised by the row's identity for one `write_events_jsonl` call, as the
+strings are by value.  An event the template would not write byte for
+byte goes through the encoder: one with a bool, a non-finite float, an
+int or float subclass or its keys in another order, and the kinds without
+a template (close and settle, one each per session).  The CSV lines need
+no such fallback for their fields, as `csv` quotes an id alike wherever it
+stands and never quotes a float's repr; a `trajectory.csv` chunk holding a
+position the kernel's digit loop does not write is written by repr.
 `tests/test_writers.py` holds `csv.writer` and `JSONEncoder` as the byte
 oracles of both.
 """
@@ -38,7 +40,7 @@ from pathlib import Path
 from . import __version__
 from .batch import ORDER_SPACE, WINNER_SPACE, BenchPoint, OutcomePMF, RaceResult, SessionSummary
 from .exchange import SettlementReport
-from .race import Trajectory
+from .race import Trajectory, load_kernel
 from .seeding import RNG_ALGORITHM
 from .session import EVENT_FIELDS
 
@@ -91,14 +93,32 @@ def _csv_field(value: str) -> str:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    """tick,competitor_id,position with one row per tick per competitor."""
+    """tick,competitor_id,position with one row per tick per competitor.
+
+    With the race kernel a chunk's lines are written in C; a chunk holding a
+    position the kernel refuses, and every chunk without a kernel, is
+    written by the f-string loop, which is the reference.
+    """
     if traj.ticks is None:
         raise ValueError("trajectory was recorded without per-tick snapshots")
     prefixes = [f",{_csv_field(cid)}," for cid in traj.competitor_ids]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("tick,competitor_id,position\r\n")
-        for tick, row in enumerate(traj.ticks):
-            fh.write("".join([f"{tick}{prefix}{pos!r}\r\n" for prefix, pos in zip(prefixes, row)]))
+    kernel = load_kernel()
+    lines = None if kernel is None else kernel.position_lines(prefixes)
+    step = max(1, _CHUNK_LINES // len(prefixes))  # ticks per chunk
+    with open(path, "wb") as fh:
+        fh.write(b"tick,competitor_id,position\r\n")
+        for start in range(0, len(traj.ticks), step):
+            rows = traj.ticks[start : start + step]
+            chunk = None if lines is None else lines(rows, start)
+            if chunk is None:
+                chunk = "".join(
+                    [
+                        f"{tick}{prefix}{pos!r}\r\n"
+                        for tick, row in enumerate(rows, start)
+                        for prefix, pos in zip(prefixes, row)
+                    ]
+                ).encode()
+            fh.write(chunk)
 
 
 def write_finish_csv(path: Path, traj: Trajectory) -> None:

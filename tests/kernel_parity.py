@@ -11,18 +11,28 @@ and simulate_from.  rm_races seeds its streams in groups of 8, so a case
 draws its number of dry runs from 1 to 20, mixes seeds below 2**32 (a
 1-word key) into them, and runs chunks of 11: every case fills some group
 partly and many fill a second.
+Each case also runs the three under tick limits that stop a race short of
+its finish (a batch chunk's, mid-group where its runs' lengths allow) and
+with a competitor added whose lognormal draws overflow now and then, and
+compares the errors, messages (with the finished count) and the runs done
+before them.  Last, rm_position_lines, which writes trajectory.csv's lines,
+is checked against float.__repr__ on random bit patterns across its range
+and just outside it, and on edge values.
 It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
     PYTHONPATH=src python tests/kernel_parity.py [cases]
 
 Exits 1 on the first difference, or when the kernel did not load.
-test_race_oracle.py imports the helpers.
+test_race_oracle.py and test_writers.py import the helpers.
 """
 
+import math
 import random
+import struct
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 from racemarket import _kernel
 from racemarket.batch import CHUNK_RUNS, BatchRunError, _race_chunk
@@ -33,8 +43,11 @@ from racemarket.race import (
     RaceDivergedError,
     Responsiveness,
     UniformSteps,
+    RaceState,
     advance_race,
+    batch_runs,
     initial_state,
+    race_ticks,
     run_race,
     win_counts,
 )
@@ -149,6 +162,131 @@ def differences(
     return problems
 
 
+def failing_limit(lengths: list[int]) -> int:
+    """A tick limit under which races taking lengths[k] ticks, run in order,
+    first fail at the first k >= 1 that outlasts every race before it, or
+    at k = 0 where there is none."""
+    for k in range(1, len(lengths)):
+        if lengths[k] > max(lengths[:k]):
+            return max(lengths[:k])
+    return max(1, lengths[0] - 1)
+
+
+def with_overflow(config: RaceConfig, state: RaceState, rng: random.Random):
+    """config and state with one more competitor, whose lognormal step
+    overflows math.exp on some draws (up to about one in three)."""
+    steps = LogNormalSteps(rng.uniform(705.0, 709.5), rng.uniform(0.5, 2.0))
+    n = config.n_competitors
+    config = replace(config, competitors=(*config.competitors, Competitor(f"c{n + 1}", steps)))
+    state = replace(
+        state,
+        positions=[*state.positions, 0.0],
+        prev_steps=[*state.prev_steps, 1.0],
+        finish_ticks=[*state.finish_ticks, None],
+    )
+    return config, state
+
+
+def failure_differences(
+    config: RaceConfig, seed: int, ticks: int, first: int, d: int, rng: random.Random
+) -> list[str]:
+    """Where the kernel and the Python loop part on races that fail.
+
+    run_race, the dry runs and the batch chunk of differences() each run
+    under a tick limit failing_limit picks from their lengths on the Python
+    loop, and then once more with_overflow.  A chunk is compared by all that
+    batch_runs returns: the runs done, their finish ticks and orders, and
+    the error.
+    """
+    state = mid_race(config, seed + 1, ticks)
+    seeds = dry_run_seeds(seed, d)
+    first = chunk_start(first, CHUNK)
+    with python_loop():
+        race = run_race(config, seed, record=False)
+        chunk, _, _ = batch_runs(config, seed, first, CHUNK)
+        dry = []
+        for s in seeds:
+            st = state.clone()
+            for _ in race_ticks(config, st, make_rng(s), state.tick + config.tick_limit):
+                pass
+            dry.append(st.tick - state.tick)
+    limits = {
+        "run_race": failing_limit([max(race.finish_ticks)]),
+        "win_counts": failing_limit(dry),
+        "runs": failing_limit([max(t) for t in chunk]),
+    }
+    problems = []
+    overflow = with_overflow(config, state, rng)
+    for name, limit in limits.items():
+        cases = {f"tick_limit={limit}": (replace(config, tick_limit=limit), state)}
+        cases["overflow"] = overflow
+        for case, (c, st) in cases.items():
+            fn = {
+                "run_race": lambda: run_race(c, seed),
+                "win_counts": lambda: win_counts(st, c, seeds),
+                "runs": lambda: batch_runs(c, seed, first, CHUNK),
+            }[name]
+            kernel, loop = both_ways(fn)
+            if kernel != loop:
+                where = f"{name} {case} n={c.n_competitors} seed={seed}"
+                problems.append(f"{where}: {kernel[:200]} != {loop[:200]}")
+    return problems
+
+
+#: The range of rm_position_lines: 0.0 and [2**-6, 2**53).
+LOWEST_POSITION, POSITION_BOUND = 2.0**-6, 2.0**53
+
+
+def writable(x: float) -> bool:
+    """Whether rm_position_lines writes x rather than refusing it."""
+    return LOWEST_POSITION <= x < POSITION_BOUND or (x == 0.0 and math.copysign(1.0, x) > 0)
+
+
+def edge_positions() -> list[float]:
+    """Values on and around the edges of the digit loop and of its range."""
+    values = [0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16, 1e300]
+    values += [math.nan, -math.nan, math.inf, -math.inf]
+    edges = [2.0**e for e in range(-8, 56)] + [float(f"1e{k}") for k in range(-3, 18)]
+    for p in edges:
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    values += [float(k) for k in range(1001)] + [POSITION_BOUND - k for k in range(1, 100)]
+    for q in (8, 10, 1000):
+        values += [k / q for k in range(1, 20 * q + 1)]
+    return values
+
+
+def random_positions(rng: random.Random, count: int) -> list[float]:
+    """count floats from uniform bit patterns over the range and one binade
+    either side of it, a sixteenth of them negated."""
+    def bits(x: float) -> int:
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    lo, hi = bits(LOWEST_POSITION) - 2**52, bits(POSITION_BOUND) + 2**52
+    values = []
+    for _ in range(count):
+        x = struct.unpack("<d", struct.pack("<q", rng.randrange(lo, hi)))[0]
+        values.append(-x if rng.random() < 1 / 16 else x)
+    return values
+
+
+def repr_differences(values: list[float]) -> list[str]:
+    """Where rm_position_lines parts from float.__repr__ on values: a line
+    that is not f"{tick},{x!r}\\r\\n", or a value outside the range it wrote."""
+    lines = _kernel.load().position_lines([","])
+    outside = [x for x in values if not writable(x)]
+    problems = [f"wrote {x!r}, outside its range" for x in outside if lines([(x,)], 0) is not None]
+    inside = [x for x in values if writable(x)]
+    for start in range(0, len(inside), 4096):
+        chunk = inside[start : start + 4096]
+        got = lines([(x,) for x in chunk], start)
+        want = [f"{tick},{x!r}" for tick, x in enumerate(chunk, start)]
+        if got != "".join(w + "\r\n" for w in want).encode():
+            written = [None] * len(want) if got is None else got.decode().split("\r\n")
+            x, g, w = next((x, g, w) for x, g, w in zip(chunk, written, want) if g != w)
+            problems.append(f"{x!r} written as {g!r}, not {w!r}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
     if _kernel.load() is None:
         print("kernel_parity: the race kernel did not load", file=sys.stderr)
@@ -162,11 +300,18 @@ def main(argv: list[str]) -> int:
         seed = EDGE_SEEDS[k] if k < len(EDGE_SEEDS) else rng.getrandbits(64)
         ticks, first, d = rng.randint(0, 30), rng.choice(RUN_INDICES), rng.randint(1, 20)
         problems = differences(config, seed, ticks, first, d)
+        problems += failure_differences(config, seed, ticks, first, d, rng)
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1
         checked += 1
-    print(f"kernel_parity: {checked} races equal on Python {sys.version.split()[0]}")
+    values = edge_positions() + random_positions(rng, 1000 * cases)
+    problems = repr_differences(values)
+    if problems:
+        print("\n".join(problems[:20]), file=sys.stderr)
+        return 1
+    version = sys.version.split()[0]
+    print(f"kernel_parity: {checked} races and {len(values)} positions equal on Python {version}")
     return 0
 
 

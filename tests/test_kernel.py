@@ -19,6 +19,7 @@ from racemarket import _kernel
 from racemarket.batch import BatchConfig, run_batch
 from racemarket.race import batch_runs, initial_state, run_race, win_counts
 from racemarket.seeding import make_rng
+from racemarket.writers import write_trajectory_csv
 
 from conftest import make_race
 
@@ -58,15 +59,17 @@ def test_without_a_compiler_races_run_in_python_with_one_warning(monkeypatch):
         _kernel._load.cache_clear()
 
 
-def test_the_no_compiler_warning_names_the_caller_of_the_race(monkeypatch):
-    monkeypatch.setattr(_kernel, "compile_command", lambda: None)
+def test_the_no_compiler_warning_names_the_caller_of_the_race(monkeypatch, tmp_path):
     config = make_race(n=3, length=60.0)
     state = initial_state(config, make_rng(1))
+    traj = run_race(config, 1)
+    monkeypatch.setattr(_kernel, "compile_command", lambda: None)
     calls = (
         lambda: run_race(config, 1),
         lambda: batch_runs(config, 1, 0, 2),
         lambda: win_counts(state, config, [1, 2]),
         lambda: run_batch(BatchConfig(config, 2, 1, workers=1)),
+        lambda: write_trajectory_csv(tmp_path / "trajectory.csv", traj),
     )
     try:
         for call in calls:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import racemarket
+from racemarket import _kernel
 from racemarket.batch import BatchConfig, BenchPoint, OutcomePMF, pmf_from_results, run_batch
 from racemarket.config import config_to_dict, parse_config
 from racemarket.race import Trajectory, run_race
@@ -34,6 +36,7 @@ from racemarket.writers import (
 )
 
 from conftest import make_race
+from kernel_parity import python_loop
 
 
 # Ids that csv must quote, or that sit on the edge of quoting.
@@ -73,15 +76,76 @@ def reference_sentiment_csv(path, rows):
         w.writerows((repr(float(t)), b, cid, repr(float(o))) for t, b, cid, o in rows)
 
 
+def assert_trajectory_csv_matches(directory, ticks, ids=AWKWARD_IDS):
+    """write_trajectory_csv with the kernel and on the Python loop, each
+    byte for byte with csv.writer and repr."""
+    n = len(ids)
+    traj = Trajectory(ids, 1.0, ticks, (len(ticks) - 1,) * n, ids, ticks[-1], 0)
+    reference_trajectory_csv(directory / "ref.csv", traj)
+    expected = (directory / "ref.csv").read_bytes()
+    write_trajectory_csv(directory / "kernel.csv", traj)
+    with python_loop():
+        write_trajectory_csv(directory / "loop.csv", traj)
+    assert (directory / "kernel.csv").read_bytes() == expected
+    assert (directory / "loop.csv").read_bytes() == expected
+
+
 def test_trajectory_csv_matches_csv_writer(tmp_path):
     n = len(AWKWARD_IDS)
     ticks = tuple(
         tuple(EDGE_FLOATS[(tick + c) % len(EDGE_FLOATS)] for c in range(n)) for tick in range(12)
     )
-    traj = Trajectory(AWKWARD_IDS, 1.0, ticks, (11,) * n, AWKWARD_IDS, ticks[-1], 0)
-    write_trajectory_csv(tmp_path / "fast.csv", traj)
-    reference_trajectory_csv(tmp_path / "ref.csv", traj)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert_trajectory_csv_matches(tmp_path, ticks)
+
+
+# Positions the kernel refuses, so a chunk holding one is written by repr.
+REFUSED = (-0.0, 5e-324, math.nextafter(2.0**-6, 0.0), 2.0**53, 1e16, *NON_FINITE)
+
+
+def test_trajectory_csv_chunks_the_kernel_refuses_fall_back(tmp_path, monkeypatch):
+    n = len(AWKWARD_IDS)
+    per_chunk = _CHUNK_LINES // n
+    rng = random.Random(3)
+    ticks = [
+        tuple(rng.choice((rng.uniform(1.0, 3000.0), float(rng.randrange(100)))) for _ in range(n))
+        for _ in range(3 * per_chunk + 5)  # three whole chunks and part of a fourth
+    ]
+    ticks[0] = (0.0,) * n
+    # chunk 1 holds refused values and chunk 3 a row one value short, which
+    # both writers cut as zip does; chunks 0 and 2 go through the kernel
+    for k, x in enumerate(REFUSED):
+        tick = per_chunk + 2 * k
+        ticks[tick] = (*ticks[tick][:k], x, *ticks[tick][k + 1 :])
+    ticks[3 * per_chunk + 2] = ticks[3 * per_chunk + 2][:-1]
+    written = []
+    position_lines = _kernel.Kernel.position_lines
+
+    def spied(self, prefixes):
+        lines = position_lines(self, prefixes)
+
+        def recorded(rows, tick):
+            chunk = lines(rows, tick)
+            written.append(chunk is not None)
+            return chunk
+
+        return recorded
+
+    monkeypatch.setattr(_kernel.Kernel, "position_lines", spied)
+    assert_trajectory_csv_matches(tmp_path, tuple(ticks))
+    if _kernel.load() is not None:
+        assert written == [True, False, True, False]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.one_of(st.floats(), st.floats(2.0**-6, 2.0**53, exclude_max=True)), min_size=1),
+)
+def test_random_positions_match_csv_writer(tmp_path_factory, n, values):
+    rows = len(values) // n or 1
+    values = (values * n)[: rows * n]
+    ticks = tuple(tuple(values[k : k + n]) for k in range(0, rows * n, n))
+    assert_trajectory_csv_matches(tmp_path_factory.mktemp("trajectory"), ticks, AWKWARD_IDS[:n])
 
 
 def test_sentiment_csv_matches_csv_writer(tmp_path):
