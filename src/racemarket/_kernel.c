@@ -17,8 +17,10 @@
  * state (a prediction's dry runs), and rm_run_seeds derives a batch's run
  * seeds.  A fourth, rm_position_lines, writes trajectory.csv's lines, each
  * position as repr writes it, by an exact shortest-digit loop over 0.0 and
- * [2**-6, 2**53); it refuses any other value, and the writer then writes
- * that chunk by repr.
+ * [2**-6, 2**53): division for the integer digits, then, after one exact
+ * division by 10**k, a shift per fraction digit (see repr_double).  It
+ * refuses any other value, and the writer then writes that chunk by repr.
+ * It reads the positions in place from a trajectory's snapshots array.
  * None keeps state between calls, so calls may run on several threads at
  * once.
  *
@@ -487,8 +489,33 @@ out:
  * out than a bound's, so neither the inclusive bounds nor the power of two's
  * nearer lower bound ever changes a digit; they keep the loop exact beyond
  * this range.)  repr writes such an x in fixed notation, with ".0" after an
- * integral value. */
+ * integral value.
+ *
+ * The loop runs in two phases.  Scaling starts from s = 2**b.  Where x has
+ * k > 0 integer digits it leaves s = 2**b * 10**k, and those k digits are
+ * found by division (otherwise it scales r, mp and mm, and s stays 2**b).
+ * After them r, mp, mm and s are all multiples of 10**k: s by construction,
+ * mp and mm as they were multiplied by 10 once per digit, and r because
+ * digit j leaves it a multiple of 10**j (10 times the last r, less a
+ * multiple of s).  Dividing the four by 10**k is exact and keeps every
+ * comparison, and leaves s = 2**b, so each digit after the decimal point is
+ * r >> b and the remainder r & (s - 1). */
 enum { REPR_MAX = 20 };
+
+/* Whether digit *d, with remainder r, is the last: when d or d + 1 reads
+ * back as x; *d then becomes the one of the two repr keeps.  even is 1 when
+ * x's mantissa is even, which makes both bounds inclusive. */
+static inline int last_digit(uint64_t r, uint64_t s, uint64_t mp, uint64_t mm, uint64_t even,
+                             int *d)
+{
+    int low = r < mm + even;     /* d reads back as x */
+    int high = r + mp + even > s; /* so does d + 1 */
+    if (!low && !high)
+        return 0;
+    if (!low || (high && (2 * r > s || (2 * r == s && *d % 2))))
+        ++*d;
+    return 1;
+}
 
 static int repr_double(double x, char *out)
 {
@@ -505,38 +532,47 @@ static int repr_double(double x, char *out)
     uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
     int e = biased - 1075;
     /* a power of two is twice as far from its upper neighbour as from its lower */
-    int lopsided = m == 1ULL << 52;
-    uint64_t r = m << (1 + lopsided), s = 1ULL << (1 + lopsided - e), mp = 1ULL + lopsided, mm = 1;
-    int even = (m & 1) == 0, k = 0;
+    int lopsided = m == 1ULL << 52, b = 1 + lopsided - e;
+    uint64_t r = m << (1 + lopsided), s = 1ULL << b, mp = 1ULL + lopsided, mm = 1;
+    uint64_t even = (m & 1) == 0;
+    int k = 0;
     /* scale so that 10**(k - 1) <= the upper bound < 10**k (<= when even) */
-    while (even ? r + mp >= s : r + mp > s) {
+    while (r + mp + even > s) {
         s *= 10;
         k++;
     }
-    while (even ? (r + mp) * 10 < s : (r + mp) * 10 <= s) {
+    while ((r + mp) * 10 + even <= s) {
         r *= 10;
         mp *= 10;
         mm *= 10;
         k--;
     }
     char digits[REPR_MAX];
-    int nd = 0;
-    for (;;) {
+    int nd = 0, last = 0;
+    while (nd < k && !last) { /* the integer digits: s = 2**b * 10**k */
         r *= 10;
         mp *= 10;
         mm *= 10;
         int d = (int)(r / s);
         r %= s;
-        int low = even ? r <= mm : r < mm;          /* d reads back as x */
-        int high = even ? r + mp >= s : r + mp > s; /* so does d + 1 */
-        if (!low && !high) {
-            digits[nd++] = (char)('0' + d);
-            continue;
-        }
-        if (!low || (high && (2 * r > s || (2 * r == s && d % 2))))
-            d++;
+        last = last_digit(r, s, mp, mm, even, &d);
         digits[nd++] = (char)('0' + d);
-        break;
+    }
+    if (!last && k > 0) {
+        uint64_t scale = s >> b; /* 10**k */
+        r /= scale;
+        mp /= scale;
+        mm /= scale;
+        s = 1ULL << b;
+    }
+    while (!last) { /* the fraction digits: s = 2**b */
+        r *= 10;
+        mp *= 10;
+        mm *= 10;
+        int d = (int)(r >> b);
+        r &= s - 1;
+        last = last_digit(r, s, mp, mm, even, &d);
+        digits[nd++] = (char)('0' + d);
     }
     /* x = 0.digits * 10**k, and -1 <= k <= 16 here */
     char *p = out;

@@ -35,6 +35,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_TICK = 2**63 - 1
 #: The longest repr rm_position_lines writes, REPR_MAX in the C source.
 _REPR_MAX = 20
+#: Bytes per position in a snapshots array.
+_DOUBLE_BYTES = ctypes.sizeof(ctypes.c_double)
 #: A snapshot buffer holds about this many positions; longer races refill it.
 _SNAPSHOT_DOUBLES = 1 << 14
 
@@ -217,7 +219,8 @@ class Kernel:
         runners is _compile's output; words is random.getstate()[1] (624
         words, then the index) of the stream the race goes on drawing from;
         the Random it came from is not advanced.
-        Each tick's positions are appended to snapshots unless it is None.
+        Each tick's positions are appended to snapshots, an array("d"),
+        unless it is None: the bytes of each refill of the C buffer at once.
         Raises the error the Python loop raises where it stops:
         diverged(finished) when the tick reached stop with competitors still
         racing.
@@ -234,12 +237,12 @@ class Kernel:
         if snapshots is not None:
             rows = max(1, _SNAPSHOT_DOUBLES // n)
             buf = (ctypes.c_double * (rows * n))()
+            row_bytes = memoryview(buf).cast("B")
         while True:
             tick = ints[n]
             status = self._run(flat, n, length, NV_MAGICCONST, floats, ints, mt, stop, rows, buf)
             if buf is not None:
-                rows_done = ints[n] - tick
-                snapshots.extend(tuple(buf[k : k + n]) for k in range(0, rows_done * n, n))
+                snapshots.frombytes(row_bytes[: (ints[n] - tick) * n * _DOUBLE_BYTES])
             if status != _BUDGET_SPENT:
                 break
         state.positions[:] = floats[:n]
@@ -278,31 +281,37 @@ class Kernel:
             error = _failure(status.value, ticks[done * n : (done + 1) * n], diverged)
         return done, ticks, orders, error
 
-    def position_lines(self, prefixes):
-        """lines(rows, tick): trajectory.csv's lines for rows of positions, as bytes.
+    def position_lines(self, prefixes, snapshots):
+        """lines(tick, count): trajectory.csv's lines for rows tick .. tick + count - 1.
 
-        prefixes[c] is competitor c's ",<csv-quoted id>,".  Row k of rows is
-        tick tick + k, one float per competitor, and its value c is the line
-        f"{tick + k}{prefixes[c]}{value!r}\\r\\n", in UTF-8.  lines returns
-        None, writing nothing, when a row does not hold one value per
-        competitor or a value is one rm_position_lines refuses: -0.0, nan,
-        an infinity, or one outside [2**-6, 2**53) other than 0.0.
+        snapshots is a Trajectory's array("d") of positions, one row of
+        len(prefixes) per tick, and prefixes[c] is competitor c's
+        ",<csv-quoted id>,".  Value c of row t is the line
+        f"{t}{prefixes[c]}{value!r}\\r\\n", in UTF-8.  The rows are read in
+        place and the lines written into one buffer that lines reuses:
+        lines returns a memoryview of it, valid until its next call, or
+        None, writing nothing, when a value is one rm_position_lines
+        refuses: -0.0, nan, an infinity, or one outside [2**-6, 2**53)
+        other than 0.0.
         """
+        if memoryview(snapshots).format != "d":
+            raise TypeError("snapshots must be an array of doubles")
         n = len(prefixes)
         encoded = [p.encode() for p in prefixes]
         joined = b"".join(encoded)
         ends = (ctypes.c_int64 * n)(*accumulate(map(len, encoded)))
+        out = buffer = None
 
-        def lines(rows, tick):
-            if any(len(row) != n for row in rows):
-                return None
-            values = array("d", chain.from_iterable(rows))
-            count = len(rows)
+        def lines(tick, count):
+            nonlocal out, buffer
             size = count * (n * (len(str(tick + count - 1)) + _REPR_MAX + 2) + len(joined))
-            out = ctypes.create_string_buffer(size)
-            doubles = (ctypes.c_double * len(values)).from_buffer(values)
-            written = self._position_lines(doubles, count, n, tick, joined, ends, out)
-            return None if written < 0 else ctypes.string_at(out, written)
+            if out is None or len(out) < size:
+                out = bytearray(size)
+                buffer = (ctypes.c_char * size).from_buffer(out)
+            offset = tick * n * _DOUBLE_BYTES
+            values = (ctypes.c_double * (count * n)).from_buffer(snapshots, offset)
+            written = self._position_lines(values, count, n, tick, joined, ends, buffer)
+            return None if written < 0 else memoryview(out)[:written]
 
         return lines
 

@@ -20,6 +20,7 @@ run and win_counts to simulate_from, which is always the Python loop.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -351,11 +352,18 @@ def _finish_order(state: RaceState, config: RaceConfig) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Completed race record.  ticks is None when snapshots were not kept."""
+    """Completed race record.
+
+    snapshots holds the positions after each tick, tick 0 (the start line)
+    first: n_competitors floats per tick, one flat array("d") from the race
+    to trajectory.csv.  It is None when snapshots were not kept, and must
+    not be changed after finalize_trajectory: ticks, which gives the same
+    positions as one tuple per tick, is cached from it.
+    """
 
     competitor_ids: tuple[str, ...]
     dt: float
-    ticks: tuple[tuple[float, ...], ...] | None
+    snapshots: array | None
     finish_ticks: tuple[int, ...]
     finish_order: tuple[str, ...]
     final_positions: tuple[float, ...]
@@ -369,17 +377,28 @@ class Trajectory:
     def winner(self) -> str:
         return self.finish_order[0]
 
+    @cached_property
+    def ticks(self) -> tuple[tuple[float, ...], ...] | None:
+        """The snapshots as one tuple of positions per tick, or None."""
+        if self.snapshots is None:
+            return None
+        return tuple(_rows(self.snapshots, len(self.competitor_ids)))
+
 
 def finalize_trajectory(
-    state: RaceState, config: RaceConfig, snapshots: list[tuple[float, ...]] | None
+    state: RaceState, config: RaceConfig, snapshots: array | None
 ) -> Trajectory:
-    """Build the immutable race record from a fully finished state."""
+    """Build the immutable race record from a fully finished state.
+
+    snapshots is the race's flat array of positions per tick (see
+    Trajectory), kept as it is, or None.
+    """
     order = _finish_order(state, config)
     ids = config.competitor_ids
     return Trajectory(
         competitor_ids=ids,
         dt=config.dt,
-        ticks=tuple(snapshots) if snapshots is not None else None,
+        snapshots=snapshots,
         finish_ticks=tuple(state.finish_ticks),  # type: ignore[arg-type]
         finish_order=tuple(ids[c] for c in order),
         final_positions=tuple(state.positions),
@@ -403,14 +422,14 @@ def load_kernel():
 
 def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed."""
-    snapshots = [(0.0,) * config.n_competitors] if record else None
+    snapshots = array("d", [0.0]) * config.n_competitors if record else None
     kernel = load_kernel()
     rng = make_rng(seed)
     state = initial_state(config, rng)
     if kernel is None:
         for _ in race_ticks(config, state, rng, config.tick_limit):
             if record:
-                snapshots.append(tuple(state.positions))
+                snapshots.extend(state.positions)
     else:
         kernel.run(
             config._runners, config.track_length, state, rng.getstate()[1], config.tick_limit,

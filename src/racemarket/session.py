@@ -17,6 +17,7 @@ SessionResult.sentiment_rows expands them to one row per competitor.
 """
 
 import heapq
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,7 +165,7 @@ class _Session:
         self.next_wake = next(self.wakes, None)
         self.state = initial_state(self.race_cfg, self.rng_race)
         self.histories: list[list[float]] = [[] for _ in range(self.n)]
-        self.snapshots: list[tuple[float, ...]] = [tuple(self.state.positions)]
+        self.snapshots = array("d", self.state.positions)
         self.events: list[dict] = []
         self._obs_cache: tuple[tuple, tuple, tuple] | None = None
         # each competitor's last grid payload row, with the book's GridRow it was built from
@@ -264,7 +265,7 @@ class _Session:
         for ran in race_ticks(race_cfg, self.state, self.rng_race, race_cfg.tick_limit):
             self._obs_cache = None
             time = cfg.opening_period + self.state.tick * race_cfg.dt
-            self.snapshots.append(tuple(self.state.positions))
+            self.snapshots.extend(self.state.positions)
             for c in ran:
                 self.histories[c].append(self.state.prev_steps[c])
             self.emit(time, "race_tick", self.state.tick, list(self.state.positions))

@@ -24,7 +24,10 @@ int or float subclass or its keys in another order, and the kinds without
 a template (close and settle, one each per session).  The CSV lines need
 no such fallback for their fields, as `csv` quotes an id alike wherever it
 stands and never quotes a float's repr; a `trajectory.csv` chunk holding a
-position the kernel's digit loop does not write is written by repr.
+position the kernel's digit loop does not write is written by repr.  The
+kernel reads `trajectory.csv`'s positions in place from the trajectory's
+flat `snapshots` array and writes each chunk into one reused buffer, so no
+position becomes a Python float on the way.
 `tests/test_writers.py` holds `csv.writer` and `JSONEncoder` as the byte
 oracles of both.
 """
@@ -95,27 +98,31 @@ def _csv_field(value: str) -> str:
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """tick,competitor_id,position with one row per tick per competitor.
 
-    With the race kernel a chunk's lines are written in C; a chunk holding a
-    position the kernel refuses, and every chunk without a kernel, is
-    written by the f-string loop, which is the reference.
+    With the race kernel a chunk's lines are written in C, straight from
+    traj.snapshots; a chunk holding a position the kernel refuses, and
+    every chunk without a kernel, is written by the f-string loop, which
+    is the reference.
     """
-    if traj.ticks is None:
+    values, n = traj.snapshots, len(traj.competitor_ids)
+    if values is None:
         raise ValueError("trajectory was recorded without per-tick snapshots")
+    if not n or len(values) % n:
+        raise ValueError(f"{len(values)} snapshot positions are not whole ticks of {n}")
     prefixes = [f",{_csv_field(cid)}," for cid in traj.competitor_ids]
     kernel = load_kernel()
-    lines = None if kernel is None else kernel.position_lines(prefixes)
-    step = max(1, _CHUNK_LINES // len(prefixes))  # ticks per chunk
+    lines = None if kernel is None else kernel.position_lines(prefixes, values)
+    ticks, step = len(values) // n, max(1, _CHUNK_LINES // n)  # step: ticks per chunk
     with open(path, "wb") as fh:
         fh.write(b"tick,competitor_id,position\r\n")
-        for start in range(0, len(traj.ticks), step):
-            rows = traj.ticks[start : start + step]
-            chunk = None if lines is None else lines(rows, start)
+        for start in range(0, ticks, step):
+            stop = min(start + step, ticks)
+            chunk = None if lines is None else lines(start, stop - start)
             if chunk is None:
                 chunk = "".join(
                     [
                         f"{tick}{prefix}{pos!r}\r\n"
-                        for tick, row in enumerate(rows, start)
-                        for prefix, pos in zip(prefixes, row)
+                        for tick in range(start, stop)
+                        for prefix, pos in zip(prefixes, values[tick * n : (tick + 1) * n])
                     ]
                 ).encode()
             fh.write(chunk)

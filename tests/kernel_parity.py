@@ -15,9 +15,12 @@ Each case also runs the three under tick limits that stop a race short of
 its finish (a batch chunk's, mid-group where its runs' lengths allow) and
 with a competitor added whose lognormal draws overflow now and then, and
 compares the errors, messages (with the finished count) and the runs done
-before them.  Last, rm_position_lines, which writes trajectory.csv's lines,
-is checked against float.__repr__ on random bit patterns across its range
-and just outside it, and on edge values.
+before them.  Last, rm_position_lines, which writes trajectory.csv's lines
+straight from a snapshots array, is checked against float.__repr__ on random
+bit patterns across its range and just outside it, on uniform positions in
+[0, 3000], and on edge values, among them those whose digits end on either
+side of the decimal point, where its digit loop turns from division to
+shifts.
 It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
@@ -31,6 +34,7 @@ import math
 import random
 import struct
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -252,12 +256,20 @@ def edge_positions() -> list[float]:
     values += [float(k) for k in range(1001)] + [POSITION_BOUND - k for k in range(1, 100)]
     for q in (8, 10, 1000):
         values += [k / q for k in range(1, 20 * q + 1)]
+    # digits that end at the last integer digit or the first fraction digit,
+    # on either side of the loop's handoff from division to shifts
+    for j in range(16):
+        p = 10.0**j
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    values += [k + 0.5 for k in range(1001)] + [2.0**52 - 0.5, 2.0**52 + 0.5]
+    values += [999.9999999999999, 9999.999999999998]
     return values
 
 
 def random_positions(rng: random.Random, count: int) -> list[float]:
     """count floats from uniform bit patterns over the range and one binade
-    either side of it, a sixteenth of them negated."""
+    either side of it, a sixteenth of them negated, then count // 2 more
+    uniform in [0, 3000], where a race's positions lie."""
     def bits(x: float) -> int:
         return struct.unpack("<q", struct.pack("<d", x))[0]
 
@@ -266,22 +278,33 @@ def random_positions(rng: random.Random, count: int) -> list[float]:
     for _ in range(count):
         x = struct.unpack("<d", struct.pack("<q", rng.randrange(lo, hi)))[0]
         values.append(-x if rng.random() < 1 / 16 else x)
-    return values
+    return values + [rng.uniform(0.0, 3000.0) for _ in range(count // 2)]
 
 
 def repr_differences(values: list[float]) -> list[str]:
     """Where rm_position_lines parts from float.__repr__ on values: a line
-    that is not f"{tick},{x!r}\\r\\n", or a value outside the range it wrote."""
-    lines = _kernel.load().position_lines([","])
+    that is not f"{tick},{x!r}\\r\\n", or a value outside the range it wrote.
+
+    The values in the range are one snapshots array of one competitor,
+    written in chunks of 4096 ticks; each value outside is its own.
+    """
+    kernel = _kernel.load()
     outside = [x for x in values if not writable(x)]
-    problems = [f"wrote {x!r}, outside its range" for x in outside if lines([(x,)], 0) is not None]
-    inside = [x for x in values if writable(x)]
+    problems = [
+        f"wrote {x!r}, outside its range"
+        for x in outside
+        if kernel.position_lines([","], array("d", [x]))(0, 1) is not None
+    ]
+    inside = array("d", [x for x in values if writable(x)])
+    lines = kernel.position_lines([","], inside)
     for start in range(0, len(inside), 4096):
         chunk = inside[start : start + 4096]
-        got = lines([(x,) for x in chunk], start)
+        got = lines(start, len(chunk))
         want = [f"{tick},{x!r}" for tick, x in enumerate(chunk, start)]
         if got != "".join(w + "\r\n" for w in want).encode():
-            written = [None] * len(want) if got is None else got.decode().split("\r\n")
+            written = [None] * len(want)
+            if got is not None:  # a wrong digit can be any byte
+                written = bytes(got).decode(errors="replace").split("\r\n")
             x, g, w = next((x, g, w) for x, g, w in zip(chunk, written, want) if g != w)
             problems.append(f"{x!r} written as {g!r}, not {w!r}")
     return problems

@@ -9,6 +9,7 @@ import tempfile
 import threading
 import time
 import warnings
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -206,3 +207,8 @@ def test_the_kernel_refuses_buffers_of_the_wrong_size():
         kernel.run(((*runners[0], 0.0), runners[1]), 50.0, state, words, 100, None)
     with pytest.raises(ValueError, match="a generator state is 625 32-bit words"):
         kernel.run(runners, 50.0, state, words[:-1], 100, None)
+    # position_lines reads a trajectory's snapshots in place
+    with pytest.raises(TypeError, match="an array of doubles"):
+        kernel.position_lines([",c1,"], array("f", [1.0]))
+    with pytest.raises(ValueError, match="Buffer size too small"):
+        kernel.position_lines([",c1,"], array("d", [1.0]))(1, 1)

@@ -36,6 +36,7 @@ from kernel_parity import (
     differences,
     mid_race,
 )
+from racemarket import _kernel
 from racemarket.agents import rp_predict
 from racemarket.batch import CHUNK_RUNS, BatchConfig, _race_chunk, resize_race, run_batch
 from racemarket.config import parse_config
@@ -408,6 +409,22 @@ def test_kernel_field_sizes(n):
     config = resize_race(derby_race(), n)
     for seed in (3, 2**40 + 7):
         assert differences(config, seed, 40) == []
+
+
+def test_snapshots_across_buffer_refills_equal_python_loop():
+    # the kernel hands positions back one buffer of _SNAPSHOT_DOUBLES // n
+    # ticks at a time; a long race of 300 runners refills it at least thrice
+    n = 300
+    race = resize_race(derby_race(), n)
+    config = replace(race, track_length=1.5 * race.track_length)
+    kernel, loop = both_ways(lambda: run_race(config, 11))
+    assert kernel == loop
+    traj = run_race(config, 11)
+    assert len(traj.snapshots) > 3 * (_kernel._SNAPSHOT_DOUBLES // n) * n
+    rows = [tuple(traj.snapshots[k : k + n]) for k in range(0, len(traj.snapshots), n)]
+    assert traj.ticks == tuple(rows)
+    assert traj.ticks is traj.ticks
+    assert both_ways(lambda: run_race(config, 11, record=False).ticks) == ("None", "None")
 
 
 def test_kernel_lognormal_without_spread():

@@ -5,8 +5,10 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 from enum import IntEnum
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -56,15 +58,14 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def reference_trajectory_csv(path, traj):
-    """trajectory.csv through csv.writer: the bytes the fast writer must match."""
+def reference_trajectory_csv(path, ids, ticks):
+    """trajectory.csv of rows of positions through csv.writer: the bytes the
+    fast writer must match."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["tick", "competitor_id", "position"])
         w.writerows(
-            (tick, cid, repr(pos))
-            for tick, row in enumerate(traj.ticks)
-            for cid, pos in zip(traj.competitor_ids, row)
+            (tick, cid, repr(pos)) for tick, row in enumerate(ticks) for cid, pos in zip(ids, row)
         )
 
 
@@ -76,12 +77,18 @@ def reference_sentiment_csv(path, rows):
         w.writerows((repr(float(t)), b, cid, repr(float(o))) for t, b, cid, o in rows)
 
 
+def trajectory_of(ticks, ids=AWKWARD_IDS):
+    """A Trajectory whose snapshots hold ticks, rows of one position per id."""
+    n = len(ids)
+    snapshots = array("d", chain.from_iterable(ticks))
+    return Trajectory(ids, 1.0, snapshots, (len(ticks) - 1,) * n, ids, ticks[-1], 0)
+
+
 def assert_trajectory_csv_matches(directory, ticks, ids=AWKWARD_IDS):
     """write_trajectory_csv with the kernel and on the Python loop, each
-    byte for byte with csv.writer and repr."""
-    n = len(ids)
-    traj = Trajectory(ids, 1.0, ticks, (len(ticks) - 1,) * n, ids, ticks[-1], 0)
-    reference_trajectory_csv(directory / "ref.csv", traj)
+    byte for byte with csv.writer and repr of the rows."""
+    traj = trajectory_of(ticks, ids)
+    reference_trajectory_csv(directory / "ref.csv", ids, ticks)
     expected = (directory / "ref.csv").read_bytes()
     write_trajectory_csv(directory / "kernel.csv", traj)
     with python_loop():
@@ -111,20 +118,19 @@ def test_trajectory_csv_chunks_the_kernel_refuses_fall_back(tmp_path, monkeypatc
         for _ in range(3 * per_chunk + 5)  # three whole chunks and part of a fourth
     ]
     ticks[0] = (0.0,) * n
-    # chunk 1 holds refused values and chunk 3 a row one value short, which
-    # both writers cut as zip does; chunks 0 and 2 go through the kernel
+    # chunk 1 holds refused values; chunks 0, 2 and the short chunk 3 go
+    # through the kernel, each read at its own offset of the snapshots
     for k, x in enumerate(REFUSED):
         tick = per_chunk + 2 * k
         ticks[tick] = (*ticks[tick][:k], x, *ticks[tick][k + 1 :])
-    ticks[3 * per_chunk + 2] = ticks[3 * per_chunk + 2][:-1]
     written = []
     position_lines = _kernel.Kernel.position_lines
 
-    def spied(self, prefixes):
-        lines = position_lines(self, prefixes)
+    def spied(self, prefixes, snapshots):
+        lines = position_lines(self, prefixes, snapshots)
 
-        def recorded(rows, tick):
-            chunk = lines(rows, tick)
+        def recorded(tick, count):
+            chunk = lines(tick, count)
             written.append(chunk is not None)
             return chunk
 
@@ -133,7 +139,19 @@ def test_trajectory_csv_chunks_the_kernel_refuses_fall_back(tmp_path, monkeypatc
     monkeypatch.setattr(_kernel.Kernel, "position_lines", spied)
     assert_trajectory_csv_matches(tmp_path, tuple(ticks))
     if _kernel.load() is not None:
-        assert written == [True, False, True, False]
+        assert written == [True, False, True, True]
+
+
+def test_trajectory_csv_refuses_snapshots_that_are_not_whole_ticks(tmp_path):
+    ticks = ((0.0, 0.0), (1.5, 2.5))
+    traj = replace(trajectory_of(ticks, ("c1", "c2")), snapshots=array("d", [0.0, 0.0, 1.5]))
+    for loop in (False, True):
+        with pytest.raises(ValueError, match="not whole ticks of 2"):
+            if loop:
+                with python_loop():
+                    write_trajectory_csv(tmp_path / "loop.csv", traj)
+            else:
+                write_trajectory_csv(tmp_path / "kernel.csv", traj)
 
 
 @settings(max_examples=200, deadline=None)
