@@ -16,10 +16,12 @@
  * its own seed, from race.initial_state (a batch's runs) or from one given
  * state (a prediction's dry runs), and rm_run_seeds derives a batch's run
  * seeds.  A fourth, rm_position_lines, writes trajectory.csv's lines, each
- * position as repr writes it, by an exact shortest-digit loop over 0.0 and
- * [2**-6, 2**53): division for the integer digits, then, after one exact
- * division by 10**k, a shift per fraction digit (see repr_double).  It
+ * position as repr writes it, over 0.0 and [2**-6, 2**53): one exact
+ * scaled product, in 128 bits from 32-bit halves, gives the position's 17
+ * significant digits and its rounding bounds, and trailing digits are taken
+ * off while a shorter number stays within them (see repr_double).  It
  * refuses any other value, and the writer then writes that chunk by repr.
+ * The source is strict C99: no 128-bit integer or other extension.
  * It reads the positions in place from a trajectory's snapshots array.
  * None keeps state between calls, so calls may run on several threads at
  * once.
@@ -478,43 +480,61 @@ out:
  * length, at most REPR_MAX, or 0 for any other x (-0.0, negatives,
  * subnormals, below 2**-6, 2**53 and up, nan, inf), which is not written.
  *
- * The digits are the shortest that read back as x, by Burger & Dybvig's
- * free-format loop (Steele & White's dragon4) in exact integers: x is r / s,
- * and the halfway points to its neighbours are x - mm / s and x + mp / s,
- * which read back as x when m is even.  Of the two shortest candidates d and
- * d + 1 in the last place, the nearer is kept, and the even one on a tie, as
- * CPython's dtoa.c mode 0 keeps it.  In this range x = m * 2**e with
- * m < 2**53 and -58 <= e <= 0, so s <= 2**60 and every sum and product below
- * stays under 10 * 2**60 < 2**64.  (Here x's own digits end no further
- * out than a bound's, so neither the inclusive bounds nor the power of two's
- * nearer lower bound ever changes a digit; they keep the loop exact beyond
- * this range.)  repr writes such an x in fixed notation, with ".0" after an
- * integral value.
- *
- * The loop runs in two phases.  Scaling starts from s = 2**b.  Where x has
- * k > 0 integer digits it leaves s = 2**b * 10**k, and those k digits are
- * found by division (otherwise it scales r, mp and mm, and s stays 2**b).
- * After them r, mp, mm and s are all multiples of 10**k: s by construction,
- * mp and mm as they were multiplied by 10 once per digit, and r because
- * digit j leaves it a multiple of 10**j (10 times the last r, less a
- * multiple of s).  Dividing the four by 10**k is exact and keeps every
- * comparison, and leaves s = 2**b, so each digit after the decimal point is
- * r >> b and the remainder r & (s - 1). */
-enum { REPR_MAX = 20 };
+ * The digits are the shortest that read back as x, and of those the nearest
+ * to x, the even one on a tie, as CPython's dtoa.c mode 0 writes them.  They
+ * come from exact scaled integers, as in Ryu (Adams, PLDI 2018) but with no
+ * table of approximations.  x = m * 2**e with 2**52 <= m < 2**53 and
+ * -58 <= e <= 0; the halfway points to its neighbours are (4m + 2) * 2**(e-2)
+ * and (4m - 2) * 2**(e-2), or (4m - 1) * 2**(e-2) below a power of two, and
+ * they read back as x when m is even.  With k integer digits in x
+ * (10**(k-1) <= x < 10**k, -1 <= k <= 16), 4m and the two bounds are each
+ * multiplied once by 10**(17 - k) and shifted right by 2 - e: v, the
+ * integer part of x * 10**(17 - k), has 17 digits, and vp and vm are the
+ * largest and smallest integers between the scaled bounds.  As 4m < 2**55
+ * and 10**(17 - k) <= 10**18 < 2**60, each product fits in 128 bits and each
+ * result in 64, and the bits shifted out are kept, so every comparison is
+ * exact.
+ * The scaled bounds lie 0.55 to 11.1 from the scaled x, so vp - vm <= 22
+ * and [vm, vp] holds at most one multiple of 100.  When it holds one, that
+ * is the only candidate with 15 digits or fewer, and so the shortest: its
+ * trailing zeros come off and no digit is rounded.  Otherwise, when a
+ * multiple of 10 lies in [vm, vp], one digit is taken off v and vm; then v
+ * is rounded to the nearest by what was taken off (that digit, then the
+ * bits shifted out), the even on a tie.  That nearest is between the bounds
+ * (v + 1 is kept where v is below them, which only a power of two's nearer
+ * lower bound could cause).  In this range a bound's digits end further
+ * out than x's, and a power of two's digits within 17, so neither the
+ * inclusive bounds nor that nearer lower bound ever changes a digit; they
+ * keep the rule exact beyond it.  repr writes such an x in fixed notation,
+ * with ".0" after an integral value. */
+enum { REPR_MAX = 20, REPR_DIGITS = 17 };
 
-/* Whether digit *d, with remainder r, is the last: when d or d + 1 reads
- * back as x; *d then becomes the one of the two repr keeps.  even is 1 when
- * x's mantissa is even, which makes both bounds inclusive. */
-static inline int last_digit(uint64_t r, uint64_t s, uint64_t mp, uint64_t mm, uint64_t even,
-                             int *d)
+static const uint64_t POW10[REPR_DIGITS + 2] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+};
+
+/* "00" to "99": digits are written two at a time */
+static const char DIGIT_PAIRS[] = "0001020304050607080910111213141516171819"
+                                  "2021222324252627282930313233343536373839"
+                                  "4041424344454647484950515253545556575859"
+                                  "6061626364656667686970717273747576777879"
+                                  "8081828384858687888990919293949596979899";
+
+/* a * b >> shift for 2 <= shift <= 60, the product below 2**(64 + shift),
+ * from 32-bit halves, as C99 has no 128-bit integer; *rem gets the bits
+ * shifted out. */
+static uint64_t mul_shift(uint64_t a, uint64_t b, int shift, uint64_t *rem)
 {
-    int low = r < mm + even;     /* d reads back as x */
-    int high = r + mp + even > s; /* so does d + 1 */
-    if (!low && !high)
-        return 0;
-    if (!low || (high && (2 * r > s || (2 * r == s && *d % 2))))
-        ++*d;
-    return 1;
+    uint64_t a0 = a & 0xFFFFFFFFU, a1 = a >> 32, b0 = b & 0xFFFFFFFFU, b1 = b >> 32;
+    uint64_t low = a0 * b0, cross1 = a1 * b0, cross0 = a0 * b1;
+    uint64_t mid = (low >> 32) + (cross1 & 0xFFFFFFFFU) + (cross0 & 0xFFFFFFFFU);
+    uint64_t high = a1 * b1 + (cross1 >> 32) + (cross0 >> 32) + (mid >> 32);
+    uint64_t lo = mid << 32 | (low & 0xFFFFFFFFU);
+    *rem = lo & ((1ULL << shift) - 1);
+    return high << (64 - shift) | lo >> shift;
 }
 
 static int repr_double(double x, char *out)
@@ -530,51 +550,50 @@ static int repr_double(double x, char *out)
     if (biased < 1017 || biased > 1075)
         return 0;
     uint64_t m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
-    int e = biased - 1075;
-    /* a power of two is twice as far from its upper neighbour as from its lower */
-    int lopsided = m == 1ULL << 52, b = 1 + lopsided - e;
-    uint64_t r = m << (1 + lopsided), s = 1ULL << b, mp = 1ULL + lopsided, mm = 1;
-    uint64_t even = (m & 1) == 0;
-    int k = 0;
-    /* scale so that 10**(k - 1) <= the upper bound < 10**k (<= when even) */
-    while (r + mp + even > s) {
-        s *= 10;
+    int e = biased - 1075, shift = 2 - e;
+    /* x's integer digits, estimated as those of 2**(52 + e), the least value
+     * of its binade: floor((52 + e) * log10(2)) + 1, with 1233 / 4096 for
+     * log10(2), exact for -6 <= 52 + e <= 52; the 8192 (2 * 4096, taken off
+     * again) keeps the dividend positive, as C rounds a quotient toward 0 */
+    int k = ((52 + e) * 1233 + 8192) / 4096 - 1;
+    uint64_t rem, v = mul_shift(4 * m, POW10[REPR_DIGITS - k], shift, &rem);
+    if (v >= POW10[REPR_DIGITS]) { /* x >= 10**k: one integer digit more */
         k++;
+        v = mul_shift(4 * m, POW10[REPR_DIGITS - k], shift, &rem);
     }
-    while ((r + mp) * 10 + even <= s) {
-        r *= 10;
-        mp *= 10;
-        mm *= 10;
-        k--;
+    uint64_t lopsided = m == 1ULL << 52, even = (m & 1) == 0, rp, rm;
+    uint64_t vp = mul_shift(4 * m + 2, POW10[REPR_DIGITS - k], shift, &rp);
+    uint64_t vm = mul_shift(4 * m - 2 + lopsided, POW10[REPR_DIGITS - k], shift, &rm);
+    vp -= rp == 0 && !even; /* a bound itself reads back as x only for an even m */
+    vm += rm != 0 || !even;
+    int nd = REPR_DIGITS;
+    if (vp / 100 * 100 >= vm) { /* the one multiple of 100 in [vm, vp] */
+        v = vp / 100;
+        for (nd -= 2; v % 10 == 0; nd--)
+            v /= 10;
+    } else {
+        /* the digit below v's last, from the bits shifted out, and whether
+         * any nonzero digit follows it */
+        int below = (int)(rem * 10 >> shift), more = (rem * 10 & ((1ULL << shift) - 1)) != 0;
+        if (vp / 10 * 10 >= vm) { /* a multiple of 10 in [vm, vp] */
+            more |= below != 0;
+            below = (int)(v % 10);
+            v /= 10;
+            vm = (vm + 9) / 10;
+            nd--;
+        }
+        v += v < vm || below > 5 || (below == 5 && (more || v % 2));
     }
-    char digits[REPR_MAX];
-    int nd = 0, last = 0;
-    while (nd < k && !last) { /* the integer digits: s = 2**b * 10**k */
-        r *= 10;
-        mp *= 10;
-        mm *= 10;
-        int d = (int)(r / s);
-        r %= s;
-        last = last_digit(r, s, mp, mm, even, &d);
-        digits[nd++] = (char)('0' + d);
-    }
-    if (!last && k > 0) {
-        uint64_t scale = s >> b; /* 10**k */
-        r /= scale;
-        mp /= scale;
-        mm /= scale;
-        s = 1ULL << b;
-    }
-    while (!last) { /* the fraction digits: s = 2**b */
-        r *= 10;
-        mp *= 10;
-        mm *= 10;
-        int d = (int)(r >> b);
-        r &= s - 1;
-        last = last_digit(r, s, mp, mm, even, &d);
-        digits[nd++] = (char)('0' + d);
-    }
-    /* x = 0.digits * 10**k, and -1 <= k <= 16 here */
+    /* v has nd digits, the last not a 0 (a multiple of 10 would have been
+     * taken off), and v + 1 never reaches 10**nd, as no power of ten lies
+     * between an x here and its upper bound */
+    char digits[REPR_DIGITS];
+    int i = nd;
+    for (; i > 1; i -= 2, v /= 100)
+        memcpy(digits + i - 2, DIGIT_PAIRS + 2 * (v % 100), 2);
+    if (i)
+        digits[0] = (char)('0' + v);
+    /* x = 0.digits * 10**k */
     char *p = out;
     if (k <= 0) {
         *p++ = '0';

@@ -12,21 +12,24 @@ one event per line.
 The three large files, `events.jsonl`, `trajectory.csv` and
 `sentiment.csv`, are written as preformatted lines under one rule: each
 distinct string is encoded once (quoted as `csv` would quote it, or
-JSON-encoded), floats are written by repr, or by the kernel's digit loop,
-which equals it, and lines are joined into bounded chunks before each
-write.  An event line is one %-format of its kind's template, built once
-from `session.EVENT_FIELDS`.  A session's grid snapshots share the row of
-a competitor whose book did not change, so each grid row's JSON is
-memoised by the row's identity for one `write_events_jsonl` call, as the
-strings are by value.  An event the template would not write byte for
-byte goes through the encoder: one with a bool, a non-finite float, an
-int or float subclass or its keys in another order, and the kinds without
-a template (close and settle, one each per session).  The CSV lines need
-no such fallback for their fields, as `csv` quotes an id alike wherever it
-stands and never quotes a float's repr; a `trajectory.csv` chunk holding a
-position the kernel's digit loop does not write is written by repr.  The
-kernel reads `trajectory.csv`'s positions in place from the trajectory's
-flat `snapshots` array and writes each chunk into one reused buffer, so no
+JSON-encoded), floats are written by repr, or by the kernel's digit
+routine, which equals it (one exact scaled product per position gives its
+17 significant digits, and trailing digits are taken off while a shorter
+number still reads back as the position), and lines are joined into
+bounded chunks before each write.  An event line is one %-format of its
+kind's template, built once from `session.EVENT_FIELDS`.  A session's grid
+snapshots share the row of a competitor whose book did not change, so each
+grid row's JSON is memoised by the row's identity for one
+`write_events_jsonl` call, as the strings are by value.  An event the
+template would not write byte for byte goes through the encoder: one with
+a bool, a non-finite float, an int or float subclass or its keys in
+another order, and the kinds without a template (close and settle, one
+each per session).  The CSV lines need no such fallback for their fields,
+as `csv` quotes an id alike wherever it stands and never quotes a float's
+repr; a `trajectory.csv` chunk holding a position the kernel's digit
+routine does not write is written by repr.  The kernel reads
+`trajectory.csv`'s positions in place from the trajectory's flat
+`snapshots` array and writes each chunk into one reused buffer, so no
 position becomes a Python float on the way.
 `tests/test_writers.py` holds `csv.writer` and `JSONEncoder` as the byte
 oracles of both.

@@ -18,9 +18,9 @@ compares the errors, messages (with the finished count) and the runs done
 before them.  Last, rm_position_lines, which writes trajectory.csv's lines
 straight from a snapshots array, is checked against float.__repr__ on random
 bit patterns across its range and just outside it, on uniform positions in
-[0, 3000], and on edge values, among them those whose digits end on either
-side of the decimal point, where its digit loop turns from division to
-shifts.
+[0, 3000], and on edge values, among them those on either side of a power
+of ten, where its estimate of the integer digits is corrected, and ties
+between two shortest candidates.
 It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
@@ -247,22 +247,27 @@ def writable(x: float) -> bool:
 
 
 def edge_positions() -> list[float]:
-    """Values on and around the edges of the digit loop and of its range."""
+    """Values on and around the edges of the digit routine and of its range."""
     values = [0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16, 1e300]
     values += [math.nan, -math.nan, math.inf, -math.inf]
+    # each binade's first value, whose integer digits the routine estimates,
+    # and the doubles on either side of each power of ten, where the estimate
+    # of a binade holding one is one digit short and corrected
     edges = [2.0**e for e in range(-8, 56)] + [float(f"1e{k}") for k in range(-3, 18)]
     for p in edges:
         values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
     values += [float(k) for k in range(1001)] + [POSITION_BOUND - k for k in range(1, 100)]
     for q in (8, 10, 1000):
         values += [k / q for k in range(1, 20 * q + 1)]
-    # digits that end at the last integer digit or the first fraction digit,
-    # on either side of the loop's handoff from division to shifts
-    for j in range(16):
-        p = 10.0**j
-        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # digits that end at the last integer digit or the first fraction digit
     values += [k + 0.5 for k in range(1001)] + [2.0**52 - 0.5, 2.0**52 + 0.5]
     values += [999.9999999999999, 9999.999999999998]
+    # bounds that scale to exact integers: halves from 2**51 (even mantissas
+    # for the integers, odd for the rest) and integers from 2**52 (both)
+    values += [2.0**51 + k / 2 for k in range(64)] + [2.0**52 + k for k in range(64)]
+    # quarters from 2**50 have 18 digits, the last a 5: ties between the two
+    # 17-digit neighbours, which repr breaks to the even one
+    values += [2.0**50 + k / 4 for k in range(1, 64, 2)]
     return values
 
 
