@@ -46,6 +46,16 @@ AWKWARD_SESSION_DIGESTS = {
     "sentiment.csv": "c666e737ec65f2bce90c35c86784b5ed42702c8e44da4b577bb67868fe40dd41",
     "trajectory.csv": "cbb16161ef10732dca005f7a6af825f92413a3f7b619c885643ae7efdb98a2c3",
 }
+# `racemarket session --sentiment` on perfbench's crowd_session config: derby.json
+# on a 4000-unit track with 100 agents that wake every 2 s.
+CROWD_AGENTS = (("linex", 20), ("lw", 20), ("ud", 10), ("btf", 20), ("zi", 30))
+CROWD_SESSION_DIGESTS = {
+    "events.jsonl": "d10d527c27dd33ec575344481dd12031d069100d1da1234314fac1428f210ebc",
+    "trajectory.csv": "2eb01af135dfa63e98f0b7a3d6573924740f5e833872641c8f546c24b3f3c465",
+    "finish.csv": "2a8a8ea613ebb8af2584683f4755dc27c8945c611807769b6c3e295c62f92c64",
+    "settlement.csv": "612f0fb5dd3ccd44e2d7cfe9bfc4d5ca303bd70cfb7ab12811464d3b0cd00a78",
+    "sentiment.csv": "732c6e5b08ad328787cd0a070553abf1e5e29b3adfc7a24e67c7e8e51f9a7e16",
+}
 BATCH_RACES = 200
 BATCH_RESULTS = "0e0dbcf6a46c154da6762d013c3be47349651435d288264fe92429f341acc777"
 DERBY_CONFIG_DIGEST = "33578ea444e2550ecaf106e26e388f69e82e6d8f57fab051094c49e71ee77bee"
@@ -132,6 +142,32 @@ def test_awkward_ids_session_outputs(tmp_path, capsys):
     assert code == 0
     got = {name: sha256((out / name).read_bytes()) for name in AWKWARD_SESSION_DIGESTS}
     assert got == AWKWARD_SESSION_DIGESTS
+
+
+def test_crowd_session_outputs(tmp_path, capsys):
+    cfg = derby()
+    groups = {g.strategy: g for g in cfg.session.agents}
+    agents = tuple(
+        replace(groups[strategy], count=count, reevaluate_every=2.0, wake_jitter=2.0)
+        for strategy, count in CROWD_AGENTS
+    )
+    crowd = replace(
+        cfg,
+        race=replace(cfg.race, track_length=4000.0),
+        session=replace(cfg.session, agents=agents),
+    )
+    path = tmp_path / "crowd.json"
+    path.write_text(json.dumps(config_to_dict(crowd)))
+    out = tmp_path / "out"
+    code = cli_main(["session", "--sentiment", "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    got = {name: sha256((out / name).read_bytes()) for name in CROWD_SESSION_DIGESTS}
+    assert got == CROWD_SESSION_DIGESTS
+
+
+def test_crowd_session_outputs_on_the_python_loop(python_loop, tmp_path, capsys):
+    test_crowd_session_outputs(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
