@@ -23,7 +23,9 @@ Strategies:
          level, and stake.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exchange import (
     BACK,
@@ -32,6 +34,7 @@ from .exchange import (
     MIN_ODDS,
     GridRow,
     Money,
+    OpenBet,
     escrow,
     ladder_band,
     odds_to_decimal,
@@ -104,20 +107,7 @@ class AgentParams(Checked):
             raise AgentConfigError("starting_balance", f"must be >= 0, got {self.starting_balance}")
 
 
-@dataclass(frozen=True)
-class OpenBet:
-    """An own bet with unmatched volume, as shown to its owner."""
-
-    bet_id: int
-    competitor_id: str
-    side: str
-    odds: int
-    unmatched: Money
-    arrival_time: float
-
-
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Immutable market and race snapshot served to an agent on wake."""
 
     time: float
@@ -130,16 +120,14 @@ class Observation:
     balance: Money
 
 
-@dataclass(frozen=True)
-class PlaceOrder:
+class PlaceOrder(NamedTuple):
     competitor_id: str
     side: str
     odds: int
     stake: Money
 
 
-@dataclass(frozen=True)
-class CancelOrder:
+class CancelOrder(NamedTuple):
     bet_id: int
 
 
@@ -162,8 +150,9 @@ def rp_predict(state: RaceState, config: RaceConfig, d: int, rng) -> tuple[float
     return tuple((w + 1) / (d + n) for w in wins)
 
 
+@functools.cache
 def _uniform(n: int) -> tuple[float, ...]:
-    """The uniform prior over n competitors."""
+    """The uniform prior over n competitors, one tuple per n."""
     return tuple(1.0 / n for _ in range(n))
 
 
@@ -305,9 +294,9 @@ class Bettor:
     def _pick(self, probs: tuple[float, ...]) -> int:
         """Argmax competitor; exact ties broken uniformly at random."""
         best = max(probs)
+        if probs.count(best) == 1:
+            return probs.index(best)
         picks = [c for c, p in enumerate(probs) if p == best]
-        if len(picks) == 1:
-            return picks[0]
         return picks[self.rng.randrange(len(picks))]
 
     def _stake_minor(self) -> Money:
@@ -364,7 +353,7 @@ class LinExBettor(Bettor):
     strategy = "linex"
 
     def predict(self, obs: Observation) -> tuple[float, ...]:
-        if all(len(h) == 0 for h in obs.step_history):
+        if not any(obs.step_history):  # no tick has run
             return _uniform(self.race_config.n_competitors)
         window_ticks = max(1, round(self.params.window / self.race_config.dt))
         return linex_predict(

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .seeding import FieldError
 
@@ -199,8 +200,23 @@ class Bet:
     reserved: Money = 0
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class OpenBet(NamedTuple):
+    """An own bet with unmatched volume, as shown to its owner."""
+
+    bet_id: int
+    competitor_id: str
+    side: str
+    odds: int
+    unmatched: Money
+    arrival_time: float
+
+
+def _view(bet: Bet) -> OpenBet:
+    """bet as its owner sees it while it rests."""
+    return OpenBet(bet.bet_id, bet.competitor_id, bet.side, bet.odds, bet.unmatched, bet.arrival_time)
+
+
+class MatchRecord(NamedTuple):
     competitor_id: str
     odds: int
     amount: Money
@@ -210,14 +226,12 @@ class MatchRecord:
     lay_bettor: str
 
 
-@dataclass(frozen=True)
-class GridLevel:
+class GridLevel(NamedTuple):
     odds: int
     stake: Money
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     """Top-of-book view for one competitor.
 
     backs hold resting back bets, best level first for a would-be layer
@@ -272,11 +286,11 @@ class MarketBook:
         }
         # Views kept in step with _queues: the unmatched stake resting at each
         # level (held as the GridLevel the grid shows) and each bettor's open
-        # bets by id.
+        # bets by id, held as the OpenBet its owner is shown.
         self._totals: dict[str, dict[str, dict[int, GridLevel]]] = {
             cid: {BACK: {}, LAY: {}} for cid in ids
         }
-        self._open: dict[str, dict[int, Bet]] = {}
+        self._open: dict[str, dict[int, OpenBet]] = {}
         # market_grid's rows; a None row is rebuilt on demand
         self._rows: dict[str, GridRow | None] = dict.fromkeys(ids)
         self._next_id = 1
@@ -302,7 +316,15 @@ class MarketBook:
 
     def bets_of(self, bettor_id: str) -> list[Bet]:
         """A bettor's open bets (unmatched > 0), in arrival order."""
-        return list(self._open.get(bettor_id, {}).values())
+        return [self.bets[bet_id] for bet_id in self._open.get(bettor_id, ())]
+
+    def open_bets(self, bettor_id: str) -> tuple[OpenBet, ...]:
+        """A bettor's open bets as it is shown them, in arrival order.
+
+        The views are kept as bets rest, match, cancel and expire, so this
+        copies references and reads no bet.
+        """
+        return tuple(self._open[bettor_id].values())
 
     # -- order flow -------------------------------------------------------
 
@@ -340,17 +362,8 @@ class MarketBook:
         need = escrow(side, stake, odds)
         acct.reserve(need)
 
-        bet = Bet(
-            bet_id=self._next_id,
-            bettor_id=bettor_id,
-            competitor_id=competitor_id,
-            side=side,
-            odds=odds,
-            stake=stake,
-            arrival_time=time,
-            unmatched=stake,
-            reserved=need,
-        )
+        # matched 0, unmatched stake, reserved need
+        bet = Bet(self._next_id, bettor_id, competitor_id, side, odds, stake, time, 0, stake, need)
         self._next_id += 1
         self.bets[bet.bet_id] = bet
 
@@ -379,6 +392,8 @@ class MarketBook:
             if resting.unmatched == 0:
                 queue.popleft()
                 del self._open[resting.bettor_id][resting.bet_id]
+            else:  # only the last resting bet met can be left part-filled
+                self._open[resting.bettor_id][resting.bet_id] = _view(resting)
         if queue is not None:
             self._take(competitor_id, opp_side, odds, bet.matched)
         if bet.unmatched > 0:
@@ -407,8 +422,8 @@ class MarketBook:
     def _rest(self, bet: Bet) -> None:
         """Queue a bet's unmatched portion at its level and list it as open.
 
-        _rest and _take are the only writers of _totals, so each drops
-        the competitor's cached grid row.
+        _rest and _take are the only writers of _totals, so each checks
+        the competitor's cached grid row against the level it changed.
         """
         cid, side, odds = bet.competitor_id, bet.side, bet.odds
         levels = self._queues[cid][side]
@@ -419,8 +434,8 @@ class MarketBook:
         else:
             levels[odds] = deque((bet,))
             totals[odds] = GridLevel(odds, bet.unmatched)
-        self._open[bet.bettor_id][bet.bet_id] = bet
-        self._rows[cid] = None
+        self._open[bet.bettor_id][bet.bet_id] = _view(bet)
+        self._touch(cid, side, odds)
 
     def _take(self, cid: str, side: str, odds: int, amount: Money) -> None:
         """Lower a level's total by amount; drop the level once its queue is empty."""
@@ -431,6 +446,23 @@ class MarketBook:
         else:
             del levels[odds]
             del totals[odds]
+        self._touch(cid, side, odds)
+
+    def _touch(self, cid: str, side: str, odds: int) -> None:
+        """Drop cid's cached grid row unless it is sure to be unchanged.
+
+        The row holds the best grid_depth levels of each side.  When a side
+        shows all grid_depth of them, a level worse than the last one shown
+        can come, go or change its stake without changing what is shown.
+        """
+        row = self._rows[cid]
+        if row is None:
+            return
+        shown = row.backs if side == BACK else row.lays
+        if len(shown) == self.grid_depth:
+            last = shown[-1].odds
+            if odds < last if side == BACK else odds > last:
+                return
         self._rows[cid] = None
 
     def _retire_unmatched(self, bet: Bet) -> Money:
@@ -455,9 +487,10 @@ class MarketBook:
         the last call are rebuilt.
         """
         rows = self._rows
-        for cid, row in rows.items():
-            if row is None:
-                rows[cid] = self._grid_row(cid)
+        if None in rows.values():
+            for cid, row in rows.items():
+                if row is None:
+                    rows[cid] = self._grid_row(cid)
         return dict(rows)
 
     def _grid_row(self, cid: str) -> GridRow:
@@ -552,7 +585,7 @@ class MarketBook:
                 )
 
     def check_views(self) -> None:
-        """Assert level totals, open-bet dicts and cached grid rows match a recount."""
+        """Assert level totals, open-bet views and cached grid rows match a recount."""
         for cid, sides in self._queues.items():
             for side, levels in sides.items():
                 totals = {o: GridLevel(o, sum(b.unmatched for b in q)) for o, q in levels.items()}
@@ -564,14 +597,17 @@ class MarketBook:
             row = self._rows[cid]
             if row is not None and row != self._grid_row(cid):
                 raise AssertionError(f"stale cached grid row for {cid!r}")
-        open_bets: dict[str, list[int]] = {b: [] for b in self.accounts}
+        open_bets: dict[str, list[OpenBet]] = {b: [] for b in self.accounts}
         for bet in self.bets.values():
             if bet.unmatched > 0:
-                open_bets[bet.bettor_id].append(bet.bet_id)
-        for bettor_id, ids in open_bets.items():
-            kept = list(self._open[bettor_id])
-            if kept != ids:
-                raise AssertionError(f"open bets of {bettor_id!r}: kept {kept}, recount {ids}")
+                open_bets[bet.bettor_id].append(_view(bet))
+        for bettor_id, views in open_bets.items():
+            kept = list(self._open[bettor_id].items())
+            recount = [(v.bet_id, v) for v in views]
+            if kept != recount:
+                raise AssertionError(
+                    f"open bets of {bettor_id!r}: kept {kept}, recount {recount}"
+                )
 
     def _maybe_self_check(self) -> None:
         if self.self_check:

@@ -21,7 +21,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 
 from .agents import (
     STRATEGY_NAMES,
@@ -29,7 +29,6 @@ from .agents import (
     Bettor,
     CancelOrder,
     Observation,
-    OpenBet,
     PlaceOrder,
     make_bettor,
 )
@@ -96,6 +95,17 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _event_maker(kind: str):
+    """make(seq, time, *values): a `kind` event, built as one dict display in written order."""
+    fields = EVENT_FIELDS[kind]
+    params = "".join(f", v{i}" for i in range(len(fields)))
+    items = "".join(f", {name!r}: v{i}" for i, name in enumerate(fields))
+    return eval(f"lambda seq, time{params}: {{'seq': seq, 'time': time, 'kind': {kind!r}{items}}}")
+
+
+_MAKE_EVENT = {kind: _event_maker(kind) for kind in EVENT_FIELDS}
+
+
 @dataclass(frozen=True)
 class SessionResult:
     """A finished session.  The events are read-only: grid snapshots share
@@ -112,12 +122,13 @@ class SessionResult:
     def sentiment_rows(self) -> list[tuple[float, str, str, float]]:
         """The sentiment events as (time, bettor, competitor, odds), one row per competitor."""
         cids = self.trajectory.competitor_ids
-        return [
-            (e["time"], e["bettor"], cid, odds)
-            for e in self.events
-            if e["kind"] == "sentiment"
-            for cid, odds in zip(cids, e["odds"])
-        ]
+        return list(
+            chain.from_iterable(
+                zip(repeat(e["time"]), repeat(e["bettor"]), cids, e["odds"])
+                for e in self.events
+                if e["kind"] == "sentiment"
+            )
+        )
 
 
 def expand_agents(config: SessionConfig) -> list[Bettor]:
@@ -157,26 +168,31 @@ class _Session:
             balance = agent.params.starting_balance * 100
             self.book.open_account(agent.bettor_id, balance)
             self.starting[agent.bettor_id] = balance
-        # Every agent's (time, index) wakes, merged into one ordered stream.
+        # Each agent's next (time, index) wake on one heap, advanced from its wake_times.
         seed = config.master_seed
-        self.wakes = heapq.merge(
-            *(zip(wake_times(a.params, seed, i), repeat(i)) for i, a in enumerate(self.agents))
-        )
-        self.next_wake = next(self.wakes, None)
+        self.wake_iters = [wake_times(a.params, seed, i) for i, a in enumerate(self.agents)]
+        self.wakes = [(next(times), i) for i, times in enumerate(self.wake_iters)]
+        heapq.heapify(self.wakes)
         self.state = initial_state(self.race_cfg, self.rng_race)
         self.histories: list[list[float]] = [[] for _ in range(self.n)]
         self.snapshots = array("d", self.state.positions)
         self.events: list[dict] = []
         self._obs_cache: tuple[tuple, tuple, tuple] | None = None
+        # each distinct prediction's sentiment odds; events share the lists
+        self._sentiment: dict[tuple[float, ...], list[float]] = {}
         # each competitor's last grid payload row, with the book's GridRow it was built from
         self._grid_rows: dict[str, tuple] = {}
 
     # -- event log ----------------------------------------------------------
 
     def emit(self, time: float, kind: str, *values) -> None:
-        event = {"seq": len(self.events) + 1, "time": time, "kind": kind}
-        event.update(zip(EVENT_FIELDS[kind], values, strict=True))
-        self.events.append(event)
+        events = self.events
+        try:
+            event = _MAKE_EVENT[kind](len(events) + 1, time, *values)
+        except TypeError as exc:  # a maker takes exactly its kind's fields
+            fields = EVENT_FIELDS[kind]
+            raise ValueError(f"{kind} has fields {fields}, got {len(values)} values") from exc
+        events.append(event)
 
     # -- observations ---------------------------------------------------------
 
@@ -191,19 +207,15 @@ class _Session:
 
     def _observe(self, time: float, agent: Bettor) -> Observation:
         positions, finish_ticks, history = self._race_view()
-        my_bets = tuple(
-            OpenBet(b.bet_id, b.competitor_id, b.side, b.odds, b.unmatched, b.arrival_time)
-            for b in self.book.bets_of(agent.bettor_id)
-        )
         return Observation(
-            time=time,
-            race_tick=self.state.tick,
-            positions=positions,
-            finish_ticks=finish_ticks,
-            step_history=history,
-            grid=self.book.market_grid(),
-            my_bets=my_bets,
-            balance=self.book.free_balance(agent.bettor_id),
+            time,
+            self.state.tick,
+            positions,
+            finish_ticks,
+            history,
+            self.book.market_grid(),
+            self.book.open_bets(agent.bettor_id),
+            self.book.free_balance(agent.bettor_id),
         )
 
     # -- agent turns ----------------------------------------------------------
@@ -217,12 +229,12 @@ class _Session:
                 return
             if not isinstance(action, PlaceOrder):
                 raise TypeError(f"unknown agent action {type(action).__name__}")
-            cid, side, odds, stake = action.competitor_id, action.side, action.odds, action.stake
+            cid, side, odds, stake = action
             bet_id, records = self.book.submit_bet(bettor, cid, side, odds, stake, time)
         except ExchangeError as exc:
             self.emit(time, "reject", bettor, str(exc))
             return
-        matched = sum(r.amount for r in records)
+        matched = sum(r.amount for r in records) if records else 0
         self.emit(time, "submit", bettor, cid, side, odds_to_decimal(odds), stake, bet_id, matched)
         for r in records:
             self.emit(
@@ -242,16 +254,22 @@ class _Session:
         obs = self._observe(time, agent)
         actions = agent.decide(obs)
         if self.config.sentiment:
-            top = odds_to_decimal(MAX_ODDS)
-            odds = [round(min(1.0 / p, top) if p > 0.0 else top, 4) for p in agent.last_prediction]
+            prediction = agent.last_prediction
+            odds = self._sentiment.get(prediction)
+            if odds is None:
+                top = odds_to_decimal(MAX_ODDS)
+                odds = [round(min(1.0 / p, top) if p > 0.0 else top, 4) for p in prediction]
+                self._sentiment[prediction] = odds
             self.emit(time, "sentiment", agent.bettor_id, odds)
         for action in actions:
             self._apply(time, agent, action)
 
     def _process_wakes(self, until: float) -> None:
-        while self.next_wake is not None and self.next_wake[0] <= until:
-            self._wake(*self.next_wake)
-            self.next_wake = next(self.wakes)
+        wakes, iters = self.wakes, self.wake_iters
+        while wakes and wakes[0][0] <= until:
+            time, i = wakes[0]
+            self._wake(time, i)
+            heapq.heapreplace(wakes, (next(iters[i]), i))
 
     # -- main loop ----------------------------------------------------------
 
