@@ -9,6 +9,14 @@ the same odds, partial fills rest in the book, and the matched portion of a
 bet is immutable.  Unmatched portions can be cancelled while the market is
 open and expire with their escrow returned when betting closes.
 
+The book's read views are kept in step with its price-time queues
+(_queues) as bets move, not recomputed on each read: the resting stake of
+each level, each competitor's top-of-book GridRow (kept while a change
+falls below the levels it shows), and each bettor's open bets as the
+OpenBet views its owner is shown (made when a bet rests, replaced when
+another bettor part-fills it, dropped on a fill, cancel or expiry).
+check_views audits all three against a recount.
+
 Settlement transfers, per match record, the backer winnings on the market
 winner and the backer stake on every loser, nets each bettor's market
 result, and charges commission on positive nets only.  Per-record winnings
@@ -483,8 +491,8 @@ class MarketBook:
     def market_grid(self) -> dict[str, GridRow]:
         """Aggregated top-of-book per competitor, grid_depth levels per side.
 
-        Rows are cached; only those of competitors whose book changed since
-        the last call are rebuilt.
+        Rows are cached; only those _touch dropped since the last call, after
+        a change that can show, are rebuilt.
         """
         rows = self._rows
         if None in rows.values():

@@ -12,7 +12,10 @@ race always runs to completion and the market settles on the actual winner.
 The event log is a list of dicts with gap-free increasing seq numbers,
 ready to be written as JSON lines.  Every event holds seq, time and kind,
 then the fields EVENT_FIELDS lists for its kind, in that order; the order
-fixes the bytes of events.jsonl.  Sentiment is kept only as events:
+fixes the bytes of events.jsonl.  The events are read-only and share
+objects: grid snapshots share the payload row of a competitor whose book
+did not change, and sentiment events share the odds list of each distinct
+prediction, rounded once per session.  Sentiment is kept only as events:
 SessionResult.sentiment_rows expands them to one row per competitor.
 """
 
@@ -109,7 +112,8 @@ _MAKE_EVENT = {kind: _event_maker(kind) for kind in EVENT_FIELDS}
 @dataclass(frozen=True)
 class SessionResult:
     """A finished session.  The events are read-only: grid snapshots share
-    the rows of a competitor whose book did not change between them."""
+    the rows of a competitor whose book did not change between them, and
+    sentiment events share the odds list of each distinct prediction."""
 
     events: list[dict]
     trajectory: Trajectory

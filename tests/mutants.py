@@ -28,9 +28,17 @@ ROOT = Path(__file__).resolve().parent.parent
 #: What a copy holds: the package, the tests and the configs they read.
 COPIED = ("src", "tests", "configs")
 KERNEL = "src/racemarket/_kernel.c"
+EXCHANGE = "src/racemarket/exchange.py"
+SESSION = "src/racemarket/session.py"
 #: kernel_parity.py with 20 random races, which checks rm_position_lines on
 #: its edge values and 30k random positions.
 PARITY = ("tests/kernel_parity.py", "20")
+
+
+def pytest(*ids: str) -> tuple[str, ...]:
+    """A command that runs the named tests and stops at the first failure."""
+    return ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids)
+
 
 
 class Mutant(NamedTuple):
@@ -76,6 +84,48 @@ MUTANTS = (
         "more = (rem * 10 & ((1ULL << shift) - 1)) != 0;",
         "more = 0;",
         (PARITY,),
+    ),
+    Mutant(
+        "the book keeps a resting bet's open-bet view when another bettor part-fills it",
+        EXCHANGE,
+        "self._open[resting.bettor_id][resting.bet_id] = _view(resting)",
+        "pass",
+        (pytest("tests/test_exchange.py::test_open_bets_follow_partial_fills_by_other_bettors"),),
+    ),
+    Mutant(
+        "check_views compares the open-bet views by id only",
+        EXCHANGE,
+        "open_bets[bet.bettor_id].append(_view(bet))",
+        "open_bets[bet.bettor_id].append(self._open[bet.bettor_id].get(bet.bet_id))",
+        (pytest("tests/test_exchange.py::test_self_check_audits_the_cached_views"),),
+    ),
+    Mutant(
+        "the book keeps a cached grid row when the last level it shows changes",
+        EXCHANGE,
+        "if odds < last if side == BACK else odds > last:",
+        "if odds <= last if side == BACK else odds >= last:",
+        (pytest("tests/test_exchange_oracle.py::test_reference_equivalence_randomized"),),
+    ),
+    Mutant(
+        "the wake heap is keyed (time, -index), so tied wakes run highest index first",
+        SESSION,
+        """            time, i = wakes[0]
+            self._wake(time, i)
+            heapq.heapreplace(wakes, (next(iters[i]), i))""",
+        """            wakes[:] = [(t, -abs(j)) for t, j in wakes]
+            heapq.heapify(wakes)
+            time, i = wakes[0]
+            i = -i
+            self._wake(time, i)
+            heapq.heapreplace(wakes, (next(iters[i]), -i))""",
+        (pytest("tests/test_session.py::test_session_wakes_follow_wake_schedule"),),
+    ),
+    Mutant(
+        "the sentiment memo returns the first odds list it stored, whatever the prediction",
+        SESSION,
+        "odds = self._sentiment.get(prediction)",
+        "odds = next(iter(self._sentiment.values()), None)",
+        (pytest("tests/test_golden.py::test_derby_session_outputs"),),
     ),
 )
 

@@ -292,6 +292,19 @@ def test_decide_cancels_stale_bets():
     assert [c.bet_id for c in cancels] == [1]
 
 
+def test_records_refuse_assignment():
+    cfg = make_race(n=2)
+    records = (
+        (make_obs(cfg), "time"),
+        (OpenBet(1, "c1", BACK, 400, 500, arrival_time=0.0), "unmatched"),
+        (GridLevel(400, 100), "stake"),
+        (PlaceOrder("c1", BACK, 400, 500), "stake"),
+    )
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+
+
 def test_pick_breaks_ties_with_the_agent_stream():
     cfg = make_race(n=4)
     agent = make_bettor("b0", AgentParams("rp", d=0), cfg, make_rng(7))

@@ -16,6 +16,7 @@ from racemarket.exchange import (
     InvalidOddsError,
     MarketBook,
     MarketClosedError,
+    OpenBet,
     SettlementError,
     UnknownBetError,
     back_winnings,
@@ -465,6 +466,32 @@ def test_self_check_audits_the_cached_views():
         book.check_views()
     with pytest.raises(AssertionError):
         book.submit_bet("carol", "c2", LAY, 400, 100)  # the next mutation's self-check
+
+    # an open-bet view is checked field by field, not only by its id
+    book = make_book()
+    a, _ = book.submit_bet("alice", "c1", BACK, 300, 500)
+    book.submit_bet("bob", "c1", LAY, 300, 200)
+    book.check_views()
+    book._open["alice"][a] = book._open["alice"][a]._replace(unmatched=500)  # as before the fill
+    with pytest.raises(AssertionError, match="open bets of 'alice'"):
+        book.check_views()
+
+
+def test_open_bets_follow_partial_fills_by_other_bettors():
+    book = make_book()
+    book.self_check = True
+    a, _ = book.submit_bet("alice", "c1", BACK, 300, 500, time=2.0)
+    c, _ = book.submit_bet("alice", "c2", LAY, 400, 100, time=3.0)
+    kept_c = OpenBet(c, "c2", LAY, 400, 100, 3.0)
+    assert book.open_bets("alice") == (OpenBet(a, "c1", BACK, 300, 500, 2.0), kept_c)
+    book.submit_bet("bob", "c1", LAY, 300, 200, time=4.0)  # part-fills a
+    assert book.open_bets("alice") == (OpenBet(a, "c1", BACK, 300, 300, 2.0), kept_c)
+    assert book.open_bets("bob") == ()  # filled as it arrived
+    book.submit_bet("carol", "c1", LAY, 300, 100, time=5.0)  # part-fills a again
+    book.submit_bet("carol", "c2", BACK, 400, 100, time=5.0)  # fills c
+    assert book.open_bets("alice") == (OpenBet(a, "c1", BACK, 300, 200, 2.0),)
+    book.cancel_bet(a, "alice")
+    assert book.open_bets("alice") == ()
 
 
 def test_bets_of_lists_open_bets_in_arrival_order():

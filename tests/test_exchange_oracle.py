@@ -33,10 +33,11 @@ class ScanBook:
     def need(self, side, amount, odds):
         return amount if side == BACK else self.liability(amount, odds)
 
-    def submit(self, bettor, cid, side, odds, stake):
+    def submit(self, bettor, cid, side, odds, stake, time=0.0):
         self.balances[bettor] -= self.need(side, stake, odds)
         bet = {
             "id": len(self.bets) + 1,
+            "time": time,
             "bettor": bettor,
             "cid": cid,
             "side": side,
@@ -147,7 +148,12 @@ class ScanBook:
         }
 
     def open_bets(self, bettor):
-        return [b["id"] for b in self.bets if b["bettor"] == bettor and b["unmatched"] > 0]
+        """(id, cid, side, odds, unmatched, time) of each open bet, oldest first."""
+        return [
+            (b["id"], b["cid"], b["side"], b["odds"], b["unmatched"], b["time"])
+            for b in self.bets
+            if b["bettor"] == bettor and b["unmatched"] > 0
+        ]
 
 
 def queue_snapshot(book):
@@ -179,8 +185,8 @@ def drive_pair(
     """Run one random op stream through both books and compare everything.
 
     The real book shows depth levels per side.  Its read views (market_grid,
-    bets_of) are compared every view_every ops, the resting queues and
-    balances every check_every ops.
+    bets_of, open_bets) are compared every view_every ops, the resting queues
+    and balances every check_every ops.
     """
     rng = random.Random(seed)
     cids = ("c1", "c2")
@@ -202,8 +208,9 @@ def drive_pair(
             side = rng.choice((BACK, LAY))
             odds = rng.choice(ODDS_POOL)
             stake = rng.randint(1, 700)
-            id_real, recs_real = real.submit_bet(bettor, cid, side, odds, stake)
-            id_ref, recs_ref = ref.submit(bettor, cid, side, odds, stake)
+            time = float(op)
+            id_real, recs_real = real.submit_bet(bettor, cid, side, odds, stake, time)
+            id_ref, recs_ref = ref.submit(bettor, cid, side, odds, stake, time)
             assert id_real == id_ref
             got = [
                 (r.competitor_id, r.odds, r.amount, r.back_bet_id, r.lay_bet_id, r.back_bettor, r.lay_bettor)
@@ -215,8 +222,10 @@ def drive_pair(
             got_grid = grid_levels(real.market_grid())
             assert got_grid == ref.grid(depth), f"op {op}: grid diverged"
             for b in BETTORS:
+                want = ref.open_bets(b)
                 got_open = [bet.bet_id for bet in real.bets_of(b)]
-                assert got_open == ref.open_bets(b), f"op {op}: open bets of {b} diverged"
+                assert got_open == [w[0] for w in want], f"op {op}: open bets of {b} diverged"
+                assert real.open_bets(b) == tuple(want), f"op {op}: open-bet views of {b} diverged"
         if op % check_every == 0:
             assert queue_snapshot(real) == ref.queue_snapshot(), f"op {op}: book state diverged"
             free = {b: real.free_balance(b) for b in BETTORS}

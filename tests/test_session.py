@@ -134,6 +134,18 @@ def test_unknown_action_raises_type_error():
     assert sess.events == []
 
 
+def test_plain_tuple_actions_raise_type_error():
+    # Actions are NamedTuples, which compare equal to plain tuples, so only
+    # their type tells a PlaceOrder or a CancelOrder from a tuple.
+    sess = _Session(small_session())
+    equal = ((("c1", BACK, 300, 500), PlaceOrder("c1", BACK, 300, 500)), ((1,), CancelOrder(1)))
+    for action, record in equal:
+        assert action == record
+        with pytest.raises(TypeError, match="tuple"):
+            sess._apply(0.0, sess.agents[0], action)
+    assert sess.events == []
+
+
 def forced_rejects() -> _Session:
     """A session whose first bettor has one resting bet, then three actions the book refuses."""
     sess = _Session(small_session())
