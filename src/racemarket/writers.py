@@ -18,10 +18,9 @@ routine, which equals it (one exact scaled product per position gives its
 number still reads back as the position), and lines are joined into
 bounded chunks before each write.  An event line is one %-format of its
 kind's template, built once from `session.EVENT_FIELDS`.  A session's grid
-snapshots share the row of a competitor whose book did not change, and its
-sentiment events share the odds list of each distinct prediction, so each
-grid row's and float list's JSON is memoised by the object's identity for
-one `write_events_jsonl` call, as the strings are by value.  An event the
+snapshots share the row of a competitor whose book did not change, so each
+grid row's JSON is memoised by the row's identity for one
+`write_events_jsonl` call, as the strings are by value.  An event the
 template would not write byte for byte goes through the encoder: one with
 a bool, a non-finite float, an int or float subclass or its keys in
 another order, and the kinds without a template (close and settle, one
@@ -158,8 +157,8 @@ _SLOTS = {
     int: ("%d", "{v}", None),
     float: ("%s", "floats[{v}]", "-inf < {v} < inf"),
     str: ("%s", "strings[{v}]", None),
-    list: ("[%s]", "_shared_json({v}, _float_list, shared)", None),
-    dict: ("%s", "_grid_json({v}, strings, shared)", None),
+    list: ("[%s]", "_float_list({v})", None),
+    dict: ("%s", "_grid_json({v}, strings, rows)", None),
 }
 
 
@@ -190,18 +189,6 @@ def _levels_json(levels: list) -> str:
     return ",".join(out)
 
 
-def _shared_json(value, to_json, shared: dict) -> str:
-    """to_json(value), memoised in shared by value's identity, as (value, JSON).
-
-    Holding the value keeps its id from being reused.  A value to_json
-    cannot write raises each time it is met.
-    """
-    hit = shared.get(id(value))
-    if hit is None:
-        hit = shared[id(value)] = (value, to_json(value))
-    return hit[1]
-
-
 def _row_json(row: dict) -> str:
     """One competitor's grid row, {"backs": levels, "lays": levels}, as JSON."""
     if type(row) is not dict or tuple(row) != ("backs", "lays"):
@@ -210,13 +197,21 @@ def _row_json(row: dict) -> str:
     return f'{{"backs":[{backs}],"lays":[{lays}]}}'
 
 
-def _grid_json(grid: dict, strings: _Memo, shared: dict) -> str:
-    """A grid_snapshot payload, {cid: row}, as JSON; each row's JSON is memoised in shared."""
+def _grid_json(grid: dict, strings: _Memo, rows: dict) -> str:
+    """A grid_snapshot payload, {cid: row}, as JSON.
+
+    rows memoises each row's JSON by the row's identity, as (row, JSON):
+    holding the row keeps its id from being reused.  A row that cannot be
+    written raises each time it is met.
+    """
     out = []
     for cid, row in grid.items():
         if type(cid) is not str:
             raise ValueError
-        out.append(f"{strings[cid]}:{_shared_json(row, _row_json, shared)}")
+        hit = rows.get(id(row))
+        if hit is None:
+            hit = rows[id(row)] = (row, _row_json(row))
+        out.append(f"{strings[cid]}:{hit[1]}")
     return "{" + ",".join(out) + "}"
 
 
@@ -227,7 +222,7 @@ def _json_literal(text: str) -> str:
 
 # One kind's line function; _compile_line fills in the fields.
 _LINE_SOURCE = """\
-def line(event, strings, floats, shared):
+def line(event, strings, floats, rows):
     if tuple(event) != keys:
         raise ValueError
     {values}, = get(event)
@@ -238,11 +233,11 @@ def line(event, strings, floats, shared):
 
 
 def _compile_line(kind: str):
-    """line(event, strings, floats, shared): one `kind` event as its JSON line.
+    """line(event, strings, floats, rows): one `kind` event as its JSON line.
 
     The line is one %-format of a template that holds every key and the
     kind.  strings and floats memoise the JSON of each string and float,
-    shared that of each float list and grid row (see _shared_json).
+    rows that of each grid row (see _grid_json).
     line raises ValueError for an event the template would not write byte
     for byte.
     """
@@ -264,7 +259,6 @@ def _compile_line(kind: str):
         "template": "{" + ",".join(members) + "}\n",
         "inf": inf,
         "_float_list": _float_list,
-        "_shared_json": _shared_json,
         "_grid_json": _grid_json,
     }
     exec(source, namespace)
@@ -280,14 +274,14 @@ def _event_lines() -> dict:
 
 def write_events_jsonl(path: Path, events: list[dict]) -> None:
     lines, encode = _event_lines(), _EVENT_ENCODER.encode
-    strings, shared = _Memo(encode), {}
+    strings, rows = _Memo(encode), {}
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(events), _CHUNK_LINES):
             floats = _FloatReprs()  # a chunk's times and odds
             chunk = []
             for event in events[start : start + _CHUNK_LINES]:
                 try:
-                    chunk.append(lines[event["kind"]](event, strings, floats, shared))
+                    chunk.append(lines[event["kind"]](event, strings, floats, rows))
                 except (KeyError, TypeError, ValueError):  # no template, or not one it writes
                     chunk.append(f"{encode(event)}\n")
             fh.write("".join(chunk))

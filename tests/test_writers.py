@@ -504,19 +504,3 @@ def test_metadata(tmp_path):
     assert "mt19937" in meta["rng_algorithm"]
     assert meta["version"]
 
-
-def test_shared_float_lists_match_the_encoder(tmp_path):
-    # Sentiment events share the odds list of each distinct prediction, and
-    # the writer memoises a list's JSON by identity, as it does grid rows.
-    kept = [1.5, 1000.0, 4.0]
-    bad = [1.5, True]
-    events = [
-        sample_event("sentiment", seq=seq, odds=bad if seq % 3 == 0 else kept) for seq in range(1, 8)
-    ]
-    events.append(sample_event("race_tick", seq=8, positions=kept))
-    path = tmp_path / "events.jsonl"
-    write_events_jsonl(path, events)
-    assert path.read_bytes() == oracle_events(events)
-    kept[0] = 2.5
-    write_events_jsonl(path, events)
-    assert path.read_bytes() == oracle_events(events)
