@@ -104,8 +104,8 @@ class SessionSummary:
 
 def _race_chunk(
     config: RaceConfig, master_seed: int, first: int, count: int
-) -> list[tuple[tuple[str, ...], tuple[int, ...]]]:
-    """(finish order, finish ticks) of runs first .. first + count - 1.
+) -> tuple[list[tuple[str, ...]], list[tuple[int, ...]]]:
+    """(finish orders, finish ticks) of runs first .. first + count - 1.
 
     Run i is a race on derive_seed(master_seed, "run", i) (race.batch_runs).
     The first run that fails raises BatchRunError with its index.
@@ -113,7 +113,7 @@ def _race_chunk(
     ticks, orders, error = batch_runs(config, master_seed, first, count)
     if error is not None:
         raise BatchRunError(first + len(ticks), repr(error))
-    return list(zip(orders, ticks))
+    return orders, ticks
 
 
 def _session_job(config: SessionConfig, master_seed: int, i: int) -> SessionSummary:
@@ -188,11 +188,13 @@ def run_batch(batch: BatchConfig) -> list:
 
 
 def _race_results(chunks) -> list[RaceResult]:
-    """The RaceResults of _race_chunk's rows, numbered in order.
+    """The RaceResults of _race_chunk's runs, numbered in order.
 
-    Each chunk's results are built as it arrives, while the later ones run.
+    Each chunk's results are built as it arrives, while the later ones run,
+    straight from its two lists: a (order, ticks) pair per run held until
+    then would be one more object per run for the garbage collector to track.
     """
-    rows = chain.from_iterable(chunks)
+    rows = chain.from_iterable(zip(orders, ticks) for orders, ticks in chunks)
     return [RaceResult(i, order, ticks, max(ticks)) for i, (order, ticks) in enumerate(rows)]
 
 

@@ -327,7 +327,7 @@ class MarketBook:
         return [self.bets[bet_id] for bet_id in self._open.get(bettor_id, ())]
 
     def open_bets(self, bettor_id: str) -> tuple[OpenBet, ...]:
-        """A bettor's open bets as it is shown them, in arrival order.
+        """A bettor's open bets as their owner sees them, in arrival order.
 
         The views are kept as bets rest, match, cancel and expire, so this
         copies references and reads no bet.

@@ -131,13 +131,8 @@ def test_unknown_action_raises_type_error():
     sess = _Session(small_session())
     with pytest.raises(TypeError, match="str"):
         sess._apply(0.0, sess.agents[0], "back c1 at 3.0")
-    assert sess.events == []
-
-
-def test_plain_tuple_actions_raise_type_error():
     # Actions are NamedTuples, which compare equal to plain tuples, so only
     # their type tells a PlaceOrder or a CancelOrder from a tuple.
-    sess = _Session(small_session())
     equal = ((("c1", BACK, 300, 500), PlaceOrder("c1", BACK, 300, 500)), ((1,), CancelOrder(1)))
     for action, record in equal:
         assert action == record
