@@ -503,4 +503,3 @@ def test_metadata(tmp_path):
     assert meta["outputs"] == ["a.csv", "b.csv"]
     assert "mt19937" in meta["rng_algorithm"]
     assert meta["version"]
-
