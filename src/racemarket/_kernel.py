@@ -213,14 +213,14 @@ class Kernel:
         ints = (ctypes.c_int64 * (n + 2))(*finish, state.tick, state.blocked_steps)
         return floats, ints
 
-    def run(self, runners, length, state, words, stop, diverged, snapshots=None):
+    def run(self, runners, length, state, words, stop, diverged, snapshots):
         """race_ticks on state, in place, drawing from the generator words holds.
 
         runners is _compile's output; words is random.getstate()[1] (624
         words, then the index) of the stream the race goes on drawing from;
         the Random it came from is not advanced.
-        Each tick's positions are appended to snapshots, an array("d"),
-        unless it is None: the bytes of each refill of the C buffer at once.
+        Each tick's positions are appended to snapshots, an array("d"): the
+        bytes of each refill of the C buffer at once.
         Raises the error the Python loop raises where it stops:
         diverged(finished) when the tick reached stop with competitors still
         racing.
@@ -233,16 +233,13 @@ class Kernel:
             raise ValueError("a generator state is 625 32-bit words for the kernel")
         mt = _Generator.from_buffer(words)
         stop = min(stop, _MAX_TICK)
-        rows, buf = -1, None
-        if snapshots is not None:
-            rows = max(1, _SNAPSHOT_DOUBLES // n)
-            buf = (ctypes.c_double * (rows * n))()
-            row_bytes = memoryview(buf).cast("B")
+        rows = max(1, _SNAPSHOT_DOUBLES // n)
+        buf = (ctypes.c_double * (rows * n))()
+        row_bytes = memoryview(buf).cast("B")
         while True:
             tick = ints[n]
             status = self._run(flat, n, length, NV_MAGICCONST, floats, ints, mt, stop, rows, buf)
-            if buf is not None:
-                snapshots.frombytes(row_bytes[: (ints[n] - tick) * n * _DOUBLE_BYTES])
+            snapshots.frombytes(row_bytes[: (ints[n] - tick) * n * _DOUBLE_BYTES])
             if status != _BUDGET_SPENT:
                 break
         state.positions[:] = floats[:n]

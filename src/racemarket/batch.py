@@ -216,9 +216,6 @@ class OutcomePMF:
     n_samples: int
     counts: dict[str, int]
 
-    def frequency(self, key: str) -> float:
-        return self.counts.get(key, 0) / self.n_samples
-
 
 def estimate_pmf(orders: list[tuple[str, ...]]) -> OutcomePMF:
     """PMF of finish-order samples, winner-marginal above 6 competitors."""

@@ -104,7 +104,7 @@ def _parse_close(v, path: str) -> BettingClose:
         return BettingClose(v)
     if isinstance(v, dict):
         _check_keys(v, ("kth",), path)
-        return BettingClose.kth(_int(v.get("kth"), f"{path}.kth"))
+        return BettingClose("kth", _int(v.get("kth"), f"{path}.kth"))
     _fail(path, f"must be 'first', 'last', or {{\"kth\": k}}, got {v!r}")
 
 

@@ -12,11 +12,13 @@ slowest competitor has crossed the finish line.
 
 This module alone chooses between the C kernel (_kernel.c, built on first
 use) and the Python loop, race_ticks, which the kernel repeats bit for bit.
-run_race primes its race in Python and runs it in C; batch_runs (a chunk of
-a batch's races) and win_counts (a prediction's dry runs) are one kernel
-call each, through the one many-race loop.  Without a compiler each falls
-back to its reference: run_race to race_ticks, batch_runs to run_race per
-run and win_counts to simulate_from, which is always the Python loop.
+run_race primes its race in Python and runs it in C, recording each tick's
+positions; batch_runs (a chunk of a batch's races) and win_counts (a
+prediction's dry runs) are one kernel call each, through the one many-race
+loop, and record only finish ticks and orders.  Without a compiler each
+falls back to race_ticks: run_race records it, batch_runs runs it from
+initial_state per run, and win_counts calls simulate_from, which is always
+the Python loop.
 """
 
 import math
@@ -118,18 +120,6 @@ class BettingClose:
     rule: str
     k: int | None = None
 
-    @staticmethod
-    def first() -> "BettingClose":
-        return BettingClose("first")
-
-    @staticmethod
-    def kth(k: int) -> "BettingClose":
-        return BettingClose("kth", k)
-
-    @staticmethod
-    def last() -> "BettingClose":
-        return BettingClose("last")
-
     def close_rank(self, n_competitors: int) -> int:
         """Number of finishers that triggers the close."""
         if self.rule == "first":
@@ -156,7 +146,7 @@ class RaceConfig(Checked):
     competitors: tuple[Competitor, ...]
     dt: float = 1.0
     conditions: float = 0.5
-    betting_close: BettingClose = field(default_factory=BettingClose.last)
+    betting_close: BettingClose = BettingClose("last")
     tick_limit: int = DEFAULT_TICK_LIMIT
 
     @property
@@ -188,12 +178,10 @@ class RaceConfig(Checked):
 
 
 def preference_factor(conditions: float, preference: float, sensitivity: float) -> float:
-    """Conditions-suitability multiplier, clamped to [0.01, 1.0]."""
+    """Conditions-suitability multiplier in [0.01, 1.0]: at most 1 as sensitivity >= 0."""
     f = 1.0 - sensitivity * abs(conditions - preference)
     if f < MIN_PREFERENCE_FACTOR:
         return MIN_PREFERENCE_FACTOR
-    if f > 1.0:
-        return 1.0
     return f
 
 
@@ -327,8 +315,8 @@ def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator
 
     Yields, after each tick, the competitors that raced in it (index order);
     raises RaceDivergedError if the tick reaches stop first.  A session's
-    race and simulate_from step through this loop, and so does run_race
-    when the C kernel is not there.
+    race and simulate_from step through this loop, and so do run_race and
+    batch_runs when the C kernel is not there.
     """
     runners, racing = config._runners, _racing(state)
     while racing:
@@ -356,17 +344,15 @@ class Trajectory:
 
     snapshots holds the positions after each tick, tick 0 (the start line)
     first: n_competitors floats per tick, one flat array("d") from the race
-    to trajectory.csv.  It is None when snapshots were not kept, and must
-    not be changed after finalize_trajectory: ticks, which gives the same
-    positions as one tuple per tick, is cached from it.
+    to trajectory.csv; its last n_competitors are the final positions.  It
+    must not be changed after finalize_trajectory: ticks, which gives the
+    same positions as one tuple per tick, is cached from it.
     """
 
     competitor_ids: tuple[str, ...]
-    dt: float
-    snapshots: array | None
+    snapshots: array
     finish_ticks: tuple[int, ...]
     finish_order: tuple[str, ...]
-    final_positions: tuple[float, ...]
     blocked_steps: int
 
     @property
@@ -378,30 +364,24 @@ class Trajectory:
         return self.finish_order[0]
 
     @cached_property
-    def ticks(self) -> tuple[tuple[float, ...], ...] | None:
-        """The snapshots as one tuple of positions per tick, or None."""
-        if self.snapshots is None:
-            return None
+    def ticks(self) -> tuple[tuple[float, ...], ...]:
+        """The snapshots as one tuple of positions per tick."""
         return tuple(_rows(self.snapshots, len(self.competitor_ids)))
 
 
-def finalize_trajectory(
-    state: RaceState, config: RaceConfig, snapshots: array | None
-) -> Trajectory:
+def finalize_trajectory(state: RaceState, config: RaceConfig, snapshots: array) -> Trajectory:
     """Build the immutable race record from a fully finished state.
 
     snapshots is the race's flat array of positions per tick (see
-    Trajectory), kept as it is, or None.
+    Trajectory), kept as it is.
     """
     order = _finish_order(state, config)
     ids = config.competitor_ids
     return Trajectory(
         competitor_ids=ids,
-        dt=config.dt,
         snapshots=snapshots,
         finish_ticks=tuple(state.finish_ticks),  # type: ignore[arg-type]
         finish_order=tuple(ids[c] for c in order),
-        final_positions=tuple(state.positions),
         blocked_steps=state.blocked_steps,
     )
 
@@ -420,16 +400,15 @@ def load_kernel():
     return _kernel.load()
 
 
-def run_race(config: RaceConfig, seed: int, record: bool = True) -> Trajectory:
-    """Run one race to completion on a private stream seeded with seed."""
-    snapshots = array("d", [0.0]) * config.n_competitors if record else None
+def run_race(config: RaceConfig, seed: int) -> Trajectory:
+    """Run one race to completion on a private stream seeded with seed, recording every tick."""
+    snapshots = array("d", [0.0]) * config.n_competitors
     kernel = load_kernel()
     rng = make_rng(seed)
     state = initial_state(config, rng)
     if kernel is None:
         for _ in race_ticks(config, state, rng, config.tick_limit):
-            if record:
-                snapshots.extend(state.positions)
+            snapshots.extend(state.positions)
     else:
         kernel.run(
             config._runners, config.track_length, state, rng.getstate()[1], config.tick_limit,
@@ -458,8 +437,9 @@ def _rows(values, n: int) -> list[tuple]:
 def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
     """Runs first .. first + count - 1 of a batch on master_seed.
 
-    Run i is run_race(config, derive_seed(master_seed, "run", i),
-    record=False); with the kernel all count runs are one call.  Returns
+    Run i is the race run_race(config, derive_seed(master_seed, "run", i))
+    runs, without its snapshots; with the kernel all count runs are one
+    call, and without it each is race_ticks from initial_state.  Returns
     (ticks, orders, error): each run's finish ticks and finish order
     (competitor ids) up to the first run that failed, and None or the error
     run_race raises on that run.  Run indices are signed 64-bit, as the
@@ -470,14 +450,17 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
         raise ValueError(f"run indices must be in [0, 2**63 - 1], got {first}..{last}")
     kernel = load_kernel()
     if kernel is None:
-        ticks, orders = [], []
+        ticks, orders, ids = [], [], config.competitor_ids
         for i in range(first, first + count):
             try:
-                traj = run_race(config, derive_seed(master_seed, "run", i), record=False)
+                rng = make_rng(derive_seed(master_seed, "run", i))
+                state = initial_state(config, rng)
+                for _ in race_ticks(config, state, rng, config.tick_limit):
+                    pass
             except Exception as exc:
                 return ticks, orders, exc
-            ticks.append(traj.finish_ticks)
-            orders.append(traj.finish_order)
+            ticks.append(tuple(state.finish_ticks))
+            orders.append(tuple(map(ids.__getitem__, _finish_order(state, config))))
         return ticks, orders, None
     done, ticks, orders, error = kernel.races(
         config._runners, config.track_length, kernel.run_seeds(master_seed, first, count), None,

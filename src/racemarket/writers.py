@@ -107,8 +107,6 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     is the reference.
     """
     values, n = traj.snapshots, len(traj.competitor_ids)
-    if values is None:
-        raise ValueError("trajectory was recorded without per-tick snapshots")
     if not n or len(values) % n:
         raise ValueError(f"{len(values)} snapshot positions are not whole ticks of {n}")
     prefixes = [f",{_csv_field(cid)}," for cid in traj.competitor_ids]

@@ -206,7 +206,7 @@ def failure_differences(
     seeds = dry_run_seeds(seed, d)
     first = chunk_start(first, CHUNK)
     with python_loop():
-        race = run_race(config, seed, record=False)
+        race = run_race(config, seed)
         chunk, _, _ = batch_runs(config, seed, first, CHUNK)
         dry = []
         for s in seeds:

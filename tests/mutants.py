@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "configs")
 KERNEL = "src/racemarket/_kernel.c"
 EXCHANGE = "src/racemarket/exchange.py"
+RACE = "src/racemarket/race.py"
 SESSION = "src/racemarket/session.py"
 #: kernel_parity.py with 20 random races, which checks rm_position_lines on
 #: its edge values and 30k random positions.
@@ -126,6 +127,41 @@ MUTANTS = (
         "odds = self._sentiment.get(prediction)",
         "odds = next(iter(self._sentiment.values()), None)",
         (pytest("tests/test_golden.py::test_derby_session_outputs"),),
+    ),
+    Mutant(
+        "check_accounts lets a negative balance through",
+        EXCHANGE,
+        "if acct.balance < 0 or acct.reserved < 0:",
+        "if acct.reserved < 0:",
+        (pytest("tests/test_exchange.py::test_self_check_audits_the_accounts"),),
+    ),
+    Mutant(
+        "check_accounts lets a negative reservation through",
+        EXCHANGE,
+        "if acct.balance < 0 or acct.reserved < 0:",
+        "if acct.balance < 0:",
+        (pytest("tests/test_exchange.py::test_self_check_audits_the_accounts"),),
+    ),
+    Mutant(
+        "check_accounts misses an account that reserves less than its bets",
+        EXCHANGE,
+        "if acct.reserved != held[bettor_id]:",
+        "if acct.reserved > held[bettor_id]:",
+        (pytest("tests/test_exchange.py::test_self_check_audits_the_accounts"),),
+    ),
+    Mutant(
+        "batch_runs without the kernel orders each run's finishers by index",
+        RACE,
+        "orders.append(tuple(map(ids.__getitem__, _finish_order(state, config))))",
+        "orders.append(ids)",
+        (pytest("tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"),),
+    ),
+    Mutant(
+        "run_race hands the kernel the stream as it was before initial_state drew from it",
+        RACE,
+        "state, rng.getstate()[1],",
+        "state, make_rng(seed).getstate()[1],",
+        (pytest("tests/test_golden.py::test_wide_field_race_trajectory"),),
     ),
 )
 

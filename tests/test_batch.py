@@ -110,12 +110,22 @@ def test_run_batch_sessions():
     assert len({r.winner_ticks for r in seq}) > 1
 
 
-#: Batches of 8 runs that fail at runs 1, 2 and 6 (divergence) and at
-#: runs 1, 6 and 7 (overflow), with BatchRunError's message for run 1.
+#: Batches of 8 runs that fail at runs 1, 2 and 6 (divergence), at runs
+#: 1, 6 and 7 (overflow) and at runs 1 and 3 (sessions whose race
+#: diverges), with BatchRunError's message for run 1.
 FAILING_BATCHES = {
     "diverged": (
         make_race(n=2, lo=1.0, hi=30.0, length=100.0, tick_limit=8),
         0,
+        "run 1: RaceDivergedError('race exceeded tick_limit=8 with 1/2 finished')",
+    ),
+    "session": (
+        SessionConfig(
+            race=make_race(n=2, lo=1.0, hi=30.0, length=100.0, tick_limit=8),
+            agents=(AgentParams("zi", count=1),),
+            master_seed=0,
+        ),
+        4,
         "run 1: RaceDivergedError('race exceeded tick_limit=8 with 1/2 finished')",
     ),
     "overflow": (
@@ -158,8 +168,6 @@ def test_estimate_pmf_order_space():
     assert pmf.space == "order"
     assert pmf.n_samples == 3
     assert pmf.counts == {"a-b": 2, "b-a": 1}
-    assert pmf.frequency("a-b") == pytest.approx(2 / 3)
-    assert pmf.frequency("missing") == 0.0
 
 
 def test_estimate_pmf_winner_space_above_six():

@@ -45,7 +45,7 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.race.track_length == 2000.0
     assert cfg.race.dt == 1.0
     assert cfg.race.conditions == 0.5
-    assert cfg.race.betting_close == BettingClose.last()
+    assert cfg.race.betting_close == BettingClose("last")
     assert cfg.race.tick_limit == 1_000_000
     assert cfg.race.competitors[0].steps == UniformSteps(10.0, 20.0)
     assert cfg.race.competitors[1].steps == LogNormalSteps(1.0, 0.5, 1.0)
@@ -180,9 +180,9 @@ def test_betting_close_forms():
     def close(v):
         return parse_config({"race": dict(MINIMAL["race"], betting_close=v)})
 
-    assert close("first").race.betting_close == BettingClose.first()
-    assert close("last").race.betting_close == BettingClose.last()
-    assert close({"kth": 2}).race.betting_close == BettingClose.kth(2)
+    assert close("first").race.betting_close == BettingClose("first")
+    assert close("last").race.betting_close == BettingClose("last")
+    assert close({"kth": 2}).race.betting_close == BettingClose("kth", 2)
     with pytest.raises(ConfigError, match="betting_close"):
         close("whenever")
     with pytest.raises(ConfigError, match="betting_close"):
@@ -397,7 +397,7 @@ CHECKED_CASES = [
     (
         _RACE,
         "betting_close",
-        BettingClose.kth(3),
+        BettingClose("kth", 3),
         RaceConfigError,
         "betting_close.kth must be in [1, 2], got 3",
     ),

@@ -286,6 +286,12 @@ def test_grid_depth_below_one_is_rejected():
         MarketBook(("c1", "c2"), grid_depth=0)
 
 
+@pytest.mark.parametrize("ids", [("c1", "c2", "c1"), ()])
+def test_book_refuses_duplicate_or_no_competitor_ids(ids):
+    with pytest.raises(ExchangeError, match="competitor ids must be unique and non-empty"):
+        MarketBook(ids)
+
+
 def test_grid_aggregates_stakes_at_a_level():
     book = make_book()
     book.submit_bet("alice", "c1", BACK, 300, 100)
@@ -475,6 +481,33 @@ def test_self_check_audits_the_cached_views():
     book._open["alice"][a] = book._open["alice"][a]._replace(unmatched=500)  # as before the fill
     with pytest.raises(AssertionError, match="open bets of 'alice'"):
         book.check_views()
+
+    # so is a cached grid row
+    book = make_book()
+    book.submit_bet("alice", "c1", BACK, 300, 100)
+    row = book.market_grid()["c1"]
+    book.check_views()
+    book._rows["c1"] = row._replace(backs=())
+    with pytest.raises(AssertionError, match="stale cached grid row for 'c1'"):
+        book.check_views()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("balance", -1, "negative account field for 'alice'"),
+        ("reserved", -1, "negative account field for 'alice'"),
+        ("reserved", 101, "escrow mismatch for 'alice': account 101, bets 100"),
+        ("reserved", 99, "escrow mismatch for 'alice': account 99, bets 100"),
+    ],
+)
+def test_self_check_audits_the_accounts(field, value, message):
+    book = make_book()
+    book.submit_bet("alice", "c1", BACK, 300, 100)  # reserves 100
+    book.check_accounts()
+    setattr(book.accounts["alice"], field, value)  # corrupt by hand
+    with pytest.raises(AssertionError, match=message):
+        book.check_accounts()
 
 
 def test_open_bets_follow_partial_fills_by_other_bettors():

@@ -204,9 +204,9 @@ def test_the_kernel_refuses_buffers_of_the_wrong_size():
     state = initial_state(config, make_rng(1))
     words = make_rng(1).getstate()[1]
     with pytest.raises(ValueError, match="a runner is 10 numbers"):
-        kernel.run(((*runners[0], 0.0), runners[1]), 50.0, state, words, 100, None)
+        kernel.run(((*runners[0], 0.0), runners[1]), 50.0, state, words, 100, None, array("d"))
     with pytest.raises(ValueError, match="a generator state is 625 32-bit words"):
-        kernel.run(runners, 50.0, state, words[:-1], 100, None)
+        kernel.run(runners, 50.0, state, words[:-1], 100, None, array("d"))
     # position_lines reads a trajectory's snapshots in place
     with pytest.raises(TypeError, match="an array of doubles"):
         kernel.position_lines([",c1,"], array("f", [1.0]))

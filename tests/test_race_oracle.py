@@ -263,11 +263,12 @@ def test_one_tick_equals_scan(race, seed):
 @settings(max_examples=40, deadline=None)
 @given(configs(max_n=6, fast=True), st.integers(0, 2**32))
 def test_run_race_and_simulate_from_equal_scan(config, seed):
-    traj = run_race(config, seed, record=False)
+    traj = run_race(config, seed)
     rng = make_rng(seed)
     reference = scan_finish(scan_initial_state(config, rng), config, rng)
     assert list(traj.finish_ticks) == reference.finish_ticks
-    assert [p.hex() for p in traj.final_positions] == [p.hex() for p in reference.positions]
+    final = traj.snapshots[-config.n_competitors :]
+    assert [p.hex() for p in final] == [p.hex() for p in reference.positions]
     assert traj.blocked_steps == reference.blocked_steps
 
     mid = scan_initial_state(config, make_rng(seed + 1))
@@ -424,7 +425,6 @@ def test_snapshots_across_buffer_refills_equal_python_loop():
     rows = [tuple(traj.snapshots[k : k + n]) for k in range(0, len(traj.snapshots), n)]
     assert traj.ticks == tuple(rows)
     assert traj.ticks is traj.ticks
-    assert both_ways(lambda: run_race(config, 11, record=False).ticks) == ("None", "None")
 
 
 def test_kernel_lognormal_without_spread():

@@ -235,7 +235,7 @@ def test_no_order_flow_after_close():
 
 
 def test_close_at_first_finisher():
-    race = make_race(n=3, length=300.0, betting_close=BettingClose.first())
+    race = make_race(n=3, length=300.0, betting_close=BettingClose("first"))
     result = run_session(small_session(race=race))
     close = next(e for e in result.events if e["kind"] == "close")
     first_finish = min(result.trajectory.finish_ticks)
