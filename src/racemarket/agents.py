@@ -212,9 +212,9 @@ def btf_predict(grid: dict[str, GridRow], competitor_ids: tuple[str, ...]) -> tu
     n = len(competitor_ids)
     quotes: list[tuple[int, int]] = []  # (odds, index)
     for i, cid in enumerate(competitor_ids):
-        best = grid[cid].best_back
-        if best is not None:
-            quotes.append((best.odds, i))
+        backs = grid[cid].backs
+        if backs:
+            quotes.append((backs[0].odds, i))
     if not quotes:
         return _uniform(n)
     lowest = min(q for q, _ in quotes)
@@ -307,13 +307,11 @@ class Bettor:
         cid = self.race_config.competitor_ids[self._pick(probs)]
         fair = 1.0 / max(probs)  # probs sum to 1, so the top one is at least 1/n
         fair_q = MIN_ODDS if fair <= odds_to_decimal(MIN_ODDS) else quantize_odds(fair)
-        row = obs.grid[cid]
-        best_lay = row.best_lay
-        best_back = row.best_back
-        if best_lay is not None and best_lay.odds >= fair_q:
-            side, odds = BACK, best_lay.odds  # takes the resting lay
-        elif best_back is not None and fair >= odds_to_decimal(best_back.odds) * LAY_VALUE_MARGIN:
-            side, odds = LAY, best_back.odds  # lays an overrated competitor
+        backs, lays = obs.grid[cid]
+        if lays and lays[0].odds >= fair_q:
+            side, odds = BACK, lays[0].odds  # takes the resting lay
+        elif backs and fair >= odds_to_decimal(backs[0].odds) * LAY_VALUE_MARGIN:
+            side, odds = LAY, backs[0].odds  # lays an overrated competitor
         else:
             side, odds = BACK, fair_q  # rests at own fair odds
         return PlaceOrder(cid, side, odds, self._stake_minor())

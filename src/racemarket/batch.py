@@ -3,8 +3,8 @@
 Runs in a batch are seeded by deriving one child seed per run index from
 the batch master seed, so results are a pure function of (config, master
 seed) and identical for any worker count; workers only change wall-clock
-time.  Outcome PMFs use the full finish-order space up to 6 competitors
-(720 permutations) and fall back to the winner marginal above that.
+time.  Outcome PMFs use the full finish-order space for 2 to 6 competitors
+(up to 720 permutations) and the winner marginal otherwise.
 
 scipy is imported lazily inside the comparison helpers to keep batch
 worker processes import-light.
@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .exchange import Money
 from .race import RaceConfig, batch_runs, load_kernel
 from .race import run_race  # noqa: F401  perfbench's tracer patches it here by name
-from .seeding import Checked, FieldError, derive_seed
+from .seeding import Checked, FieldError, check_master_seed, derive_seed
 from .session import SessionConfig, run_session
 
 #: Largest field size whose full finish-order space (n!) is tracked exactly.
@@ -71,6 +71,7 @@ class BatchConfig(Checked):
 
     def validate(self) -> None:
         BatchSection(self.replications, self.workers)  # checks both as it is built
+        check_master_seed(self.master_seed)
 
 
 class RaceResult(NamedTuple):
@@ -209,7 +210,8 @@ class OutcomePMF:
     """Empirical PMF over race outcomes.
 
     space is "order" (keys are hyphen-joined finish orders) for fields of
-    up to 6 competitors, else "winner" (keys are winner ids).
+    2 to 6 competitors, else "winner" (keys are winner ids), so a table's
+    space can be read back from its keys.
     """
 
     space: str
@@ -218,14 +220,14 @@ class OutcomePMF:
 
 
 def estimate_pmf(orders: list[tuple[str, ...]]) -> OutcomePMF:
-    """PMF of finish-order samples, winner-marginal above 6 competitors."""
+    """PMF of finish-order samples, winner-marginal for one or above 6 competitors."""
     if not orders:
         raise ValueError("estimate_pmf needs at least one outcome sample")
     n = len(orders[0])
     if any(len(o) != n for o in orders):
         raise ValueError("outcome samples must all have the same field size")
     counts: dict[str, int] = {}
-    if n <= MAX_FULL_OUTCOME_COMPETITORS:
+    if 2 <= n <= MAX_FULL_OUTCOME_COMPETITORS:
         space = ORDER_SPACE
         for order in orders:
             key = "-".join(order)

@@ -11,9 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .batch import (
-    WINNER_SPACE, BatchConfig, OutcomePMF, bench, compare_pmf, pmf_from_results, run_batch
-)
+from .batch import BatchConfig, bench, compare_pmf, estimate_pmf, pmf_from_results, run_batch
 from .config import ConfigError, ExperimentConfig, config_digest, emit_default_config, parse_config
 from .race import run_race
 from .seeding import FieldError, check_master_seed, derive_seed
@@ -123,10 +121,7 @@ def _cmd_batch(args) -> int:
         base = cfg.race
     results = run_batch(BatchConfig(base, cfg.batch.replications, seed, workers))
     if cfg.batch.target == "session":
-        counts: dict[str, int] = {}
-        for r in results:
-            counts[r.winner] = counts.get(r.winner, 0) + 1
-        pmf = OutcomePMF(space=WINNER_SPACE, n_samples=len(results), counts=counts)
+        pmf = estimate_pmf([(r.winner,) for r in results])
         writers.write_session_runs_csv(out / "runs.csv", results)
     else:
         pmf = pmf_from_results(results)

@@ -249,14 +249,6 @@ class GridRow(NamedTuple):
     backs: tuple[GridLevel, ...]
     lays: tuple[GridLevel, ...]
 
-    @property
-    def best_back(self) -> GridLevel | None:
-        return self.backs[0] if self.backs else None
-
-    @property
-    def best_lay(self) -> GridLevel | None:
-        return self.lays[0] if self.lays else None
-
 
 @dataclass(frozen=True)
 class SettlementRow:

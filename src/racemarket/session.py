@@ -11,11 +11,12 @@ Betting closes when the configured number of competitors has finished; the
 race always runs to completion and the market settles on the actual winner.
 The event log is a list of dicts with gap-free increasing seq numbers,
 ready to be written as JSON lines.  Every event holds seq, time and kind,
-then the fields EVENT_FIELDS lists for its kind, in that order; the order
-fixes the bytes of events.jsonl.  The events are read-only and share
-objects: grid snapshots share the payload row of a competitor whose book
-did not change, and sentiment events share the odds list of each distinct
-prediction, rounded once per session.  Sentiment is kept only as events:
+then the fields EVENT_FIELDS lists for its kind, in that order; the order,
+and the JSON type EVENT_FIELDS gives each field, fix the bytes of
+events.jsonl.  The events are read-only and share objects: grid snapshots
+share the payload row of a competitor whose book did not change, and
+sentiment events share the odds list of each distinct prediction, rounded
+once per session.  Sentiment is kept only as events:
 SessionResult.sentiment_rows expands them to one row per competitor.
 """
 
@@ -47,7 +48,7 @@ from .exchange import (
 )
 from .race import RaceConfig, Trajectory, finalize_trajectory, initial_state, race_ticks
 from .race import advance_race  # noqa: F401  perfbench's tracer patches it here by name
-from .seeding import Checked, FieldError, spawn_rng
+from .seeding import Checked, FieldError, check_master_seed, spawn_rng
 
 
 class SessionConfigError(FieldError):
@@ -79,22 +80,29 @@ class SessionConfig(SessionSection):
 
     def validate(self) -> None:
         super().validate()
+        check_master_seed(self.master_seed)
         if self.race.n_competitors < 2 and any(g.strategy == "ud" for g in self.agents):
             raise SessionConfigError("agents", "ud agents need at least two competitors")
 
 
-#: Each event kind's fields after seq, time and kind, in written order.
-EVENT_FIELDS: dict[str, tuple[str, ...]] = {
-    "submit": ("bettor", "competitor", "side", "odds", "stake", "bet_id", "matched"),
-    "match": ("competitor", "odds", "amount", "back_bet", "lay_bet", "back_bettor", "lay_bettor"),
-    "cancel": ("bettor", "bet_id", "cancelled"),
-    "reject": ("bettor", "reason"),
-    "sentiment": ("bettor", "odds"),
-    "race_tick": ("tick", "positions"),
-    "expire": ("bet_id", "bettor", "amount", "refund"),
-    "close": ("refunds",),
-    "grid_snapshot": ("grid",),
-    "settle": ("winner", "total_commission", "rows"),
+#: Each event kind's fields after seq, time and kind, in written order, with
+#: the JSON type events.jsonl's line template writes each as: str, int and
+#: float are scalars, dict is a grid payload and object any other value.
+EVENT_FIELDS: dict[str, dict[str, type]] = {
+    "submit": dict(
+        bettor=str, competitor=str, side=str, odds=float, stake=int, bet_id=int, matched=int
+    ),
+    "match": dict(
+        competitor=str, odds=float, amount=int, back_bet=int, lay_bet=int, back_bettor=str, lay_bettor=str
+    ),
+    "cancel": dict(bettor=str, bet_id=int, cancelled=int),
+    "reject": dict(bettor=str, reason=str),
+    "sentiment": dict(bettor=str, odds=object),
+    "race_tick": dict(tick=int, positions=object),
+    "expire": dict(bet_id=int, bettor=str, amount=int, refund=int),
+    "close": dict(refunds=object),
+    "grid_snapshot": dict(grid=dict),
+    "settle": dict(winner=str, total_commission=int, rows=object),
 }
 
 
@@ -194,7 +202,7 @@ class _Session:
         try:
             event = _MAKE_EVENT[kind](len(events) + 1, time, *values)
         except TypeError as exc:  # a maker takes exactly its kind's fields
-            fields = EVENT_FIELDS[kind]
+            fields = tuple(EVENT_FIELDS[kind])
             raise ValueError(f"{kind} has fields {fields}, got {len(values)} values") from exc
         events.append(event)
 

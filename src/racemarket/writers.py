@@ -17,17 +17,21 @@ routine, which equals it (one exact scaled product per position gives its
 17 significant digits, and trailing digits are taken off while a shorter
 number still reads back as the position), and lines are joined into
 bounded chunks before each write.  An event line is one %-format of its
-kind's template, built once from `session.EVENT_FIELDS`.  A session's grid
-snapshots share the row of a competitor whose book did not change, so each
-grid row's JSON is memoised by the row's identity for one
+kind's template, built once from `session.EVENT_FIELDS`, which gives each
+field's JSON type.  A str, int or float is written in place, a grid payload
+by hand-written rows, and any other value (odds and positions lists,
+close's refunds, settle's rows) is the encoder's own JSON.  A session's
+grid snapshots share the row of a competitor whose book did not change,
+and its sentiment events share each distinct odds list, so the JSON of
+each grid row and other value is memoised by identity for one
 `write_events_jsonl` call, as the strings are by value.  An event the
 template would not write byte for byte goes through the encoder: one with
-a bool, a non-finite float, an int or float subclass or its keys in
-another order, and the kinds without a template (close and settle, one
-each per session).  The CSV lines need no such fallback for their fields,
-as `csv` quotes an id alike wherever it stands and never quotes a float's
-repr; a `trajectory.csv` chunk holding a position the kernel's digit
-routine does not write is written by repr.  The kernel reads
+a bool, a non-finite float, an int, float or str subclass in a scalar
+slot or its keys in another order, and one of an unknown kind.  The CSV
+lines need no such fallback for their fields, as `csv` quotes an id alike
+wherever it stands and never quotes a float's repr; a `trajectory.csv`
+chunk holding a position the kernel's digit routine does not write is
+written by repr.  The kernel reads
 `trajectory.csv`'s positions in place from the trajectory's flat
 `snapshots` array and writes each chunk into one reused buffer, so no
 position becomes a Python float on the way.
@@ -135,41 +139,28 @@ def write_finish_csv(path: Path, traj: Trajectory) -> None:
     _write_csv(path, ["competitor_id", "finish_tick", "finish_rank"], rows)
 
 
-#: The type of each field a kind's line template writes, in EVENT_FIELDS
-#: order: a list holds floats and a dict is a grid payload.  close and
-#: settle, one each per session, have no template.
-_TEMPLATE_TYPES: dict[str, tuple[type, ...]] = {
-    "submit": (str, str, str, float, int, int, int),
-    "match": (str, float, int, int, int, str, str),
-    "cancel": (str, int, int),
-    "reject": (str, str),
-    "sentiment": (str, list),
-    "race_tick": (int, list),
-    "expire": (int, str, int, int),
-    "grid_snapshot": (dict,),
-}
-
-# How a template writes a value v of each type: its placeholder, the
-# expression it formats, and what v must pass besides having exactly that type.
+# How a template writes a value v of each type EVENT_FIELDS names: its
+# placeholder, the expression it formats, and the test that sends the event to
+# the encoder instead.  An object is written by the encoder, so it needs none.
 _SLOTS = {
-    int: ("%d", "{v}", None),
-    float: ("%s", "floats[{v}]", "-inf < {v} < inf"),
-    str: ("%s", "strings[{v}]", None),
-    list: ("[%s]", "_float_list({v})", None),
-    dict: ("%s", "_grid_json({v}, strings, rows)", None),
+    int: ("%d", "{v}", "type({v}) is not int"),
+    float: ("%s", "floats[{v}]", "type({v}) is not float or not -inf < {v} < inf"),
+    str: ("%s", "strings[{v}]", "type({v}) is not str"),
+    dict: ("%s", "_grid_json({v}, strings, objects)", "type({v}) is not dict"),
+    object: ("%s", "_by_identity({v}, objects, encode)", None),
 }
 
 
-def _float_list(values: list) -> str:
-    """A list of finite floats as JSON, without its brackets.
+def _by_identity(value, objects: dict, to_json) -> str:
+    """to_json(value), memoised in objects by the value's identity.
 
-    float.__repr__ raises TypeError on a value that is not a float; a float
-    subclass is written as the encoder writes it, by float.__repr__.
+    objects holds (value, JSON) pairs: holding the value keeps its id from
+    being reused.  A value to_json cannot write raises each time it is met.
     """
-    text = ",".join(map(float.__repr__, values))
-    if "n" in text:  # nan or inf, which the encoder writes as NaN or Infinity
-        raise ValueError
-    return text
+    hit = objects.get(id(value))
+    if hit is None:
+        hit = objects[id(value)] = (value, to_json(value))
+    return hit[1]
 
 
 def _levels_json(levels: list) -> str:
@@ -195,21 +186,14 @@ def _row_json(row: dict) -> str:
     return f'{{"backs":[{backs}],"lays":[{lays}]}}'
 
 
-def _grid_json(grid: dict, strings: _Memo, rows: dict) -> str:
-    """A grid_snapshot payload, {cid: row}, as JSON.
-
-    rows memoises each row's JSON by the row's identity, as (row, JSON):
-    holding the row keeps its id from being reused.  A row that cannot be
-    written raises each time it is met.
-    """
+def _grid_json(grid: dict, strings: _Memo, objects: dict) -> str:
+    """A grid_snapshot payload, {cid: row}, as JSON; each row's JSON is
+    memoised by the row's identity (see _by_identity)."""
     out = []
     for cid, row in grid.items():
         if type(cid) is not str:
             raise ValueError
-        hit = rows.get(id(row))
-        if hit is None:
-            hit = rows[id(row)] = (row, _row_json(row))
-        out.append(f"{strings[cid]}:{hit[1]}")
+        out.append(f"{strings[cid]}:{_by_identity(row, objects, _row_json)}")
     return "{" + ",".join(out) + "}"
 
 
@@ -220,7 +204,7 @@ def _json_literal(text: str) -> str:
 
 # One kind's line function; _compile_line fills in the fields.
 _LINE_SOURCE = """\
-def line(event, strings, floats, rows):
+def line(event, strings, floats, objects):
     if tuple(event) != keys:
         raise ValueError
     {values}, = get(event)
@@ -231,32 +215,32 @@ def line(event, strings, floats, rows):
 
 
 def _compile_line(kind: str):
-    """line(event, strings, floats, rows): one `kind` event as its JSON line.
+    """line(event, strings, floats, objects): one `kind` event as its JSON line.
 
     The line is one %-format of a template that holds every key and the
     kind.  strings and floats memoise the JSON of each string and float,
-    rows that of each grid row (see _grid_json).
+    objects that of each grid row and object value (see _by_identity).
     line raises ValueError for an event the template would not write byte
     for byte.
     """
-    names = ("seq", "time", *EVENT_FIELDS[kind])
-    values = [f"v{i}" for i in range(len(names))]
+    fields = {"seq": int, "time": float, **EVENT_FIELDS[kind]}
+    values = [f"v{i}" for i in range(len(fields))]
     members, args, tests = [], [], []
-    for name, typ, v in zip(names, (int, float, *_TEMPLATE_TYPES[kind]), values, strict=True):
+    for (name, typ), v in zip(fields.items(), values):
         placeholder, arg, test = _SLOTS[typ]
         members.append(f"{_json_literal(name)}:{placeholder}")
         args.append(arg.format(v=v))
-        tests.append(f"type({v}) is not {typ.__name__}")
         if test is not None:
-            tests.append(f"not {test.format(v=v)}")
+            tests.append(test.format(v=v))
     members.insert(2, f'"kind":{_json_literal(kind)}')
     source = _LINE_SOURCE.format(values=", ".join(values), tests=" or ".join(tests), args=", ".join(args))
     namespace = {
-        "keys": (*names[:2], "kind", *names[2:]),
-        "get": itemgetter(*names),
+        "keys": ("seq", "time", "kind", *EVENT_FIELDS[kind]),
+        "get": itemgetter(*fields),
         "template": "{" + ",".join(members) + "}\n",
         "inf": inf,
-        "_float_list": _float_list,
+        "encode": _EVENT_ENCODER.encode,
+        "_by_identity": _by_identity,
         "_grid_json": _grid_json,
     }
     exec(source, namespace)
@@ -265,21 +249,21 @@ def _compile_line(kind: str):
 
 @functools.cache
 def _event_lines() -> dict:
-    """Each templated kind's line function.  Compiling them takes a few
+    """Each kind's line function.  Compiling them takes a few
     milliseconds, so a process pays it when it first writes events."""
-    return {kind: _compile_line(kind) for kind in _TEMPLATE_TYPES}
+    return {kind: _compile_line(kind) for kind in EVENT_FIELDS}
 
 
 def write_events_jsonl(path: Path, events: list[dict]) -> None:
     lines, encode = _event_lines(), _EVENT_ENCODER.encode
-    strings, rows = _Memo(encode), {}
+    strings, objects = _Memo(encode), {}
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(events), _CHUNK_LINES):
             floats = _FloatReprs()  # a chunk's times and odds
             chunk = []
             for event in events[start : start + _CHUNK_LINES]:
                 try:
-                    chunk.append(lines[event["kind"]](event, strings, floats, rows))
+                    chunk.append(lines[event["kind"]](event, strings, floats, objects))
                 except (KeyError, TypeError, ValueError):  # no template, or not one it writes
                     chunk.append(f"{encode(event)}\n")
             fh.write("".join(chunk))

@@ -31,6 +31,7 @@ KERNEL = "src/racemarket/_kernel.c"
 EXCHANGE = "src/racemarket/exchange.py"
 RACE = "src/racemarket/race.py"
 SESSION = "src/racemarket/session.py"
+WRITERS = "src/racemarket/writers.py"
 #: kernel_parity.py with 20 random races, which checks rm_position_lines on
 #: its edge values and 30k random positions.
 PARITY = ("tests/kernel_parity.py", "20")
@@ -162,6 +163,58 @@ MUTANTS = (
         "state, rng.getstate()[1],",
         "state, make_rng(seed).getstate()[1],",
         (pytest("tests/test_golden.py::test_wide_field_race_trajectory"),),
+    ),
+    Mutant(
+        "an event template writes a float slot with %d",
+        WRITERS,
+        'float: ("%s", "floats[{v}]",',
+        'float: ("%d", "{v}",',
+        (pytest("tests/test_writers.py::test_events_jsonl_matches_the_encoder"),),
+    ),
+    Mutant(
+        "an event template writes a non-finite float",
+        WRITERS,
+        '"type({v}) is not float or not -inf < {v} < inf"',
+        '"type({v}) is not float"',
+        (pytest("tests/test_writers.py::test_events_jsonl_matches_the_encoder"),),
+    ),
+    Mutant(
+        "an event template writes an event whose keys are out of order",
+        WRITERS,
+        """    if tuple(event) != keys:
+        raise ValueError
+""",
+        "",
+        (pytest("tests/test_writers.py::test_events_jsonl_matches_the_encoder"),),
+    ),
+    Mutant(
+        "the float memo keeps zeros, so -0.0 is written as 0.0 after it",
+        WRITERS,
+        """        if x:
+            self[x] = text""",
+        "        self[x] = text",
+        (pytest("tests/test_writers.py::test_events_jsonl_memos_span_chunks"),),
+    ),
+    Mutant(
+        "write_sentiment_csv reuses a line prefix for an equal time, not the same one",
+        WRITERS,
+        "if t is not time or b is not bettor:",
+        "if t != time or b != bettor:",
+        (pytest("tests/test_writers.py::test_sentiment_csv_matches_csv_writer"),),
+    ),
+    Mutant(
+        "an object value is written by json.dumps with its default separators",
+        WRITERS,
+        '"encode": _EVENT_ENCODER.encode,',
+        '"encode": json.dumps,',
+        (pytest("tests/test_writers.py::test_events_jsonl_matches_the_encoder"),),
+    ),
+    Mutant(
+        "the identity memo returns its first entry for any value",
+        WRITERS,
+        "hit = objects.get(id(value))",
+        "hit = next(iter(objects.values()), None)",
+        (pytest("tests/test_writers.py::test_shared_grid_rows_match_the_encoder"),),
     ),
 )
 

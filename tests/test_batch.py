@@ -160,6 +160,9 @@ def test_batch_config_validation():
         BatchConfig(make_race(), 0, 0).validate()
     with pytest.raises(ValueError):
         BatchConfig(make_race(), 1, 0, workers=0).validate()
+    for seed in (-1, 2**64, 2**64 + 7):  # derive_seed would fold these onto seeds in range
+        with pytest.raises(ValueError, match="^seed must be"):
+            BatchConfig(make_race(), 20, seed)
 
 
 def test_estimate_pmf_order_space():

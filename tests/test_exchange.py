@@ -254,8 +254,8 @@ def test_matching_requires_exact_odds():
     _, records = book.submit_bet("bob", "c1", LAY, 300, 500)
     assert records == []  # better-priced back does not match a 3.00 lay
     grid = book.market_grid()
-    assert grid["c1"].best_back.odds == 310
-    assert grid["c1"].best_lay.odds == 300
+    assert grid["c1"].backs[0].odds == 310
+    assert grid["c1"].lays[0].odds == 300
 
 
 def test_no_self_match_rule_is_absent_by_design():
@@ -277,8 +277,8 @@ def test_grid_ordering_and_depth():
         assert [l.odds for l in grid["c1"].backs] == [360, 340, 320, 300][:depth]
         assert [l.odds for l in grid["c1"].lays] == [380, 400, 420, 440][:depth]
         assert grid["c2"].backs == () and grid["c2"].lays == ()
-        assert grid["c1"].best_back.odds == 360
-        assert grid["c1"].best_lay.odds == 380
+        assert grid["c1"].backs[0].odds == 360
+        assert grid["c1"].lays[0].odds == 380
 
 
 def test_grid_depth_below_one_is_rejected():

@@ -7,7 +7,7 @@ from racemarket.agents import AgentParams, CancelOrder, PlaceOrder
 from racemarket.config import parse_config
 from racemarket.exchange import BACK, MarketBook
 from racemarket.race import BettingClose, RaceDivergedError
-from racemarket.seeding import derive_seed, spawn_rng
+from racemarket.seeding import FieldError, derive_seed, spawn_rng
 from racemarket.session import (
     EVENT_FIELDS,
     SessionConfig,
@@ -57,6 +57,9 @@ def test_config_validation():
         small_session(grid_depth=0).validate()
     with pytest.raises(SessionConfigError):
         SessionConfig(race=make_race(n=1), agents=(AgentParams("ud"),), master_seed=0)
+    for seed in (-1, 2**64, 2**64 + 5):  # derive_seed would fold these onto seeds in range
+        with pytest.raises(FieldError, match="^seed must be"):
+            small_session(seed=seed)
 
 
 def test_expand_agents_ids_and_streams():

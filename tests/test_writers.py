@@ -324,17 +324,17 @@ def test_events_jsonl_memos_span_chunks(tmp_path):
 
 
 def test_session_events_are_written_by_their_templates():
-    # Every kind but close and settle has a template, and a session's events
-    # are the types the templates write, so none falls back to the encoder.
+    # Every kind has a template, and a session's events are the types the
+    # templates write, so none falls back to the encoder.
     cfg = parse_config(DERBY.read_text())
     events = run_session(cfg.session_config(master_seed=3)).events
-    assert {e["kind"] for e in events} >= set(_event_lines()) - {"reject"}  # no order was refused
+    assert set(_event_lines()) == set(EVENT_FIELDS)
+    assert {e["kind"] for e in events} == set(EVENT_FIELDS) - {"reject"}  # no order was refused
     events += [sample_event(kind) for kind in EVENT_FIELDS]
-    strings, floats, rows = _Memo(ORACLE.encode), _FloatReprs(), {}
+    strings, floats, objects = _Memo(ORACLE.encode), _FloatReprs(), {}
     for event in events:
-        if event["kind"] not in ("close", "settle"):
-            line = _event_lines()[event["kind"]](event, strings, floats, rows)
-            assert line == f"{ORACLE.encode(event)}\n"
+        line = _event_lines()[event["kind"]](event, strings, floats, objects)
+        assert line == f"{ORACLE.encode(event)}\n"
 
 
 def test_shared_grid_rows_match_the_encoder(tmp_path):
@@ -450,17 +450,17 @@ def test_finish_csv(tmp_path):
 
 
 def test_pmf_csv_round_trip(tmp_path):
-    results = run_batch(BatchConfig(make_race(n=3, length=150.0), 40, master_seed=1))
-    pmf = pmf_from_results(results)
+    # The space is inferred from the keys: a one-runner field's finish
+    # orders, like winners, hold no hyphen.
+    pmfs = [
+        pmf_from_results(run_batch(BatchConfig(make_race(n=n, length=150.0), 40, master_seed=1)))
+        for n in (3, 1)
+    ]
+    pmfs.append(OutcomePMF("winner", 10, {"c1": 7, "c2": 3}))
     out = tmp_path / "pmf.csv"
-    write_pmf_csv(out, pmf)
-    back = read_pmf_csv(out)
-    assert back == pmf
-
-    winners = OutcomePMF("winner", 10, {"c1": 7, "c2": 3})
-    write_pmf_csv(out, winners)
-    back = read_pmf_csv(out)
-    assert back == winners  # space inferred from hyphen-free keys
+    for pmf in pmfs:
+        write_pmf_csv(out, pmf)
+        assert read_pmf_csv(out) == pmf
 
 
 def test_read_pmf_csv_rejects_other_tables(tmp_path):
