@@ -1,8 +1,7 @@
 /* Whole races in C, bit for bit with race._tick stepped by random.Random.
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the same
- * seeding from an int, the same 53-bit random() and the same state layout
- * as random.getstate() (624 words, then the index).  A tick repeats _tick
+ * seeding from an int and the same 53-bit random().  A tick repeats _tick
  * operation for operation, so every double is computed from the same
  * operands in the same order; build without fast-math and with
  * -ffp-contract=off so that no multiply-add is fused.
@@ -11,11 +10,11 @@
  * position, early, late, early_free, late_free, lognormal (0 or 1), a, b,
  * scale.  A finish tick of -1 marks a competitor still racing.
  *
- * Two entry points run races and one derives seeds: rm_run continues one
- * race from a given state and generator, rm_races runs many races, each on
- * its own seed, from race.initial_state (a batch's runs) or from one given
- * state (a prediction's dry runs), and rm_run_seeds derives a batch's run
- * seeds.  A fourth, rm_position_lines, writes trajectory.csv's lines, each
+ * One entry point runs races: rm_races, each race on its own seed, from
+ * race.initial_state (a batch's runs, or run_race's one race, recorded) or
+ * from one given state (a prediction's dry runs).  rm_run_seeds derives a
+ * batch's run seeds and rm_free frees a recorded race's rows.  A fourth,
+ * rm_position_lines, writes trajectory.csv's lines, each
  * position as repr writes it, over 0.0 and [2**-6, 2**53): one exact
  * scaled product, in 128 bits from 32-bit halves, gives the position's 17
  * significant digits and its rounding bounds, and trailing digits are taken
@@ -23,8 +22,8 @@
  * refuses any other value, and the writer then writes that chunk by repr.
  * The source is strict C99: no 128-bit integer or other extension.
  * It reads the positions in place from a trajectory's snapshots array.
- * None keeps state between calls, so calls may run on several threads at
- * once.
+ * None keeps state between calls but a record, which the caller owns, so
+ * calls may run on several threads at once.
  *
  * Streams are seeded in lanes: seed_lanes runs random.seed for up to LANES
  * seeds at once, each a column of one table, and lane_out hands a column to
@@ -45,7 +44,7 @@
 
 enum { RUNNER = 10 };
 /* the entry points' status codes, as _kernel.py names them */
-enum { RM_FINISHED, RM_BUDGET_SPENT, RM_DIVERGED, RM_OVERFLOW, RM_NO_MEMORY };
+enum { RM_FINISHED, RM_DIVERGED, RM_OVERFLOW, RM_NO_MEMORY };
 
 static void init_genrand(uint32_t *mt, uint32_t s)
 {
@@ -290,36 +289,51 @@ static void field_free(field_t *f)
     free(f->ranked);
 }
 
+/* A recorded race (see rm_races): count of rows' capacity rows written. */
+typedef struct {
+    double *rows;
+    int64_t count, capacity, blocked;
+} record_t;
+
+enum { RECORD_ROWS = 256 };
+
+/* pos's n values appended to r as a row; 0 when the rows could not grow. */
+static int record_row(record_t *r, const double *pos, int n)
+{
+    if (r->count == r->capacity) {
+        int64_t capacity = r->capacity ? 2 * r->capacity : RECORD_ROWS;
+        double *rows = realloc(r->rows, sizeof(double) * (size_t)capacity * (size_t)n);
+        if (!rows)
+            return 0;
+        r->rows = rows;
+        r->capacity = capacity;
+    }
+    memcpy(r->rows + (size_t)(r->count++ * n), pos, sizeof(double) * (size_t)n);
+    return 1;
+}
+
 /* race.race_ticks on pos, prev, finish and counters (tick, blocked steps),
- * drawing from mt: see rm_run. */
+ * drawing from mt, each tick's positions appended to record unless it is
+ * NULL; returns a status as rm_races gives it (an overflow leaves the tick
+ * half done). */
 static int race(const double *runners, int n, double length, double nv_magic, double *pos,
                 double *prev, int64_t *finish, int64_t *counters, uint32_t *mt, field_t *f,
-                int64_t stop, int64_t budget, double *snapshots)
+                int64_t stop, record_t *record)
 {
-    int64_t done = 0;
-    int status = RM_FINISHED;
     f->m = f->sorted = 0;
     for (int c = 0; c < n; c++)
         if (finish[c] < 0)
             f->racing[f->m++] = c;
     while (f->m) {
-        if (counters[0] >= stop) {
-            status = RM_DIVERGED;
-            break;
-        }
-        if (done == budget) {
-            status = RM_BUDGET_SPENT;
-            break;
-        }
-        status = tick(runners, length, nv_magic, pos, prev, finish, counters, mt, f);
+        if (counters[0] >= stop)
+            return RM_DIVERGED;
+        int status = tick(runners, length, nv_magic, pos, prev, finish, counters, mt, f);
         if (status != RM_FINISHED)
-            break;
-        if (snapshots)
-            for (int c = 0; c < n; c++)
-                snapshots[(size_t)done * n + c] = pos[c];
-        done++;
+            return status;
+        if (record && !record_row(record, pos, n))
+            return RM_NO_MEMORY;
     }
-    return status;
+    return RM_FINISHED;
 }
 
 /* race.initial_state into pos, prev, finish and counters, drawing from mt:
@@ -342,30 +356,6 @@ static int prime(const double *runners, int n, double nv_magic, double *pos, dou
         finish[c] = -1;
     }
     counters[0] = counters[1] = 0;
-    return status;
-}
-
-/* race.race_ticks run in place for at most budget ticks (-1: no budget).
- *
- * floats holds the n positions, then the n previous steps; ints the n
- * finish ticks, then the tick and the blocked steps; mt the generator as
- * random.getstate() gives it (N words, then the index), which the race goes
- * on drawing from.  A call whose budget ran out leaves all three ready for
- * the next.  When snapshots is not NULL, the n positions after each tick are
- * appended to it.  Returns RM_FINISHED when nobody is racing,
- * RM_BUDGET_SPENT when budget ticks ran and some still race, RM_DIVERGED
- * when the tick reached stop first, RM_OVERFLOW when a lognormal draw
- * overflowed (the tick is left half done), or RM_NO_MEMORY.
- */
-int rm_run(const double *runners, int n, double length, double nv_magic, double *floats,
-           int64_t *ints, uint32_t *mt, int64_t stop, int64_t budget, double *snapshots)
-{
-    field_t f = {0};
-    int status = RM_NO_MEMORY;
-    if (field_alloc(&f, n))
-        status = race(runners, n, length, nv_magic, floats, floats + n, ints, ints + n, mt, &f,
-                      stop, budget, snapshots);
-    field_free(&f);
     return status;
 }
 
@@ -420,17 +410,25 @@ static int by_place(const void *x, const void *y)
 
 /* count races, race k drawing from random.seed(seeds[k]) with stop as its
  * tick limit.  Each starts from race.initial_state when floats is NULL, and
- * otherwise from the state floats and ints hold (as for rm_run; only read).
+ * otherwise from one given state, which is only read: floats holds its n
+ * positions, then its n previous steps; ints its n finish ticks, then its
+ * tick and blocked steps.
  * Race k writes its n finish ticks to ticks_out + k * n and its finish order
  * (competitor indices, by race._finish_order) to order_out + k * n.  The
  * first race that does not finish stops the call, with its finish ticks so
  * far in its row.  Returns the number of races finished; *status is
- * RM_FINISHED when all count finished, and otherwise the failing race's
- * status, as rm_run's.
+ * RM_FINISHED when all count finished, and otherwise the failing race's:
+ * RM_DIVERGED when its tick reached stop, RM_OVERFLOW when a lognormal draw
+ * overflowed, or RM_NO_MEMORY.  record is NULL or, for a call with count 1,
+ * a zeroed record_t that gets the race's blocked steps and, as rows, its
+ * start and the positions after each tick: its rows start at RECORD_ROWS
+ * and double when full, and the caller frees them with rm_free, whatever
+ * the status.
  */
 int64_t rm_races(const double *runners, int n, double length, double nv_magic,
                  const uint64_t *seeds, int64_t count, const double *floats, const int64_t *ints,
-                 int64_t stop, int64_t *ticks_out, int32_t *order_out, int *status)
+                 int64_t stop, int64_t *ticks_out, int32_t *order_out, record_t *record,
+                 int *status)
 {
     uint32_t table[N], mt[N + 1], lanes[N][LANES];
     int64_t counters[2], k = 0;
@@ -455,9 +453,13 @@ int64_t rm_races(const double *runners, int n, double length, double nv_magic,
         } else {
             *status = prime(runners, n, nv_magic, pos, pos + n, finish, counters, mt, &f);
         }
+        if (*status == RM_FINISHED && record && !record_row(record, pos, n))
+            *status = RM_NO_MEMORY;
         if (*status == RM_FINISHED)
             *status = race(runners, n, length, nv_magic, pos, pos + n, finish, counters, mt, &f,
-                           stop, -1, NULL);
+                           stop, record);
+        if (record)
+            record->blocked = counters[1];
         if (*status != RM_FINISHED)
             break;
         for (int c = 0; c < n; c++) {
@@ -474,6 +476,12 @@ out:
     free(pos);
     free(places);
     return k;
+}
+
+/* Frees the rows rm_races recorded. */
+void rm_free(record_t *record)
+{
+    free(record->rows);
 }
 
 /* repr(x) written to out, for x = 0.0 or 2**-6 <= x < 2**53; returns its

@@ -6,6 +6,13 @@ source and the compile command, so an edit to either builds a new one.
 Where ``__pycache__`` is not writable it is built in a private temporary
 directory instead.  A build writes to a temporary name and then renames it
 into place, so processes building at once each load a whole library.
+
+Every race runs through one entry point, rm_races, called by Kernel.races:
+a batch chunk's runs and a prediction's dry runs, which come back as finish
+ticks and orders, and run_race's one race, which Kernel.record runs with a
+record.  C seeds and primes each race; no generator state crosses from
+Python.  A record's rows grow in a C buffer, which Kernel.record copies
+into the trajectory's array("d") and frees with rm_free.
 """
 
 import ctypes
@@ -37,19 +44,27 @@ _MAX_TICK = 2**63 - 1
 _REPR_MAX = 20
 #: Bytes per position in a snapshots array.
 _DOUBLE_BYTES = ctypes.sizeof(ctypes.c_double)
-#: A snapshot buffer holds about this many positions; longer races refill it.
-_SNAPSHOT_DOUBLES = 1 << 14
+#: The rows a record's buffer starts with, before it doubles: RECORD_ROWS in the C source.
+_RECORD_ROWS = 256
 
 # the kernel's status codes
-_FINISHED, _BUDGET_SPENT, _DIVERGED, _OVERFLOW, _NO_MEMORY = range(5)
+_FINISHED, _DIVERGED, _OVERFLOW, _NO_MEMORY = range(4)
 
 _doubles = ctypes.POINTER(ctypes.c_double)
 _int64s = ctypes.POINTER(ctypes.c_int64)
 _int32s = ctypes.POINTER(ctypes.c_int32)
-_words = ctypes.POINTER(ctypes.c_uint32)
-#: An MT19937 state as random.getstate()[1] holds it: 624 words, then the index.
-_Generator = ctypes.c_uint32 * 625
 _seeds = ctypes.POINTER(ctypes.c_uint64)
+
+
+class _Record(ctypes.Structure):
+    """A recorded race, record_t in the C source: count rows of positions at rows."""
+
+    _fields_ = (
+        ("rows", ctypes.c_void_p),
+        ("count", ctypes.c_int64),
+        ("capacity", ctypes.c_int64),
+        ("blocked", ctypes.c_int64),
+    )
 
 
 def compile_command() -> list[str] | None:
@@ -145,20 +160,6 @@ class Kernel:
     """
 
     def __init__(self, lib: ctypes.CDLL):
-        self._run = lib.rm_run
-        self._run.argtypes = (
-            _doubles,  # runners
-            ctypes.c_int,  # n
-            ctypes.c_double,  # length
-            ctypes.c_double,  # nv_magic
-            _doubles,  # floats
-            _int64s,  # ints
-            _words,  # mt
-            ctypes.c_int64,  # stop
-            ctypes.c_int64,  # budget
-            _doubles,  # snapshots
-        )
-        self._run.restype = ctypes.c_int
         self._races = lib.rm_races
         self._races.argtypes = (
             _doubles,  # runners
@@ -172,9 +173,13 @@ class Kernel:
             ctypes.c_int64,  # stop
             _int64s,  # ticks_out
             _int32s,  # order_out
+            ctypes.POINTER(_Record),  # record
             ctypes.POINTER(ctypes.c_int),  # status
         )
         self._races.restype = ctypes.c_int64
+        self._free = lib.rm_free
+        self._free.argtypes = (ctypes.POINTER(_Record),)
+        self._free.restype = None
         self._run_seeds = lib.rm_run_seeds
         self._run_seeds.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, _seeds)
         self._run_seeds.restype = None
@@ -204,79 +209,63 @@ class Kernel:
         self._last = (runners, flat)
         return flat
 
-    @staticmethod
-    def _state(state):
-        """state as rm_run's floats and ints."""
-        n = len(state.positions)
-        floats = (ctypes.c_double * (2 * n))(*state.positions, *state.prev_steps)
-        finish = [-1 if t is None else t for t in state.finish_ticks]
-        ints = (ctypes.c_int64 * (n + 2))(*finish, state.tick, state.blocked_steps)
-        return floats, ints
-
-    def run(self, runners, length, state, words, stop, diverged, snapshots):
-        """race_ticks on state, in place, drawing from the generator words holds.
-
-        runners is _compile's output; words is random.getstate()[1] (624
-        words, then the index) of the stream the race goes on drawing from;
-        the Random it came from is not advanced.
-        Each tick's positions are appended to snapshots, an array("d"): the
-        bytes of each refill of the C buffer at once.
-        Raises the error the Python loop raises where it stops:
-        diverged(finished) when the tick reached stop with competitors still
-        racing.
-        """
-        n = len(runners)
-        flat = self._flat(runners)
-        floats, ints = self._state(state)
-        words = array("I", words)
-        if words.itemsize * len(words) != ctypes.sizeof(_Generator):
-            raise ValueError("a generator state is 625 32-bit words for the kernel")
-        mt = _Generator.from_buffer(words)
-        stop = min(stop, _MAX_TICK)
-        rows = max(1, _SNAPSHOT_DOUBLES // n)
-        buf = (ctypes.c_double * (rows * n))()
-        row_bytes = memoryview(buf).cast("B")
-        while True:
-            tick = ints[n]
-            status = self._run(flat, n, length, NV_MAGICCONST, floats, ints, mt, stop, rows, buf)
-            snapshots.frombytes(row_bytes[: (ints[n] - tick) * n * _DOUBLE_BYTES])
-            if status != _BUDGET_SPENT:
-                break
-        state.positions[:] = floats[:n]
-        state.prev_steps[:] = floats[n:]
-        state.finish_ticks[:] = [None if t < 0 else t for t in ints[:n]]
-        state.tick, state.blocked_steps = ints[n], ints[n + 1]
-        if status != _FINISHED:
-            raise _failure(status, ints[:n], diverged)
-
-    def races(self, runners, length, seeds, state, stop, diverged):
+    def races(self, runners, length, seeds, state, stop, diverged, record=None):
         """One race per seed, in one call: race k draws from random.Random(seeds[k]).
 
-        seeds is run_seeds' array or a sequence of ints below 2**64.  Each
-        race starts from initial_state when state is None, and otherwise
-        from state, which is not changed; it runs until the tick reaches
-        stop.  Returns (done, ticks, orders, error): the number of races
-        finished before the first that failed; two C arrays holding race k's
-        n finish ticks and its finish order (competitor indices) at
-        [k * n : (k + 1) * n] for k < done; and None or the failed race's
-        error, as the Python loop raises it (diverged(finished) for a
-        divergence).
+        runners is _compile's output; seeds is run_seeds' array or a
+        sequence of ints below 2**64.  Each race starts from initial_state
+        when state is None, and otherwise from state, which is not changed;
+        it runs until the tick reaches stop.  Returns (done, ticks, orders,
+        error): the number of races finished before the first that failed;
+        two C arrays holding race k's n finish ticks and its finish order
+        (competitor indices) at [k * n : (k + 1) * n] for k < done; and None
+        or the failed race's error, as the Python loop raises it
+        (diverged(finished) for a divergence).  record, for one seed only,
+        is a _Record that the race's rows fill: see self.record.
         """
         n, count = len(runners), len(seeds)
         if not isinstance(seeds, ctypes.Array):
             seeds = (ctypes.c_uint64 * count)(*seeds)
-        floats, ints = (None, None) if state is None else self._state(state)
+        floats = ints = None
+        if state is not None:
+            floats = (ctypes.c_double * (2 * n))(*state.positions, *state.prev_steps)
+            finish = [-1 if t is None else t for t in state.finish_ticks]
+            ints = (ctypes.c_int64 * (n + 2))(*finish, state.tick, state.blocked_steps)
         ticks = (ctypes.c_int64 * (count * n))()
         orders = (ctypes.c_int32 * (count * n))()
         status = ctypes.c_int()
         done = self._races(
             self._flat(runners), n, length, NV_MAGICCONST, seeds, count, floats, ints,
-            min(stop, _MAX_TICK), ticks, orders, ctypes.byref(status),
+            min(stop, _MAX_TICK), ticks, orders, record, ctypes.byref(status),
         )
         error = None
         if status.value != _FINISHED:
             error = _failure(status.value, ticks[done * n : (done + 1) * n], diverged)
         return done, ticks, orders, error
+
+    def record(self, runners, length, seed, stop, diverged):
+        """The race from initial_state on random.Random(seed): one races call with a record.
+
+        Returns (ticks, order, blocked, snapshots): the C arrays of its
+        finish ticks and finish order, its blocked steps, and an array("d")
+        of the positions at the start line and after each tick, one row of
+        len(runners) per tick, copied once from the C buffer.  The buffer
+        is freed whatever happens; a race that failed raises its error, as
+        races gives it.
+        """
+        record = _Record()
+        try:
+            _, ticks, order, error = self.races(
+                runners, length, [seed], None, stop, diverged, record
+            )
+            if error is not None:
+                raise error
+            rows = ctypes.c_double * (record.count * len(runners))
+            snapshots = array("d")
+            snapshots.frombytes(memoryview(rows.from_address(record.rows)).cast("B"))
+        finally:
+            self._free(record)
+        return ticks, order, record.blocked, snapshots
 
     def position_lines(self, prefixes, snapshots):
         """lines(tick, count): trajectory.csv's lines for rows tick .. tick + count - 1.

@@ -12,10 +12,10 @@ slowest competitor has crossed the finish line.
 
 This module alone chooses between the C kernel (_kernel.c, built on first
 use) and the Python loop, race_ticks, which the kernel repeats bit for bit.
-run_race primes its race in Python and runs it in C, recording each tick's
-positions; batch_runs (a chunk of a batch's races) and win_counts (a
-prediction's dry runs) are one kernel call each, through the one many-race
-loop, and record only finish ticks and orders.  Without a compiler each
+run_race (one race, each tick's positions recorded), batch_runs (a chunk of
+a batch's races) and win_counts (a prediction's dry runs) are one call each
+to the kernel's one race loop, which seeds and primes every race in C; the
+last two record only finish ticks and orders.  Without a compiler each
 falls back to race_ticks: run_race records it, batch_runs runs it from
 initial_state per run, and win_counts calls simulate_from, which is always
 the Python loop.
@@ -28,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .seeding import Checked, FieldError, derive_seed, make_rng
+from .seeding import MASK64, Checked, FieldError, derive_seed, make_rng
 
 DEFAULT_TICK_LIMIT = 1_000_000
 
@@ -345,7 +345,7 @@ class Trajectory:
     snapshots holds the positions after each tick, tick 0 (the start line)
     first: n_competitors floats per tick, one flat array("d") from the race
     to trajectory.csv; its last n_competitors are the final positions.  It
-    must not be changed after finalize_trajectory: ticks, which gives the
+    must not be changed once the Trajectory is built: ticks, which gives the
     same positions as one tuple per tick, is cached from it.
     """
 
@@ -402,19 +402,20 @@ def load_kernel():
 
 def run_race(config: RaceConfig, seed: int) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed, recording every tick."""
-    snapshots = array("d", [0.0]) * config.n_competitors
     kernel = load_kernel()
-    rng = make_rng(seed)
-    state = initial_state(config, rng)
     if kernel is None:
+        snapshots = array("d", [0.0]) * config.n_competitors
+        rng = make_rng(seed)
+        state = initial_state(config, rng)
         for _ in race_ticks(config, state, rng, config.tick_limit):
             snapshots.extend(state.positions)
-    else:
-        kernel.run(
-            config._runners, config.track_length, state, rng.getstate()[1], config.tick_limit,
-            partial(_diverged, config), snapshots,
-        )
-    return finalize_trajectory(state, config, snapshots)
+        return finalize_trajectory(state, config, snapshots)
+    ticks, order, blocked, snapshots = kernel.record(
+        config._runners, config.track_length, seed & MASK64, config.tick_limit,
+        partial(_diverged, config),
+    )
+    ids = config.competitor_ids
+    return Trajectory(ids, snapshots, tuple(ticks), tuple(map(ids.__getitem__, order)), blocked)
 
 
 def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str, ...]:

@@ -3,11 +3,12 @@
 Runs run_race (trajectory recorded), win_counts from mid-race states, and
 chunks of batch runs on random fields, once through the C kernel and once
 through race_ticks, and compares the results by repr, which tells every
-float bit apart.  run_race primes its race in Python and hands the stream
-to rm_run.  A batch chunk is one rm_races call from the primed start on the
-seeds rm_run_seeds derives, and a win_counts call is one rm_races call from
-a mid-race state; on the Python loop they are derive_seed with run_race,
-and simulate_from.  rm_races seeds its streams in groups of 8, so a case
+float bit apart.  Each is one rm_races call: run_race's from the primed
+start on its one seed, with a record that its buffer's rows grow into; a
+batch chunk's from the primed start on the seeds rm_run_seeds derives; and
+a win_counts call's from a mid-race state.  On the Python loop they are
+run_race, derive_seed with run_race, and simulate_from.  rm_races seeds its
+streams in groups of 8, so a case
 draws its number of dry runs from 1 to 20, mixes seeds below 2**32 (a
 1-word key) into them, and runs chunks of 11: every case fills some group
 partly and many fill a second.
@@ -15,12 +16,16 @@ Each case also runs the three under tick limits that stop a race short of
 its finish (a batch chunk's, mid-group where its runs' lengths allow) and
 with a competitor added whose lognormal draws overflow now and then, and
 compares the errors, messages (with the finished count) and the runs done
-before them.  Last, rm_position_lines, which writes trajectory.csv's lines
-straight from a snapshots array, is checked against float.__repr__ on random
-bit patterns across its range and just outside it, on uniform positions in
-[0, 3000], and on edge values, among them those on either side of a power
-of ten, where its estimate of the integer digits is corrected, and ties
-between two shortest candidates.
+before them.  Whether a random race outgrows a record's first buffer is
+left to chance, so one fixed case, LONG_TRACK, runs the same checks on a
+race whose record grows four times and which, under its failing tick
+limit, diverges after those growths: every run, sanitized ones too,
+reallocates a record and frees a failed one.  Last, rm_position_lines,
+which writes trajectory.csv's lines straight from a snapshots array, is
+checked against float.__repr__ on random bit patterns across its range and
+just outside it, on uniform positions in [0, 3000], and on edge values,
+among them those on either side of a power of ten, where its estimate of
+the integer digits is corrected, and ties between two shortest candidates.
 It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
@@ -68,6 +73,18 @@ RUN_INDICES = (0, CHUNK_RUNS - 2, CHUNK_RUNS, 255, 2**32 - 2, 2**63 - 5)
 DRY_RUNS = 9
 #: Runs per batch chunk: one group of 8 seeded streams and 3 more.
 CHUNK = 11
+#: A fixed field whose races take about 3,600 ticks: run_race's record, which
+#: starts at _kernel._RECORD_ROWS rows and doubles, grows four times.
+LONG_TRACK = RaceConfig(
+    track_length=2500.0,
+    competitors=(
+        Competitor("c1", UniformSteps(0.5, 1.5), theta=1.0),
+        Competitor("c2", LogNormalSteps(0.0, 0.5), theta=2.0, responsiveness=Responsiveness(1.2)),
+        Competitor("c3", UniformSteps(0.8, 1.2), preference=0.2, pref_sensitivity=1.0),
+    ),
+)
+#: LONG_TRACK's seed: c1 is boxed in behind c3 for most of the race.
+LONG_SEED = 4
 
 
 @contextmanager
@@ -333,6 +350,15 @@ def main(argv: list[str]) -> int:
             print("\n".join(problems), file=sys.stderr)
             return 1
         checked += 1
+    config, n = LONG_TRACK, LONG_TRACK.n_competitors
+    problems = differences(config, LONG_SEED, 40)
+    problems += failure_differences(config, LONG_SEED, 40, 0, DRY_RUNS, random.Random(LONG_SEED))
+    if len(run_race(config, LONG_SEED).snapshots) <= 8 * _kernel._RECORD_ROWS * n:
+        problems.append("LONG_TRACK's race no longer grows its record four times")
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
+    checked += 1
     values = edge_positions() + random_positions(rng, 1000 * cases)
     problems = repr_differences(values)
     if problems:

@@ -35,6 +35,8 @@ WRITERS = "src/racemarket/writers.py"
 #: kernel_parity.py with 20 random races, which checks rm_position_lines on
 #: its edge values and 30k random positions.
 PARITY = ("tests/kernel_parity.py", "20")
+GROWTHS = "tests/test_race_oracle.py::test_snapshots_across_record_growths_equal_python_loop"
+SEEDS_LIKE_DERIVE_SEED = "tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"
 
 
 def pytest(*ids: str) -> tuple[str, ...]:
@@ -158,11 +160,83 @@ MUTANTS = (
         (pytest("tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"),),
     ),
     Mutant(
-        "run_race hands the kernel the stream as it was before initial_state drew from it",
-        RACE,
-        "state, rng.getstate()[1],",
-        "state, make_rng(seed).getstate()[1],",
+        "a race from the primed start draws from its stream as it was before the primer drew",
+        KERNEL,
+        "*status = prime(runners, n, nv_magic, pos, pos + n, finish, counters, mt, &f);",
+        "*status = prime(runners, n, nv_magic, pos, pos + n, finish, counters, mt, &f);"
+        " lane_out(mt, lanes, (int)(k % LANES));",
         (pytest("tests/test_golden.py::test_wide_field_race_trajectory"),),
+    ),
+    Mutant(
+        "a recorded race leaves its primed start out of its rows",
+        KERNEL,
+        """        if (*status == RM_FINISHED && record && !record_row(record, pos, n))
+            *status = RM_NO_MEMORY;
+""",
+        "",
+        (pytest("tests/test_golden.py::test_wide_field_race_trajectory"),),
+    ),
+    Mutant(
+        "a recorded race does not hand back its blocked steps",
+        KERNEL,
+        "record->blocked = counters[1];",
+        "record->blocked = 0;",
+        (pytest("tests/test_race_oracle.py::test_kernel_field_sizes[160]"),),
+    ),
+    Mutant(
+        "a record writes each row after its first growth at the wrong offset",
+        KERNEL,
+        "memcpy(r->rows + (size_t)(r->count++ * n),",
+        "memcpy(r->rows + (size_t)(r->count++ % RECORD_ROWS * n),",
+        (pytest(GROWTHS),),
+    ),
+    Mutant(
+        "rm_run_seeds hashes the run tag s:rum",
+        KERNEL,
+        "{'s', ':', 'r', 'u', 'n'}",
+        "{'s', ':', 'r', 'u', 'm'}",
+        (pytest(f"{SEEDS_LIKE_DERIVE_SEED}[1-255]"),),
+    ),
+    Mutant(
+        "rm_run_seeds hashes a run index's bytes little-endian",
+        KERNEL,
+        "(unsigned char)(i >> (56 - 8 * b))",
+        "(unsigned char)(i >> (8 * b))",
+        (pytest(f"{SEEDS_LIKE_DERIVE_SEED}[1-255]"),),
+    ),
+    Mutant(
+        "by_place ranks a smaller overshoot first",
+        KERNEL,
+        "return a->back < b->back ? -1 : 1;",
+        "return a->back > b->back ? -1 : 1;",
+        (pytest("tests/test_race_oracle.py::test_dry_run_winner_by_overshoot_then_index"),),
+    ),
+    Mutant(
+        "rm_races leaves the failing race's row of finish ticks unwritten",
+        KERNEL,
+        """        if (*status != RM_FINISHED)
+            break;
+""",
+        """        if (*status != RM_FINISHED) {
+            memset(finish, 0, sizeof(int64_t) * (size_t)n);
+            break;
+        }
+""",
+        (pytest("tests/test_race_oracle.py::test_kernel_divergence_raises_the_loop_message"),),
+    ),
+    Mutant(
+        "seed_lanes seeds a 1-word key as a 2-word one",
+        KERNEL,
+        "add[1][l] = seed >> 32 ? (uint32_t)(seed >> 32) + 1 : (uint32_t)seed;",
+        "add[1][l] = (uint32_t)(seed >> 32) + 1;",
+        (pytest("tests/test_race_oracle.py::test_kernel_seeds_like_random_seed[1]"),),
+    ),
+    Mutant(
+        "lane_out hands a race the stream of lane ^ 1",
+        KERNEL,
+        "mt[i] = lanes[i][lane];",
+        "mt[i] = lanes[i][lane ^ 1];",
+        (pytest("tests/test_race_oracle.py::test_kernel_seeds_like_random_seed[1]"),),
     ),
     Mutant(
         "an event template writes a float slot with %d",

@@ -199,14 +199,9 @@ def test_batch_workers_inherit_the_kernel_the_parent_loaded(tmp_path):
 def test_the_kernel_refuses_buffers_of_the_wrong_size():
     compiler()
     kernel = _kernel.load()
-    config = make_race(n=2)
-    runners = config._runners
-    state = initial_state(config, make_rng(1))
-    words = make_rng(1).getstate()[1]
+    runners = make_race(n=2)._runners
     with pytest.raises(ValueError, match="a runner is 10 numbers"):
-        kernel.run(((*runners[0], 0.0), runners[1]), 50.0, state, words, 100, None, array("d"))
-    with pytest.raises(ValueError, match="a generator state is 625 32-bit words"):
-        kernel.run(runners, 50.0, state, words[:-1], 100, None, array("d"))
+        kernel.record(((*runners[0], 0.0), runners[1]), 50.0, 1, 100, None)
     # position_lines reads a trajectory's snapshots in place
     with pytest.raises(TypeError, match="an array of doubles"):
         kernel.position_lines([",c1,"], array("f", [1.0]))

@@ -10,10 +10,11 @@ exact position ties, finished rivals, theta = 0 competitors and mixed step
 laws must come out bit-identical on both: positions, previous steps, finish
 ticks, blocked steps, and the generator state.
 
-run_race primes its race in Python and runs it in C, a batch chunk runs
-many races from the primed start in one C call on seeds C derives, and
-rp_predict runs all its dry runs in one such call from its state; the last
-tests check the C kernel against the Python loop
+run_race runs its one race from the primed start in one C call that
+records its positions, a batch chunk runs many races from the primed start
+in one such call on seeds C derives, and rp_predict runs all its dry runs
+in one such call from its state; the last tests check the C kernel against
+the Python loop
 (race_ticks, derive_seed and simulate_from, which is always the loop), which
 stays the reference: whole trajectories, finish orders, win counts and
 errors must be identical.
@@ -347,8 +348,7 @@ def test_win_counts_in_seed_groups_equal_simulate_from(d, race, data):
 def test_kernel_seeds_like_random_seed(seed):
     config = derby_race()
     assert differences(config, seed, 30) == []
-    # run_race seeds in Python; the kernel seeds only many-race streams, so
-    # every edge seed is also a dry run of one call
+    # every edge seed is also a dry run of one call, seeded in one group of lanes
     state = mid_race(config, seed, 30)
     seeds = [s & MASK64 for s in EDGE_SEEDS]
     kernel, loop = both_ways(lambda: win_counts(state, config, seeds))
@@ -412,16 +412,15 @@ def test_kernel_field_sizes(n):
         assert differences(config, seed, 40) == []
 
 
-def test_snapshots_across_buffer_refills_equal_python_loop():
-    # the kernel hands positions back one buffer of _SNAPSHOT_DOUBLES // n
-    # ticks at a time; a long race of 300 runners refills it at least thrice
-    n = 300
-    race = resize_race(derby_race(), n)
-    config = replace(race, track_length=1.5 * race.track_length)
+def test_snapshots_across_record_growths_equal_python_loop():
+    # the kernel's record starts at _RECORD_ROWS rows and doubles when full;
+    # a race of more than 8 times that many rows grows it at least thrice
+    config = replace(derby_race(), track_length=40_000.0)
     kernel, loop = both_ways(lambda: run_race(config, 11))
     assert kernel == loop
     traj = run_race(config, 11)
-    assert len(traj.snapshots) > 3 * (_kernel._SNAPSHOT_DOUBLES // n) * n
+    n = config.n_competitors
+    assert len(traj.snapshots) > 8 * _kernel._RECORD_ROWS * n
     rows = [tuple(traj.snapshots[k : k + n]) for k in range(0, len(traj.snapshots), n)]
     assert traj.ticks == tuple(rows)
     assert traj.ticks is traj.ticks
@@ -453,6 +452,11 @@ def test_kernel_divergence_raises_the_loop_message():
     unfinished = replace(config, tick_limit=2)
     expected = "RaceDivergedError: race exceeded tick_limit=2 with 0/2 finished"
     assert both_ways(lambda: run_race(unfinished, 1)) == (expected, expected)
+    # a recorded race that diverges after its record first grew
+    limit = _kernel._RECORD_ROWS + 10
+    grown = replace(config, track_length=1000.0, tick_limit=limit)
+    expected = f"RaceDivergedError: race exceeded tick_limit={limit} with 1/2 finished"
+    assert both_ways(lambda: run_race(grown, 1)) == (expected, expected)
     expected = (
         "BatchRunError: run 4: RaceDivergedError('race exceeded tick_limit=2 with 0/2 finished')"
     )
