@@ -17,9 +17,10 @@
  * rm_position_lines, writes trajectory.csv's lines, each
  * position as repr writes it, over 0.0 and [2**-6, 2**53): one exact
  * scaled product, in 128 bits from 32-bit halves, gives the position's 17
- * significant digits and its rounding bounds, and trailing digits are taken
- * off while a shorter number stays within them (see repr_double).  It
- * refuses any other value, and the writer then writes that chunk by repr.
+ * significant digits and, by addition, its rounding bounds; trailing digits
+ * are taken off while a shorter number stays within them, and the rest are
+ * written straight into the line (see repr_double).  It refuses any other
+ * value, and the writer then writes that chunk by repr.
  * The source is strict C99: no 128-bit integer or other extension.
  * It reads the positions in place from a trajectory's snapshots array.
  * None keeps state between calls but a record, which the caller owns, so
@@ -28,7 +29,8 @@
  * Streams are seeded in lanes: seed_lanes runs random.seed for up to LANES
  * seeds at once, each a column of one table, and lane_out hands a column to
  * the one generator a race draws from.  rm_races seeds each group of LANES
- * races in one call.
+ * races in one call, and a last group of fewer (a one-seed call's, or the
+ * rest of a count that is not a multiple of LANES) in only its own lanes.
  */
 
 #include <math.h>
@@ -59,28 +61,27 @@ static void init_genrand(uint32_t *mt, uint32_t s)
  * the work is not bound by the multiply's latency. */
 enum { LANES = 8 };
 
-/* random.seed(seeds[l]) for each lane l < lanes (0 <= seed < 2**64), on
+/* random.seed(seeds[l]) for each lane l < width (0 <= seed < 2**64), on
  * start holding init_genrand's table for 19650218: init_by_array over the
  * seed's little-endian 32-bit words, one word below 2**32.  Step s adds
  * key[j] + j with j = s mod the key length: key[0] on every step for a
- * 1-word key, key[0] and key[1] + 1 in turn for a 2-word one.  Lanes from
- * lanes on are seeded with 0 and not read. */
-static void seed_lanes(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
-                       const uint64_t *seeds, int lanes)
+ * 1-word key, key[0] and key[1] + 1 in turn for a 2-word one.  Columns
+ * from width on hold no stream and are not read. */
+static inline void seed_columns(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
+                                const uint64_t *seeds, int width)
 {
     uint32_t add[2][LANES];
-    for (int l = 0; l < LANES; l++) {
-        uint64_t seed = l < lanes ? seeds[l] : 0;
-        add[0][l] = (uint32_t)seed;
-        add[1][l] = seed >> 32 ? (uint32_t)(seed >> 32) + 1 : (uint32_t)seed;
+    for (int l = 0; l < width; l++) {
+        add[0][l] = (uint32_t)seeds[l];
+        add[1][l] = seeds[l] >> 32 ? (uint32_t)(seeds[l] >> 32) + 1 : (uint32_t)seeds[l];
     }
     for (int i = 0; i < N; i++)
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < width; l++)
             mt[i][l] = start[i];
     int i = 1;
     for (int k = 0; k < N; k++) {
         const uint32_t *a = add[k & 1];
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < width; l++)
             mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1664525U)) + a[l];
         if (++i >= N) {
             memcpy(mt[0], mt[N - 1], sizeof mt[0]);
@@ -88,7 +89,7 @@ static void seed_lanes(uint32_t (*restrict mt)[LANES], const uint32_t *restrict 
         }
     }
     for (int k = 0; k < N - 1; k++) {
-        for (int l = 0; l < LANES; l++)
+        for (int l = 0; l < width; l++)
             mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1566083941U)) -
                        (uint32_t)i;
         if (++i >= N) {
@@ -96,8 +97,21 @@ static void seed_lanes(uint32_t (*restrict mt)[LANES], const uint32_t *restrict 
             i = 1;
         }
     }
-    for (int l = 0; l < LANES; l++)
+    for (int l = 0; l < width; l++)
         mt[0][l] = 0x80000000U;
+}
+
+/* seed_columns for lanes seeds, 1 <= lanes <= LANES.  A full group steps
+ * all LANES columns in loops of constant length, which the compiler turns
+ * into vector code; a part of one steps only its lanes, so a one-seed call
+ * does not pay for eight. */
+static void seed_lanes(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
+                       const uint64_t *seeds, int lanes)
+{
+    if (lanes == LANES)
+        seed_columns(mt, start, seeds, LANES);
+    else
+        seed_columns(mt, start, seeds, lanes);
 }
 
 /* The generator mt (N words, then the index) takes lane's stream, freshly
@@ -495,12 +509,17 @@ void rm_free(record_t *record)
  * -58 <= e <= 0; the halfway points to its neighbours are (4m + 2) * 2**(e-2)
  * and (4m - 2) * 2**(e-2), or (4m - 1) * 2**(e-2) below a power of two, and
  * they read back as x when m is even.  With k integer digits in x
- * (10**(k-1) <= x < 10**k, -1 <= k <= 16), 4m and the two bounds are each
- * multiplied once by 10**(17 - k) and shifted right by 2 - e: v, the
- * integer part of x * 10**(17 - k), has 17 digits, and vp and vm are the
- * largest and smallest integers between the scaled bounds.  As 4m < 2**55
- * and 10**(17 - k) <= 10**18 < 2**60, each product fits in 128 bits and each
- * result in 64, and the bits shifted out are kept, so every comparison is
+ * (10**(k-1) <= x < 10**k, -1 <= k <= 16), P = 10**(17 - k) and
+ * s = 2 - e, 4m is multiplied once by P and shifted right by s: v, the
+ * integer part of x * 10**(17 - k), has 17 digits, and rem holds the bits
+ * shifted out.  As 4m < 2**55 and P <= 10**18 < 2**60, the product fits in
+ * 128 bits and v in 64.  The bounds' products, 4mP + 2P and 4mP - D with
+ * D = 2P, or P below a power of two, differ from 4mP only in a term below
+ * 2**61, so they come from v and rem by addition: the integer parts of the
+ * scaled bounds are v plus the carry out of rem + 2P and v less the borrow
+ * that rem - D takes, and the bits shifted out of each are kept (rem <
+ * 2**60, so no sum leaves 64 bits).  vp and vm, the largest and smallest
+ * integers between the scaled bounds, follow, and every comparison is
  * exact.
  * The scaled bounds lie 0.55 to 11.1 from the scaled x, so vp - vm <= 22
  * and [vm, vp] holds at most one multiple of 100.  When it holds one, that
@@ -514,7 +533,8 @@ void rm_free(record_t *record)
  * out than x's, and a power of two's digits within 17, so neither the
  * inclusive bounds nor that nearer lower bound ever changes a digit; they
  * keep the rule exact beyond it.  repr writes such an x in fixed notation,
- * with ".0" after an integral value. */
+ * with ".0" after an integral value; the digits are written where they
+ * stand in it, with no buffer between. */
 enum { REPR_MAX = 20, REPR_DIGITS = 17 };
 
 static const uint64_t POW10[REPR_DIGITS + 2] = {
@@ -545,6 +565,29 @@ static uint64_t mul_shift(uint64_t a, uint64_t b, int shift, uint64_t *rem)
     return high << (64 - shift) | lo >> shift;
 }
 
+/* v's nd digits, v < 10**17, to out[0 .. nd): two at a time from the
+ * right, the low eight from 32 bits, then the rest, below 10**9, from 32. */
+static void write_digits(char *out, uint64_t v, int nd)
+{
+    char *p = out + nd;
+    uint32_t high = (uint32_t)v;
+    if (nd > 8) {
+        uint32_t low = (uint32_t)(v % 100000000U);
+        high = (uint32_t)(v / 100000000U);
+        for (int j = 0; j < 4; j++, low /= 100) {
+            p -= 2;
+            memcpy(p, DIGIT_PAIRS + 2 * (low % 100), 2);
+        }
+        nd -= 8;
+    }
+    for (; nd > 1; nd -= 2, high /= 100) {
+        p -= 2;
+        memcpy(p, DIGIT_PAIRS + 2 * (high % 100), 2);
+    }
+    if (nd)
+        p[-1] = (char)('0' + high);
+}
+
 static int repr_double(double x, char *out)
 {
     uint64_t bits;
@@ -564,14 +607,19 @@ static int repr_double(double x, char *out)
      * log10(2), exact for -6 <= 52 + e <= 52; the 8192 (2 * 4096, taken off
      * again) keeps the dividend positive, as C rounds a quotient toward 0 */
     int k = ((52 + e) * 1233 + 8192) / 4096 - 1;
-    uint64_t rem, v = mul_shift(4 * m, POW10[REPR_DIGITS - k], shift, &rem);
+    uint64_t p10 = POW10[REPR_DIGITS - k], rem, v = mul_shift(4 * m, p10, shift, &rem);
     if (v >= POW10[REPR_DIGITS]) { /* x >= 10**k: one integer digit more */
         k++;
-        v = mul_shift(4 * m, POW10[REPR_DIGITS - k], shift, &rem);
+        p10 = POW10[REPR_DIGITS - k];
+        v = mul_shift(4 * m, p10, shift, &rem);
     }
-    uint64_t lopsided = m == 1ULL << 52, even = (m & 1) == 0, rp, rm;
-    uint64_t vp = mul_shift(4 * m + 2, POW10[REPR_DIGITS - k], shift, &rp);
-    uint64_t vm = mul_shift(4 * m - 2 + lopsided, POW10[REPR_DIGITS - k], shift, &rm);
+    /* the bounds' scaled products, 4m * P + 2P and 4m * P - D, from v and
+     * rem by addition: their bits shifted out are rem + 2P and rem - D, with
+     * a carry into v or a borrow from it */
+    uint64_t mask = (1ULL << shift) - 1, lopsided = m == 1ULL << 52, even = (m & 1) == 0;
+    uint64_t up = rem + 2 * p10, vp = v + (up >> shift), rp = up & mask;
+    uint64_t d = (2 - lopsided) * p10, borrow = rem < d ? (d - rem + mask) >> shift : 0;
+    uint64_t vm = v - borrow, rm = rem + (borrow << shift) - d;
     vp -= rp == 0 && !even; /* a bound itself reads back as x only for an even m */
     vm += rm != 0 || !even;
     int nd = REPR_DIGITS;
@@ -582,7 +630,7 @@ static int repr_double(double x, char *out)
     } else {
         /* the digit below v's last, from the bits shifted out, and whether
          * any nonzero digit follows it */
-        int below = (int)(rem * 10 >> shift), more = (rem * 10 & ((1ULL << shift) - 1)) != 0;
+        int below = (int)(rem * 10 >> shift), more = (rem * 10 & mask) != 0;
         if (vp / 10 * 10 >= vm) { /* a multiple of 10 in [vm, vp] */
             more |= below != 0;
             below = (int)(v % 10);
@@ -590,34 +638,32 @@ static int repr_double(double x, char *out)
             vm = (vm + 9) / 10;
             nd--;
         }
-        v += v < vm || below > 5 || (below == 5 && (more || v % 2));
+        /* bitwise, not short-circuit: which term decides is random, so a
+         * branch on each would often be mispredicted */
+        v += (v < vm) | (below > 5) | ((below == 5) & (more | (int)(v & 1)));
     }
     /* v has nd digits, the last not a 0 (a multiple of 10 would have been
      * taken off), and v + 1 never reaches 10**nd, as no power of ten lies
-     * between an x here and its upper bound */
-    char digits[REPR_DIGITS];
-    int i = nd;
-    for (; i > 1; i -= 2, v /= 100)
-        memcpy(digits + i - 2, DIGIT_PAIRS + 2 * (v % 100), 2);
-    if (i)
-        digits[0] = (char)('0' + v);
-    /* x = 0.digits * 10**k */
+     * between an x here and its upper bound.  x = 0.digits * 10**k: the
+     * digits are written where they stand in the line */
     char *p = out;
     if (k <= 0) {
         *p++ = '0';
         *p++ = '.';
         for (int z = k; z < 0; z++)
             *p++ = '0';
-        memcpy(p, digits, (size_t)nd);
+        write_digits(p, v, nd);
         p += nd;
     } else if (k < nd) {
-        memcpy(p, digits, (size_t)k);
-        p += k;
-        *p++ = '.';
-        memcpy(p, digits + k, (size_t)(nd - k));
-        p += nd - k;
+        /* one place right of the line's start, then the integer digits move
+         * back over it to make room for the point */
+        write_digits(p + 1, v, nd);
+        for (int i = 0; i < k; i++)
+            p[i] = p[i + 1];
+        p[k] = '.';
+        p += nd + 1;
     } else {
-        memcpy(p, digits, (size_t)nd);
+        write_digits(p, v, nd);
         p += nd;
         for (int z = nd; z < k; z++)
             *p++ = '0';

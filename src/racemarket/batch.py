@@ -13,10 +13,10 @@ worker processes import-light.
 import multiprocessing
 import os
 import time as _time
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
 from statistics import fmean, stdev
 from typing import NamedTuple
 
@@ -75,9 +75,9 @@ class BatchConfig(Checked):
 
 
 class RaceResult(NamedTuple):
-    """One race of a batch.  A tuple, as the thread that runs the batch
-    builds one per run, and a NamedTuple takes under half the time of a
-    frozen dataclass to build."""
+    """One race of a batch.  A tuple, as a batch's results build one per
+    run, and a NamedTuple takes under half the time of a frozen dataclass
+    to build."""
 
     run_index: int
     finish_order: tuple[str, ...]
@@ -91,6 +91,46 @@ class RaceResult(NamedTuple):
     @property
     def winner_ticks(self) -> int:
         return min(self.finish_ticks)
+
+
+class RaceResults(Sequence):
+    """A race batch's results in run order: run i is RaceResult(i, orders[i],
+    ticks[i], max(ticks[i])).
+
+    The RaceResults are built when the batch is first read, not while it
+    runs, and race.batch_runs shares equal rows of a chunk, so a running
+    batch leaves few objects for the garbage collector to track: a full
+    collection, tens of milliseconds in a large process, seldom lands in
+    it.  Two batches compare by their rows, a batch and a list by results.
+    """
+
+    __slots__ = ("orders", "ticks", "_results")
+
+    def __init__(self, orders: list[tuple[str, ...]], ticks: list[tuple[int, ...]]):
+        self.orders, self.ticks, self._results = orders, ticks, None
+
+    def _built(self) -> list[RaceResult]:
+        if self._results is None:
+            runs = range(len(self.orders))
+            self._results = list(map(RaceResult, runs, self.orders, self.ticks, map(max, self.ticks)))
+        return self._results
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[RaceResult]:
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, RaceResults):
+            return self.orders == other.orders and self.ticks == other.ticks
+        return self._built() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 @dataclass(frozen=True)
@@ -158,7 +198,7 @@ def _worker_pool(workers: int, executor=ProcessPoolExecutor):
     )
 
 
-def run_batch(batch: BatchConfig) -> list:
+def run_batch(batch: BatchConfig) -> RaceResults | list[SessionSummary]:
     """All R results in run-index order; worker count never changes them.
 
     Race batches run in chunks of at most CHUNK_RUNS runs.  With the kernel
@@ -188,15 +228,14 @@ def run_batch(batch: BatchConfig) -> list:
         return _race_results(pool.map(chunk, firsts, counts))
 
 
-def _race_results(chunks) -> list[RaceResult]:
-    """The RaceResults of _race_chunk's runs, numbered in order.
-
-    Each chunk's results are built as it arrives, while the later ones run,
-    straight from its two lists: a (order, ticks) pair per run held until
-    then would be one more object per run for the garbage collector to track.
-    """
-    rows = chain.from_iterable(zip(orders, ticks) for orders, ticks in chunks)
-    return [RaceResult(i, order, ticks, max(ticks)) for i, (order, ticks) in enumerate(rows)]
+def _race_results(chunks) -> RaceResults:
+    """The results of _race_chunk's runs, in order: each chunk's rows are
+    appended as it arrives, while the later ones run."""
+    orders, ticks = [], []
+    for chunk_orders, chunk_ticks in chunks:
+        orders += chunk_orders
+        ticks += chunk_ticks
+    return RaceResults(orders, ticks)
 
 
 # -- outcome distributions ------------------------------------------------

@@ -435,6 +435,14 @@ def _rows(values, n: int) -> list[tuple]:
     return list(zip(*[iter(values)] * n))
 
 
+def _shared_rows(values, n: int) -> list[tuple]:
+    """values cut into tuples of n, as _rows cuts them, one tuple shared by
+    equal rows: a batch's finish ticks and orders repeat, and each shared
+    row is one object fewer for the garbage collector to track."""
+    shared: dict[tuple, tuple] = {}
+    return [shared.setdefault(row, row) for row in zip(*[iter(values)] * n)]
+
+
 def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
     """Runs first .. first + count - 1 of a batch on master_seed.
 
@@ -468,7 +476,8 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
         config.tick_limit, partial(_diverged, config),
     )
     n, ids = config.n_competitors, config.competitor_ids
-    return _rows(ticks[: done * n], n), _rows(map(ids.__getitem__, orders[: done * n]), n), error
+    ticks, orders = ticks[: done * n], map(ids.__getitem__, orders[: done * n])
+    return _shared_rows(ticks, n), _shared_rows(orders, n), error
 
 
 def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:

@@ -17,7 +17,9 @@ events.jsonl.  The events are read-only and share objects: grid snapshots
 share the payload row of a competitor whose book did not change, and
 sentiment events share the odds list of each distinct prediction, rounded
 once per session.  Sentiment is kept only as events:
-SessionResult.sentiment_rows expands them to one row per competitor.
+SessionResult.sentiment_rows is a view that expands them to one row per
+competitor each time it is iterated, so no session holds a row per wake and
+competitor.
 """
 
 import heapq
@@ -117,6 +119,41 @@ def _event_maker(kind: str):
 _MAKE_EVENT = {kind: _event_maker(kind) for kind in EVENT_FIELDS}
 
 
+class SentimentRows:
+    """A session's sentiment events as (time, bettor, competitor, odds) rows,
+    one per competitor in field order, built each time the view is iterated.
+
+    An event's rows share its time and bettor objects.  len counts the rows
+    on first use without building them; an index, a slice and == with a
+    list build them all.
+    """
+
+    __slots__ = ("_events", "_cids", "_len")
+
+    def __init__(self, events: list[dict], competitor_ids: tuple[str, ...]):
+        self._events, self._cids, self._len = events, competitor_ids, None
+
+    def __iter__(self) -> Iterator[tuple[float, str, str, float]]:
+        cids = self._cids
+        return chain.from_iterable(
+            zip(repeat(e["time"]), repeat(e["bettor"]), cids, e["odds"])
+            for e in self._events
+            if e["kind"] == "sentiment"
+        )
+
+    def __len__(self) -> int:
+        if self._len is None:
+            n = len(self._cids)
+            self._len = sum(min(n, len(e["odds"])) for e in self._events if e["kind"] == "sentiment")
+        return self._len
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
 @dataclass(frozen=True)
 class SessionResult:
     """A finished session.  The events are read-only: grid snapshots share
@@ -131,16 +168,11 @@ class SessionResult:
     total_matched: Money
 
     @cached_property
-    def sentiment_rows(self) -> list[tuple[float, str, str, float]]:
-        """The sentiment events as (time, bettor, competitor, odds), one row per competitor."""
-        cids = self.trajectory.competitor_ids
-        return list(
-            chain.from_iterable(
-                zip(repeat(e["time"]), repeat(e["bettor"]), cids, e["odds"])
-                for e in self.events
-                if e["kind"] == "sentiment"
-            )
-        )
+    def sentiment_rows(self) -> SentimentRows:
+        """The sentiment events as (time, bettor, competitor, odds), one row
+        per competitor: a view over the events, which write_sentiment_csv
+        streams."""
+        return SentimentRows(self.events, self.trajectory.competitor_ids)
 
 
 def expand_agents(config: SessionConfig) -> list[Bettor]:

@@ -11,12 +11,17 @@ one event per line.
 
 The three large files, `events.jsonl`, `trajectory.csv` and
 `sentiment.csv`, are written as preformatted lines under one rule: each
-distinct string is encoded once (quoted as `csv` would quote it, or
-JSON-encoded), floats are written by repr, or by the kernel's digit
-routine, which equals it (one exact scaled product per position gives its
-17 significant digits, and trailing digits are taken off while a shorter
-number still reads back as the position), and lines are joined into
-bounded chunks before each write.  An event line is one %-format of its
+distinct string is encoded once (JSON-encoded, or for a CSV written as it
+is unless it holds `"`, `,`, `\\r`, `\\n` or NUL, and then by
+`csv.writer` itself), floats are written by repr, or by the
+kernel's digit routine, which equals it (one exact scaled product per
+position gives its 17 significant digits and, by addition, its rounding
+bounds; trailing digits are taken off while a shorter number still reads
+back as the position, and the rest are written straight into the line),
+and lines are joined into bounded chunks before each write.  Rows are
+read a chunk at a time too: `sentiment.csv`'s from any iterable, such as
+a session's `sentiment_rows` view, which builds them from the events as
+they are read.  An event line is one %-format of its
 kind's template, built once from `session.EVENT_FIELDS`, which gives each
 field's JSON type.  A str, int or float is written in place, a grid payload
 by hand-written rows, and any other value (odds and positions lists,
@@ -43,6 +48,9 @@ import csv
 import functools
 import io
 import json
+import re
+from collections.abc import Iterable
+from itertools import islice
 from math import inf
 from operator import itemgetter
 from pathlib import Path
@@ -95,8 +103,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+# The characters csv.writer quotes a field for, and NUL, which 3.10's refuses.
+_CSV_SPECIAL = re.compile('[",\r\n\0]').search
+
+
 def _csv_field(value: str) -> str:
-    """`value` as `csv.writer` writes it in a row of more than one field."""
+    """`value` as `csv.writer` writes it in a row of more than one field.
+
+    A value holding none of `"`, `,`, `\\r`, `\\n` and NUL is written as
+    it is; any other goes through `csv.writer`, so it is quoted, or its NUL
+    written or refused, as this Python's `csv` does.
+    """
+    if _CSV_SPECIAL(value) is None:
+        return value
     buf = io.StringIO()
     csv.writer(buf).writerow(["", value])
     return buf.getvalue()[1:-2]
@@ -269,19 +288,25 @@ def write_events_jsonl(path: Path, events: list[dict]) -> None:
             fh.write("".join(chunk))
 
 
-def write_sentiment_csv(path: Path, rows: list[tuple[float, str, str, float]]) -> None:
+def write_sentiment_csv(path: Path, rows: Iterable[tuple[float, str, str, float]]) -> None:
+    """time,bettor_id,competitor_id,decimal_odds from (time, bettor,
+    competitor, odds) rows, read from any iterable, such as
+    SessionResult.sentiment_rows, _CHUNK_LINES at a time."""
     fields = _Memo(_csv_field)
     time = bettor = object()  # is no row's time or bettor
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time,bettor_id,competitor_id,decimal_odds\r\n")
-        for start in range(0, len(rows), _CHUNK_LINES):
+        while True:
             floats = _FloatReprs()
             lines = []
-            for t, b, cid, odds in rows[start : start + _CHUNK_LINES]:
+            for t, b, cid, odds in islice(rows, _CHUNK_LINES):
                 if t is not time or b is not bettor:  # one sentiment event's rows share both
                     time, bettor = t, b
                     prefix = f"{float(t)!r},{fields[b]},"
                 lines.append(f"{prefix}{fields[cid]},{floats[float(odds)]}\r\n")
+            if not lines:
+                break
             fh.write("".join(lines))
 
 

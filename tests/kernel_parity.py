@@ -25,7 +25,9 @@ which writes trajectory.csv's lines straight from a snapshots array, is
 checked against float.__repr__ on random bit patterns across its range and
 just outside it, on uniform positions in [0, 3000], and on edge values,
 among them those on either side of a power of ten, where its estimate of
-the integer digits is corrected, and ties between two shortest candidates.
+the integer digits is corrected, powers of two, whose lower bound is
+nearer, values whose lower bound borrows one unit or several from the
+scaled value, and ties between two shortest candidates.
 It needs no pytest, so it checks the kernel on any interpreter whose random
 module it must match:
 
@@ -42,6 +44,8 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
+from itertools import chain
 
 from racemarket import _kernel
 from racemarket.batch import CHUNK_RUNS, BatchRunError, _race_chunk
@@ -263,16 +267,63 @@ def writable(x: float) -> bool:
     return LOWEST_POSITION <= x < POSITION_BOUND or (x == 0.0 and math.copysign(1.0, x) > 0)
 
 
+def scaled(x: float) -> tuple[int, int, int, int, bool]:
+    """repr_double's scaled product for x in [2**-6, 2**53), in Python ints:
+    (v, rem, P, s, lopsided), where x = m * 2**e, x has k integer digits,
+    P = 10**(17 - k), s = 2 - e, and 4m * P = v * 2**s + rem."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    m, e = bits & (2**52 - 1) | 2**52, (bits >> 52) - 1075
+    k = -1
+    while Fraction(x) >= Fraction(10) ** k:
+        k += 1
+    p, s = 10 ** (17 - k), 2 - e
+    v, rem = divmod(4 * m * p, 2**s)
+    return v, rem, p, s, m == 2**52
+
+
+def borrow(x: float) -> int:
+    """The units repr_double's lower bound takes from v: 0 unless rem < D."""
+    _, rem, p, s, lopsided = scaled(x)
+    d = (1 if lopsided else 2) * p
+    return 0 if rem >= d else -((rem - d) // 2**s)
+
+
+def borrowing_positions(rng: random.Random) -> list[float]:
+    """In each binade of the range, up to two values whose lower bound borrows
+    no unit from v, one, and several, from random mantissas: a borrow of
+    one is possible only where the scaled bounds lie within 2 of the scaled
+    value, and of several only where they lie beyond 1."""
+    values = []
+    for e in range(-58, 1):
+        found: dict[int, list[float]] = {0: [], 1: [], 2: []}
+        for _ in range(64):
+            x = (2**52 + rng.randrange(1, 2**52)) * 2.0**e
+            kept = found[min(borrow(x), 2)]
+            if len(kept) < 2:
+                kept.append(x)
+        values += chain.from_iterable(found.values())
+    return values
+
+
 def edge_positions() -> list[float]:
     """Values on and around the edges of the digit routine and of its range."""
     values = [0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16, 1e300]
     values += [math.nan, -math.nan, math.inf, -math.inf]
-    # each binade's first value, whose integer digits the routine estimates,
-    # and the doubles on either side of each power of ten, where the estimate
-    # of a binade holding one is one digit short and corrected
+    # each binade's first value, whose integer digits the routine estimates
+    # and whose nearer lower bound (a power of two's) borrows only half as
+    # far, and the doubles on either side of each power of ten, where the
+    # estimate of a binade holding one is one digit short and corrected
     edges = [2.0**e for e in range(-8, 56)] + [float(f"1e{k}") for k in range(-3, 18)]
     for p in edges:
         values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    # exactly: the last double below each 10**k in the range and the first at
+    # or above it
+    for k in range(-1, 16):
+        first = float(Fraction(10) ** k)
+        if Fraction(first) < Fraction(10) ** k:
+            first = math.nextafter(first, math.inf)
+        values += [math.nextafter(first, 0.0), first]
+    values += borrowing_positions(random.Random(26))
     values += [float(k) for k in range(1001)] + [POSITION_BOUND - k for k in range(1, 100)]
     for q in (8, 10, 1000):
         values += [k / q for k in range(1, 20 * q + 1)]
@@ -282,6 +333,8 @@ def edge_positions() -> list[float]:
     # bounds that scale to exact integers: halves from 2**51 (even mantissas
     # for the integers, odd for the rest) and integers from 2**52 (both)
     values += [2.0**51 + k / 2 for k in range(64)] + [2.0**52 + k for k in range(64)]
+    # odd and even integers across [2**51, 2**53), with an odd step
+    values += [float(i) for i in range(2**51, 2**53, 2**44 + 1)]
     # quarters from 2**50 have 18 digits, the last a 5: ties between the two
     # 17-digit neighbours, which repr breaks to the even one
     values += [2.0**50 + k / 4 for k in range(1, 64, 2)]

@@ -57,8 +57,29 @@ MUTANTS = (
     Mutant(
         "repr_double rounds a tie up, not to the even digit",
         KERNEL,
-        "(below == 5 && (more || v % 2))",
-        "below == 5",
+        "((below == 5) & (more | (int)(v & 1)))",
+        "(below == 5)",
+        (PARITY,),
+    ),
+    Mutant(
+        "repr_double's upper bound drops the carry out of the bits shifted out",
+        KERNEL,
+        "vp = v + (up >> shift)",
+        "vp = v",
+        (PARITY,),
+    ),
+    Mutant(
+        "repr_double's lower bound borrows one unit too few",
+        KERNEL,
+        "uint64_t vm = v - borrow,",
+        "uint64_t vm = v - borrow + (borrow != 0),",
+        (PARITY,),
+    ),
+    Mutant(
+        "repr_double writes the low eight digits' pairs in reverse order",
+        KERNEL,
+        "            p -= 2;\n            memcpy(p, DIGIT_PAIRS + 2 * (low % 100), 2);",
+        "            p -= 2;\n            memcpy(out + nd - 8 + 2 * j, DIGIT_PAIRS + 2 * (low % 100), 2);",
         (PARITY,),
     ),
     Mutant(
@@ -85,7 +106,7 @@ MUTANTS = (
     Mutant(
         "repr_double keeps the bits shifted out of v out of its rounding",
         KERNEL,
-        "more = (rem * 10 & ((1ULL << shift) - 1)) != 0;",
+        "more = (rem * 10 & mask) != 0;",
         "more = 0;",
         (PARITY,),
     ),
@@ -168,6 +189,13 @@ MUTANTS = (
         (pytest("tests/test_golden.py::test_wide_field_race_trajectory"),),
     ),
     Mutant(
+        "batch_runs keeps one tuple per run, not one per distinct row",
+        RACE,
+        "return [shared.setdefault(row, row) for row in zip(*[iter(values)] * n)]",
+        "return list(zip(*[iter(values)] * n))",
+        (pytest("tests/test_batch.py::test_race_batch_results_are_built_when_read"),),
+    ),
+    Mutant(
         "a recorded race leaves its primed start out of its rows",
         KERNEL,
         """        if (*status == RM_FINISHED && record && !record_row(record, pos, n))
@@ -227,9 +255,16 @@ MUTANTS = (
     Mutant(
         "seed_lanes seeds a 1-word key as a 2-word one",
         KERNEL,
-        "add[1][l] = seed >> 32 ? (uint32_t)(seed >> 32) + 1 : (uint32_t)seed;",
-        "add[1][l] = (uint32_t)(seed >> 32) + 1;",
+        "add[1][l] = seeds[l] >> 32 ? (uint32_t)(seeds[l] >> 32) + 1 : (uint32_t)seeds[l];",
+        "add[1][l] = (uint32_t)(seeds[l] >> 32) + 1;",
         (pytest("tests/test_race_oracle.py::test_kernel_seeds_like_random_seed[1]"),),
+    ),
+    Mutant(
+        "a group of fewer than LANES seeds leaves its last lane unseeded",
+        KERNEL,
+        "        seed_columns(mt, start, seeds, lanes);",
+        "        seed_columns(mt, start, seeds, lanes - 1);",
+        (pytest("tests/test_race_oracle.py::test_win_counts_in_seed_groups_equal_simulate_from"),),
     ),
     Mutant(
         "lane_out hands a race the stream of lane ^ 1",
@@ -237,6 +272,20 @@ MUTANTS = (
         "mt[i] = lanes[i][lane];",
         "mt[i] = lanes[i][lane ^ 1];",
         (pytest("tests/test_race_oracle.py::test_kernel_seeds_like_random_seed[1]"),),
+    ),
+    Mutant(
+        "the csv id rule writes an id holding a carriage return as it is",
+        WRITERS,
+        """re.compile('[",\\r\\n\\0]')""",
+        """re.compile('[",\\n\\0]')""",
+        (pytest("tests/test_writers.py::test_csv_field_matches_csv_writer_on_awkward_ids"),),
+    ),
+    Mutant(
+        "the csv id rule writes an id holding a comma as it is",
+        WRITERS,
+        """re.compile('[",\\r\\n\\0]')""",
+        """re.compile('["\\r\\n\\0]')""",
+        (pytest("tests/test_writers.py::test_csv_field_matches_csv_writer_on_awkward_ids"),),
     ),
     Mutant(
         "an event template writes a float slot with %d",

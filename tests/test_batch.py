@@ -14,6 +14,7 @@ from racemarket.batch import (
     BenchPoint,
     OutcomePMF,
     RaceResult,
+    RaceResults,
     SessionSummary,
     _worker_pool,
     bench,
@@ -49,6 +50,27 @@ def test_race_result_is_an_immutable_record():
     assert r == RaceResult(3, ("c2", "c1"), (12, 10), 12) != RaceResult(4, ("c2", "c1"), (12, 10), 12)
     assert pickle.loads(pickle.dumps(r)) == r
     assert repr(r) == "RaceResult(run_index=3, finish_order=('c2', 'c1'), finish_ticks=(12, 10), n_ticks=12)"
+
+
+def test_race_batch_results_are_built_when_read():
+    # a race batch keeps its rows, and builds its RaceResults when it is first
+    # read, so a running batch leaves no object per run for the garbage
+    # collector to track; with the kernel, equal rows of a chunk are one tuple
+    config = make_race(n=3, length=150.0)
+    results = run_batch(BatchConfig(config, 300, master_seed=4))
+    other = run_batch(BatchConfig(config, 300, master_seed=4, workers=2))
+    assert isinstance(results, RaceResults) and len(results) == 300
+    assert results == other and results._results is None and other._results is None
+    if _kernel.load() is not None:  # one chunk, and 3 runners finish in 6 orders
+        assert len({id(order) for order in results.orders}) <= 6
+        assert len({id(ticks) for ticks in results.ticks}) < 300
+    rows = zip(results.orders, results.ticks)
+    expected = [RaceResult(i, order, ticks, max(ticks)) for i, (order, ticks) in enumerate(rows)]
+    assert list(results) == expected and results == expected and expected == results
+    assert results != expected[:-1] and results != tuple(expected)
+    assert results[7] == expected[7] and results[-1] == expected[-1] and results[10:20] == expected[10:20]
+    assert repr(results) == repr(expected)
+    assert other != run_batch(BatchConfig(config, 300, master_seed=5))
 
 
 def test_run_batch_worker_count_is_invisible():

@@ -300,6 +300,33 @@ def test_sentiment_logging():
     assert flow(chatty) == flow(quiet)
 
 
+def test_sentiment_rows_are_a_view_of_the_expanded_events():
+    result = run_session(small_session(seed=8, sentiment=True))
+    cids = result.trajectory.competitor_ids
+    events = [e for e in result.events if e["kind"] == "sentiment"]
+    expected = [(e["time"], e["bettor"], cid, odds) for e in events for cid, odds in zip(cids, e["odds"])]
+    rows = result.sentiment_rows
+    assert len(expected) > 20
+    assert list(rows) == expected
+    assert list(rows) == expected  # a view can be iterated again
+    assert len(rows) == len(expected)
+    assert rows == expected and expected == rows and rows == rows
+    assert rows != expected[:-1] and rows != [] and rows != tuple(expected)
+    for index in (0, 1, 7, -1, -len(expected)):
+        assert rows[index] == expected[index]
+    for cut in (slice(3, 9), slice(None, None, -5), slice(-4, None)):
+        assert rows[cut] == expected[cut]
+    with pytest.raises(IndexError):
+        rows[len(expected)]
+    # an event's rows share its time and bettor objects, which the
+    # sentiment.csv writer's prefix reuse tests by identity
+    built = iter(rows)
+    for event in events:
+        for _ in cids:
+            t, b, _, _ = next(built)
+            assert t is event["time"] and b is event["bettor"]
+
+
 def test_event_log_replays_into_the_same_settlement():
     cfg = small_session(seed=13)
     result = run_session(cfg)

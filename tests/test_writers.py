@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from dataclasses import replace
 from enum import IntEnum
@@ -25,6 +27,7 @@ from racemarket.writers import (
     _CHUNK_LINES,
     _FloatReprs,
     _Memo,
+    _csv_field,
     _event_lines,
     read_pmf_csv,
     write_bench_csv,
@@ -166,6 +169,38 @@ def test_random_positions_match_csv_writer(tmp_path_factory, n, values):
     assert_trajectory_csv_matches(tmp_path_factory.mktemp("trajectory"), ticks, AWKWARD_IDS[:n])
 
 
+def csv_writer_field(value):
+    """value as csv.writer writes it in a row of two fields: the oracle of _csv_field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", value])
+    return buf.getvalue()[1:-2]
+
+
+def written_or_raised(fn, value):
+    """fn(value), or the type and message of what it raised."""
+    try:
+        return fn(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_csv_field_matches_csv_writer(value):
+    assert written_or_raised(_csv_field, value) == written_or_raised(csv_writer_field, value)
+
+
+def test_csv_field_matches_csv_writer_on_awkward_ids():
+    # the id rule's five characters alone and inside an id; a NUL is written
+    # from Python 3.11 on and refused by 3.10's csv, and _csv_field must do the same
+    for value in AWKWARD_IDS + ESCAPED_IDS + ('"', ",", "\r", "\n", "\x00", "a,b", "a\x00b", " ", "\r\n"):
+        assert_csv_field_matches_csv_writer(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.one_of(st.sampled_from('",\r\n\x00 '), st.characters()), max_size=8))
+def test_csv_field_matches_csv_writer(value):
+    assert_csv_field_matches_csv_writer(value)
+
+
 def test_sentiment_csv_matches_csv_writer(tmp_path):
     times = (0, 60, 0.5) + EDGE_FLOATS  # an int time is written as a float
     n_ids = len(AWKWARD_IDS)
@@ -187,6 +222,34 @@ def test_sentiment_csv_matches_csv_writer(tmp_path):
         write_sentiment_csv(tmp_path / "fast.csv", table)
         reference_sentiment_csv(tmp_path / "ref.csv", table)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# zi bettors alone, waking every second on derby.json: 45,000 sentiment rows,
+# whose session takes a fraction of a second
+STREAMED_SESSION_AGENTS = 50
+
+
+def test_sentiment_csv_is_streamed_from_the_session_events(tmp_path):
+    # SessionResult.sentiment_rows is a view over the events, so writing it
+    # holds one chunk of lines, not a row per wake and competitor (86 B a row
+    # when the rows were a list)
+    cfg = parse_config(DERBY.read_text())
+    zi = next(g for g in cfg.session.agents if g.strategy == "zi")
+    agents = (replace(zi, count=STREAMED_SESSION_AGENTS, reevaluate_every=1.0, wake_jitter=1.0),)
+    scfg = replace(cfg, session=replace(cfg.session, agents=agents)).session_config(master_seed=5)
+    result = run_session(scfg)
+    write_sentiment_csv(tmp_path / "warm.csv", [])  # first-call imports and compiles, not traced
+    tracemalloc.start()
+    try:
+        write_sentiment_csv(tmp_path / "sentiment.csv", result.sentiment_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(result.sentiment_rows)
+    assert rows >= 10_000
+    assert peak / rows < 20, f"{peak} B traced for {rows} rows"
+    reference_sentiment_csv(tmp_path / "ref.csv", result.sentiment_rows)
+    assert (tmp_path / "sentiment.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # -- events.jsonl -----------------------------------------------------------
