@@ -164,6 +164,20 @@ def _point_mass(n: int, picks: list[int]) -> tuple[float, ...]:
     return tuple(probs)
 
 
+# The race-view predictors below each keep their last call's arguments and
+# result, and hand the result back while every tuple argument is the very
+# object held and every other argument is equal: a session's agents wake
+# many times on one race view, whose tuples are rebuilt only when the race
+# ticks.  Holding the tuples keeps their ids from being reused, and a call
+# with a list, which can change in place, is not kept.  Each memo is one
+# tuple, read and replaced whole, so threads that share it can miss but
+# never read one call's arguments with another's result; results are tuples,
+# so the callers that share one cannot change it.
+_linex_last: tuple | None = None
+_lw_last: tuple | None = None
+_ud_last: tuple | None = None
+
+
 def linex_predict(
     step_history: tuple[tuple[float, ...], ...],
     positions: tuple[float, ...],
@@ -175,6 +189,16 @@ def linex_predict(
     Speed is the mean of each competitor's last window_ticks steps; a
     competitor already past the line gets finish time 0.
     """
+    global _linex_last
+    last = _linex_last
+    if (
+        last is not None
+        and step_history is last[0]
+        and positions is last[1]
+        and track_length == last[2]
+        and window_ticks == last[3]
+    ):
+        return last[4]
     n = len(positions)
     times = []
     for c in range(n):
@@ -187,24 +211,41 @@ def linex_predict(
             raise ValueError("linex_predict needs at least one tick of history")
         times.append(remaining * len(recent) / sum(recent))
     best = min(times)
-    return _point_mass(n, [c for c in range(n) if times[c] == best])
+    probs = _point_mass(n, [c for c in range(n) if times[c] == best])
+    kept = type(positions) is tuple and type(step_history) is tuple
+    if kept and all(type(h) is tuple for h in step_history):
+        _linex_last = (step_history, positions, track_length, window_ticks, probs)
+    else:
+        _linex_last = None
+    return probs
 
 
 def lw_predict(positions: tuple[float, ...]) -> tuple[float, ...]:
     """Mass on the current leader; ties split equally."""
+    global _lw_last
+    last = _lw_last
+    if last is not None and positions is last[0]:
+        return last[1]
     best = max(positions)
-    return _point_mass(len(positions), [c for c, p in enumerate(positions) if p == best])
+    probs = _point_mass(len(positions), [c for c, p in enumerate(positions) if p == best])
+    _lw_last = (positions, probs) if type(positions) is tuple else None
+    return probs
 
 
 def ud_predict(positions: tuple[float, ...], gap_threshold: float) -> tuple[float, ...]:
     """Mass on second place while it trails by strictly less than the threshold."""
+    global _ud_last
+    last = _ud_last
+    if last is not None and positions is last[0] and gap_threshold == last[1]:
+        return last[2]
     if len(positions) < 2:
         raise ValueError("ud_predict needs at least two competitors")
     ranked = sorted(range(len(positions)), key=lambda c: (-positions[c], c))
     leader, runner_up = ranked[0], ranked[1]
-    if positions[leader] - positions[runner_up] < gap_threshold:
-        return _point_mass(len(positions), [runner_up])
-    return _point_mass(len(positions), [leader])
+    pick = runner_up if positions[leader] - positions[runner_up] < gap_threshold else leader
+    probs = _point_mass(len(positions), [pick])
+    _ud_last = (positions, gap_threshold, probs) if type(positions) is tuple else None
+    return probs
 
 
 def btf_predict(grid: dict[str, GridRow], competitor_ids: tuple[str, ...]) -> tuple[float, ...]:

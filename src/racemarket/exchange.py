@@ -11,11 +11,12 @@ open and expire with their escrow returned when betting closes.
 
 The book's read views are kept in step with its price-time queues
 (_queues) as bets move, not recomputed on each read: the resting stake of
-each level, each competitor's top-of-book GridRow (kept while a change
-falls below the levels it shows), and each bettor's open bets as the
+each level, each competitor's top-of-book GridRow and each of its two
+sides (a side kept while a change falls below the levels it shows, or
+reaches only the other side), and each bettor's open bets as the
 OpenBet views its owner is shown (made when a bet rests, replaced when
 another bettor part-fills it, dropped on a fill, cancel or expiry).
-check_views audits all three against a recount.
+check_views audits them all against a recount.
 
 Settlement transfers, per match record, the backer winnings on the market
 winner and the backer stake on every loser, nets each bettor's market
@@ -291,8 +292,12 @@ class MarketBook:
             cid: {BACK: {}, LAY: {}} for cid in ids
         }
         self._open: dict[str, dict[int, OpenBet]] = {}
-        # market_grid's rows; a None row is rebuilt on demand
+        # market_grid's rows and each side's shown levels; a None row is
+        # rebuilt on demand from its sides, rebuilding only a None side
         self._rows: dict[str, GridRow | None] = dict.fromkeys(ids)
+        self._shown: dict[str, dict[str, tuple[GridLevel, ...] | None]] = {
+            cid: {BACK: None, LAY: None} for cid in ids
+        }
         self._next_id = 1
         self.self_check = False
         self.self_checks_run = 0
@@ -449,20 +454,23 @@ class MarketBook:
         self._touch(cid, side, odds)
 
     def _touch(self, cid: str, side: str, odds: int) -> None:
-        """Drop cid's cached grid row unless it is sure to be unchanged.
+        """Drop the side of cid's grid row that a change at odds reached,
+        and the row, unless that side is sure to be unchanged.
 
-        The row holds the best grid_depth levels of each side.  When a side
-        shows all grid_depth of them, a level worse than the last one shown
-        can come, go or change its stake without changing what is shown.
+        A side holds its best grid_depth levels.  When it shows all
+        grid_depth of them, a level worse than the last one shown can come,
+        go or change its stake without changing what is shown.  The other
+        side is kept: no change reaches both.
         """
-        row = self._rows[cid]
-        if row is None:
+        sides = self._shown[cid]
+        shown = sides[side]
+        if shown is None:
             return
-        shown = row.backs if side == BACK else row.lays
         if len(shown) == self.grid_depth:
             last = shown[-1].odds
             if odds < last if side == BACK else odds > last:
                 return
+        sides[side] = None
         self._rows[cid] = None
 
     def _retire_unmatched(self, bet: Bet) -> Money:
@@ -484,7 +492,8 @@ class MarketBook:
         """Aggregated top-of-book per competitor, grid_depth levels per side.
 
         Rows are cached; only those _touch dropped since the last call, after
-        a change that can show, are rebuilt.
+        a change that can show, are rebuilt, each from its kept side and its
+        one rebuilt side (or two, after changes on both).
         """
         rows = self._rows
         if None in rows.values():
@@ -494,11 +503,18 @@ class MarketBook:
         return dict(rows)
 
     def _grid_row(self, cid: str) -> GridRow:
-        backs, lays, depth = self._totals[cid][BACK], self._totals[cid][LAY], self.grid_depth
-        return GridRow(
-            backs=tuple(map(backs.__getitem__, sorted(backs, reverse=True)[:depth])),
-            lays=tuple(map(lays.__getitem__, sorted(lays)[:depth])),
-        )
+        sides = self._shown[cid]
+        backs, lays = sides[BACK], sides[LAY]
+        if backs is None:
+            backs = sides[BACK] = self._best_levels(cid, BACK)
+        if lays is None:
+            lays = sides[LAY] = self._best_levels(cid, LAY)
+        return GridRow(backs, lays)
+
+    def _best_levels(self, cid: str, side: str) -> tuple[GridLevel, ...]:
+        """The best grid_depth levels of one side: backs highest odds first, lays lowest."""
+        totals = self._totals[cid][side]
+        return tuple(map(totals.__getitem__, sorted(totals, reverse=side == BACK)[: self.grid_depth]))
 
     # -- lifecycle --------------------------------------------------------
 
@@ -594,8 +610,13 @@ class MarketBook:
                         f"level totals on {cid!r} {side}: kept {self._totals[cid][side]}, "
                         f"recount {totals}"
                     )
+            recount = GridRow(self._best_levels(cid, BACK), self._best_levels(cid, LAY))
+            for side, levels in zip((BACK, LAY), recount):
+                shown = self._shown[cid][side]
+                if shown is not None and shown != levels:
+                    raise AssertionError(f"stale cached grid {side}s for {cid!r}")
             row = self._rows[cid]
-            if row is not None and row != self._grid_row(cid):
+            if row is not None and row != recount:
                 raise AssertionError(f"stale cached grid row for {cid!r}")
         open_bets: dict[str, list[OpenBet]] = {b: [] for b in self.accounts}
         for bet in self.bets.values():

@@ -19,7 +19,11 @@ sentiment events share the odds list of each distinct prediction, rounded
 once per session.  Sentiment is kept only as events:
 SessionResult.sentiment_rows is a view that expands them to one row per
 competitor each time it is iterated, so no session holds a row per wake and
-competitor.
+competitor, and write_sentiment_csv writes the events it views, one join
+of an event's prefix onto its odds list's lines.  Agents that wake between
+two race ticks share one race view, whose tuples the race-view predictors
+(agents.linex_predict, lw_predict, ud_predict) recognise by identity, so
+each predicts once per view and parameter set.
 """
 
 import heapq
@@ -125,26 +129,29 @@ class SentimentRows:
 
     An event's rows share its time and bettor objects.  len counts the rows
     on first use without building them; an index, a slice and == with a
-    list build them all.
+    list build them all.  events() reads the sentiment events themselves,
+    as write_sentiment_csv does.
     """
 
-    __slots__ = ("_events", "_cids", "_len")
+    __slots__ = ("_events", "competitor_ids", "_len")
 
     def __init__(self, events: list[dict], competitor_ids: tuple[str, ...]):
-        self._events, self._cids, self._len = events, competitor_ids, None
+        self._events, self.competitor_ids, self._len = events, competitor_ids, None
+
+    def events(self) -> Iterator[dict]:
+        """The sentiment events, in log order."""
+        return (e for e in self._events if e["kind"] == "sentiment")
 
     def __iter__(self) -> Iterator[tuple[float, str, str, float]]:
-        cids = self._cids
+        cids = self.competitor_ids
         return chain.from_iterable(
-            zip(repeat(e["time"]), repeat(e["bettor"]), cids, e["odds"])
-            for e in self._events
-            if e["kind"] == "sentiment"
+            zip(repeat(e["time"]), repeat(e["bettor"]), cids, e["odds"]) for e in self.events()
         )
 
     def __len__(self) -> int:
         if self._len is None:
-            n = len(self._cids)
-            self._len = sum(min(n, len(e["odds"])) for e in self._events if e["kind"] == "sentiment")
+            n = len(self.competitor_ids)
+            self._len = sum(min(n, len(e["odds"])) for e in self.events())
         return self._len
 
     def __getitem__(self, index):
@@ -170,8 +177,8 @@ class SessionResult:
     @cached_property
     def sentiment_rows(self) -> SentimentRows:
         """The sentiment events as (time, bettor, competitor, odds), one row
-        per competitor: a view over the events, which write_sentiment_csv
-        streams."""
+        per competitor: a view over the events, whose events
+        write_sentiment_csv writes."""
         return SentimentRows(self.events, self.trajectory.competitor_ids)
 
 

@@ -18,10 +18,11 @@ kernel's digit routine, which equals it (one exact scaled product per
 position gives its 17 significant digits and, by addition, its rounding
 bounds; trailing digits are taken off while a shorter number still reads
 back as the position, and the rest are written straight into the line),
-and lines are joined into bounded chunks before each write.  Rows are
-read a chunk at a time too: `sentiment.csv`'s from any iterable, such as
-a session's `sentiment_rows` view, which builds them from the events as
-they are read.  An event line is one %-format of its
+and lines are joined into bounded chunks before each write.
+`sentiment.csv` is written per sentiment event, read a chunk at a time
+through a session's `sentiment_rows` view: an event's lines are its
+`time,bettor,` prefix joined onto its odds list's lines, which are built
+once a chunk for each distinct list.  An event line is one %-format of its
 kind's template, built once from `session.EVENT_FIELDS`, which gives each
 field's JSON type.  A str, int or float is written in place, a grid payload
 by hand-written rows, and any other value (odds and positions lists,
@@ -49,7 +50,6 @@ import functools
 import io
 import json
 import re
-from collections.abc import Iterable
 from itertools import islice
 from math import inf
 from operator import itemgetter
@@ -60,7 +60,7 @@ from .batch import ORDER_SPACE, WINNER_SPACE, BenchPoint, OutcomePMF, RaceResult
 from .exchange import SettlementReport
 from .race import Trajectory, load_kernel
 from .seeding import RNG_ALGORITHM
-from .session import EVENT_FIELDS
+from .session import EVENT_FIELDS, SentimentRows
 
 
 # json.dumps builds a new encoder per call when given separators; share one.
@@ -288,23 +288,31 @@ def write_events_jsonl(path: Path, events: list[dict]) -> None:
             fh.write("".join(chunk))
 
 
-def write_sentiment_csv(path: Path, rows: Iterable[tuple[float, str, str, float]]) -> None:
-    """time,bettor_id,competitor_id,decimal_odds from (time, bettor,
-    competitor, odds) rows, read from any iterable, such as
-    SessionResult.sentiment_rows, _CHUNK_LINES at a time."""
-    fields = _Memo(_csv_field)
-    time = bettor = object()  # is no row's time or bettor
-    rows = iter(rows)
+def write_sentiment_csv(path: Path, rows: SentimentRows) -> None:
+    """time,bettor_id,competitor_id,decimal_odds, one line per row of rows,
+    a SessionResult.sentiment_rows view, written from its sentiment events.
+
+    An event's lines are its `time,bettor,` prefix joined onto the block
+    of its odds list: "" and then one `competitor,odds` line per competitor.
+    A session's sentiment events share one odds list per distinct
+    prediction, so each list's block is built once a chunk, keyed by its
+    identity (see _by_identity), and an event costs one join.
+    """
+    cids = [_csv_field(cid) for cid in rows.competitor_ids]
+
+    def block_of(odds: list[float]) -> list[str]:
+        return ["", *(f"{cid},{float(o)!r}\r\n" for cid, o in zip(cids, odds))]
+
+    bettors, events = _Memo(_csv_field), rows.events()
+    per_chunk = max(1, _CHUNK_LINES // len(cids))  # events
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("time,bettor_id,competitor_id,decimal_odds\r\n")
         while True:
-            floats = _FloatReprs()
+            blocks: dict = {}
             lines = []
-            for t, b, cid, odds in islice(rows, _CHUNK_LINES):
-                if t is not time or b is not bettor:  # one sentiment event's rows share both
-                    time, bettor = t, b
-                    prefix = f"{float(t)!r},{fields[b]},"
-                lines.append(f"{prefix}{fields[cid]},{floats[float(odds)]}\r\n")
+            for event in islice(events, per_chunk):
+                block = _by_identity(event["odds"], blocks, block_of)
+                lines.append(f"{float(event['time'])!r},{bettors[event['bettor']]},".join(block))
             if not lines:
                 break
             fh.write("".join(lines))

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: What a copy holds: the package, the tests and the configs they read.
 COPIED = ("src", "tests", "configs")
 KERNEL = "src/racemarket/_kernel.c"
+AGENTS = "src/racemarket/agents.py"
 EXCHANGE = "src/racemarket/exchange.py"
 RACE = "src/racemarket/race.py"
 SESSION = "src/racemarket/session.py"
@@ -37,6 +38,8 @@ WRITERS = "src/racemarket/writers.py"
 PARITY = ("tests/kernel_parity.py", "20")
 GROWTHS = "tests/test_race_oracle.py::test_snapshots_across_record_growths_equal_python_loop"
 SEEDS_LIKE_DERIVE_SEED = "tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"
+SAME_VIEW = "tests/test_agents.py::test_race_view_predictors_reuse_a_result_only_for_the_same_view"
+FUNDS = "tests/test_agents.py::test_decide_respects_funds"
 
 
 def pytest(*ids: str) -> tuple[str, ...]:
@@ -130,6 +133,62 @@ MUTANTS = (
         "if odds < last if side == BACK else odds > last:",
         "if odds <= last if side == BACK else odds >= last:",
         (pytest("tests/test_exchange_oracle.py::test_reference_equivalence_randomized"),),
+    ),
+    Mutant(
+        "a touch drops the grid side it did not reach and keeps the one it did",
+        EXCHANGE,
+        "        sides[side] = None\n",
+        "        sides[BACK if side == LAY else LAY] = None\n",
+        (pytest("tests/test_exchange.py::test_market_grid_rebuilds_only_the_changed_side"),),
+    ),
+    Mutant(
+        "Account.reserve refuses a bet that needs exactly the free balance",
+        EXCHANGE,
+        "if amount > self.balance:",
+        "if amount >= self.balance:",
+        (pytest(FUNDS),),
+    ),
+    Mutant(
+        "a lay escrows its liability floored to a cent, not ceiled",
+        EXCHANGE,
+        "return -((-amount * (odds - 100)) // 100)",
+        "return amount * (odds - 100) // 100",
+        (pytest("tests/test_exchange.py::test_escrow_holds_a_back_stake_and_a_lay_liability"),),
+    ),
+    Mutant(
+        "a bettor places no order that needs exactly its free balance",
+        AGENTS,
+        "if escrow(order.side, order.stake, order.odds) <= obs.balance:",
+        "if escrow(order.side, order.stake, order.odds) < obs.balance:",
+        (pytest(FUNDS),),
+    ),
+    Mutant(
+        "ud_predict's memo is keyed on the positions without the gap threshold",
+        AGENTS,
+        "if last is not None and positions is last[0] and gap_threshold == last[1]:",
+        "if last is not None and positions is last[0]:",
+        (pytest(SAME_VIEW),),
+    ),
+    Mutant(
+        "linex_predict's memo is keyed on the positions but not the step history",
+        AGENTS,
+        "        and step_history is last[0]\n",
+        "",
+        (pytest(SAME_VIEW),),
+    ),
+    Mutant(
+        "linex_predict's memo is keyed without the window",
+        AGENTS,
+        "        and window_ticks == last[3]\n",
+        "",
+        (pytest(SAME_VIEW),),
+    ),
+    Mutant(
+        "a grid snapshot reuses a competitor's payload row after the book rebuilt the row",
+        SESSION,
+        "if last is None or last[0] is not row:",
+        "if last is None:",
+        (pytest("tests/test_session.py::test_grid_snapshots_share_the_rows_the_book_kept"),),
     ),
     Mutant(
         "the wake heap is keyed (time, -index), so tied wakes run highest index first",
@@ -319,10 +378,10 @@ MUTANTS = (
         (pytest("tests/test_writers.py::test_events_jsonl_memos_span_chunks"),),
     ),
     Mutant(
-        "write_sentiment_csv reuses a line prefix for an equal time, not the same one",
+        "an odds list's sentiment.csv block leaves out its leading empty part, so its first line has no prefix",
         WRITERS,
-        "if t is not time or b is not bettor:",
-        "if t != time or b != bettor:",
+        'return ["", *(f"{cid},{float(o)!r}\\r\\n" for cid, o in zip(cids, odds))]',
+        'return [*(f"{cid},{float(o)!r}\\r\\n" for cid, o in zip(cids, odds))]',
         (pytest("tests/test_writers.py::test_sentiment_csv_matches_csv_writer"),),
     ),
     Mutant(

@@ -140,6 +140,51 @@ def test_ud_predict_threshold():
         ud_predict((10.0,), 5.0)
 
 
+def test_race_view_predictors_reuse_a_result_only_for_the_same_view():
+    # a result is handed back for the very same tuples and equal scalars
+    positions, history = (50.0, 46.0), ((10.0, 10.0), (0.1, 95.0))
+    assert lw_predict(positions) is lw_predict(positions)
+    assert ud_predict(positions, 5.0) is ud_predict(positions, 5.0)
+    assert linex_predict(history, positions, 100.0, 1) is linex_predict(history, positions, 100.0, 1)
+    # equal tuples that are other objects are predicted afresh, to equal results
+    first = lw_predict(positions)
+    assert lw_predict(tuple(list(positions))) is not first
+    assert lw_predict(tuple(list(positions))) == first
+    # a scalar that differs is its own prediction, on the same tuples
+    assert ud_predict(positions, 5.0) == (0.0, 1.0)
+    assert ud_predict(positions, 1.0) == (1.0, 0.0)
+    assert ud_predict(positions, 5.0) == (0.0, 1.0)
+    # c1: 20 left at speed 10; c2: 96 left at 95 (window 1) or 47.55 (window 2)
+    positions = (80.0, 4.0)
+    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
+    assert linex_predict(history, positions, 100.0, 2) == (1.0, 0.0)
+    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
+    assert linex_predict(history, positions, 85.0, 1) == (1.0, 0.0)  # c1: 5 left at speed 10
+    # the same positions with another history
+    assert linex_predict(((10.0,), (0.1,)), positions, 100.0, 1) == (1.0, 0.0)
+    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
+
+
+def test_race_view_predictors_never_reuse_a_result_for_a_list():
+    positions = [10.0, 30.0, 20.0]
+    assert lw_predict(positions) == (0.0, 1.0, 0.0)
+    assert ud_predict(positions, 5.0) == (0.0, 1.0, 0.0)
+    positions[2] = 28.0  # now second by 2, and the leader still by 2 after the next change
+    assert ud_predict(positions, 5.0) == (0.0, 0.0, 1.0)
+    positions[0] = 40.0
+    assert lw_predict(positions) == (1.0, 0.0, 0.0)
+    assert ud_predict(positions, 5.0) == (1.0, 0.0, 0.0)
+    # a history tuple of lists, and positions held as a list
+    history, positions = ([10.0], [25.0]), (90.0, 50.0)
+    assert linex_predict(history, positions, 100.0, 1) == (1.0, 0.0)
+    history[0][0] = 1.0  # c1 now needs 10 ticks; c2 needs 2
+    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
+    moving = [90.0, 50.0]
+    assert linex_predict(((10.0,), (25.0,)), moving, 100.0, 1) == (1.0, 0.0)
+    moving[0] = 0.0
+    assert linex_predict(((10.0,), (25.0,)), moving, 100.0, 1) == (0.0, 1.0)
+
+
 def test_btf_predict_reads_the_grid():
     ids = ("c1", "c2", "c3")
     grid = {

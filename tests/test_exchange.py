@@ -12,6 +12,7 @@ from racemarket.exchange import (
     EscrowError,
     ExchangeError,
     GridLevel,
+    GridRow,
     InsufficientFundsError,
     InvalidOddsError,
     MarketBook,
@@ -491,6 +492,14 @@ def test_self_check_audits_the_cached_views():
     with pytest.raises(AssertionError, match="stale cached grid row for 'c1'"):
         book.check_views()
 
+    # and each cached side of a row
+    book = make_book()
+    book.submit_bet("alice", "c1", BACK, 300, 100)
+    book.market_grid()
+    book._shown["c1"][LAY] = (GridLevel(300, 100),)
+    with pytest.raises(AssertionError, match="stale cached grid lays for 'c1'"):
+        book.check_views()
+
 
 @pytest.mark.parametrize(
     "field, value, message",
@@ -560,6 +569,27 @@ def test_market_grid_rebuilds_only_changed_rows():
         assert third["c2"] is not second["c2"] and [l.odds for l in third["c2"].lays] == [500]
         book.close_betting()
         assert book.market_grid()["c1"].backs == ()
+
+
+def test_market_grid_rebuilds_only_the_changed_side():
+    book = make_book()
+    book.self_check = True
+    book.submit_bet("alice", "c1", BACK, 300, 100)
+    book.submit_bet("alice", "c1", LAY, 200, 100)
+    first = book.market_grid()["c1"]
+    book.submit_bet("bob", "c1", LAY, 210, 100)  # a new best lay
+    second = book.market_grid()["c1"]
+    assert second is not first and second.backs is first.backs
+    assert [l.odds for l in second.lays] == [200, 210]
+    book.submit_bet("bob", "c1", BACK, 320, 100)  # a new best back
+    third = book.market_grid()["c1"]
+    assert third.lays is second.lays and [l.odds for l in third.backs] == [320, 300]
+    book.submit_bet("carol", "c1", LAY, 320, 40)  # part-fills the best back
+    fourth = book.market_grid()["c1"]
+    assert fourth.lays is second.lays and fourth.backs == (GridLevel(320, 60), GridLevel(300, 100))
+    book.submit_bet("carol", "c1", BACK, 200, 100)  # fills the best lay
+    assert book.market_grid()["c1"] == GridRow(fourth.backs, (GridLevel(210, 100),))
+    assert book.market_grid()["c1"].backs is fourth.backs
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from racemarket.agents import AgentParams, CancelOrder, PlaceOrder
+from racemarket.agents import AgentParams, Bettor, CancelOrder, PlaceOrder
 from racemarket.config import parse_config
 from racemarket.exchange import BACK, MarketBook
 from racemarket.race import BettingClose, RaceDivergedError
@@ -435,3 +436,69 @@ def test_all_strategies_survive_a_full_session():
         "a006.zi",
     }
     assert result.events[-1]["kind"] == "settle"
+
+
+def wake_predictions(config: SessionConfig, monkeypatch) -> list:
+    """Each wake's (agent, observation, prediction) in a run of config."""
+    seen = []
+    decide = Bettor.decide
+
+    def spied(agent, obs):
+        actions = decide(agent, obs)
+        seen.append((agent, obs, agent.last_prediction))
+        return actions
+
+    monkeypatch.setattr(Bettor, "decide", spied)
+    _Session(config).run()
+    return seen
+
+
+def assert_predictions_are_fresh(seen) -> None:
+    """Each race-view prediction equals its bettor's predict on a copy of the
+    observation's tuples, which no predictor has seen, so none reuses a result."""
+    checked = 0
+    for agent, obs, prediction in seen:
+        if agent.strategy in ("linex", "lw", "ud"):
+            copy = obs._replace(
+                positions=tuple(list(obs.positions)),
+                step_history=tuple(tuple(list(h)) for h in obs.step_history),
+            )
+            assert agent.predict(copy) == prediction, (agent.bettor_id, obs.time)
+            checked += 1
+    assert checked > 100
+
+
+def test_groups_of_one_strategy_get_their_own_predictions_on_one_view(monkeypatch):
+    # two linex groups with different windows and two ud groups with
+    # different gap thresholds wake together on every view
+    groups = tuple(
+        AgentParams(strategy, count=2, reevaluate_every=1.0, wake_jitter=0.0, **param)
+        for strategy, param in (
+            ("linex", dict(window=1.0)),
+            ("ud", dict(gap_threshold=0.5)),
+            ("linex", dict(window=30.0)),
+            ("ud", dict(gap_threshold=50.0)),
+        )
+    )
+    seen = wake_predictions(small_session(seed=3, agents=groups, opening_period=2.0), monkeypatch)
+    assert_predictions_are_fresh(seen)
+    by_view: dict[tuple, set] = {}
+    for agent, obs, prediction in seen:
+        by_view.setdefault((obs.time, agent.strategy), set()).add(prediction)
+    for strategy in ("linex", "ud"):
+        assert any(len(p) > 1 for (_, s), p in by_view.items() if s == strategy), strategy
+
+
+def test_crowd_session_predictions_equal_fresh_predictions(monkeypatch):
+    cfg = parse_config(DERBY.read_text())
+    groups = {g.strategy: g for g in cfg.session.agents}
+    agents = tuple(
+        replace(groups[strategy], count=count, reevaluate_every=2.0, wake_jitter=2.0)
+        for strategy, count in (("linex", 20), ("lw", 20), ("ud", 10), ("btf", 20), ("zi", 30))
+    )
+    crowd = replace(cfg, race=replace(cfg.race, track_length=4000.0), session=replace(cfg.session, agents=agents))
+    seen = wake_predictions(crowd.session_config(master_seed=1), monkeypatch)
+    assert_predictions_are_fresh(seen)
+    # and results were reused: lw wakes share far fewer prediction objects
+    lw = [prediction for agent, _, prediction in seen if agent.strategy == "lw"]
+    assert len({id(p) for p in lw}) < len(lw) / 4

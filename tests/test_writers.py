@@ -22,7 +22,7 @@ from racemarket import _kernel
 from racemarket.batch import BatchConfig, BenchPoint, OutcomePMF, pmf_from_results, run_batch
 from racemarket.config import config_to_dict, parse_config
 from racemarket.race import Trajectory, run_race
-from racemarket.session import EVENT_FIELDS, run_session
+from racemarket.session import EVENT_FIELDS, SentimentRows, run_session
 from racemarket.writers import (
     _CHUNK_LINES,
     _FloatReprs,
@@ -47,6 +47,8 @@ from kernel_parity import python_loop
 # Ids that csv must quote, or that sit on the edge of quoting.
 AWKWARD_IDS = ('c"1', " lead", "new\nline", "carriage\rreturn", "it's", "Ωmega", "", "c1")
 EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-05, 1e16, 1.0000000000000002)
+# Ids that a %-format would read as a placeholder.
+PERCENT_IDS = ("%", "%s", "%%", "c%d1")
 # Strings that JSON must escape, besides AWKWARD_IDS.
 ESCAPED_IDS = ("back\\slash", "tab\tid", "nul\x00", "bell\x07", "del\x7f", "line\u2028sep", "\ud800")
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -201,27 +203,39 @@ def test_csv_field_matches_csv_writer(value):
     assert_csv_field_matches_csv_writer(value)
 
 
+def sentiment_view(events, ids):
+    """A SentimentRows view over (time, bettor, odds) sentiment events, with a
+    race_tick event after every third, as a session's log has."""
+    log = []
+    for k, (time, bettor, odds) in enumerate(events):
+        log.append({"seq": len(log) + 1, "time": time, "kind": "sentiment", "bettor": bettor, "odds": odds})
+        if k % 3 == 2:
+            log.append({"seq": len(log) + 1, "time": time, "kind": "race_tick", "tick": k, "positions": odds})
+    return SentimentRows(log, ids)
+
+
 def test_sentiment_csv_matches_csv_writer(tmp_path):
-    times = (0, 60, 0.5) + EDGE_FLOATS  # an int time is written as a float
-    n_ids = len(AWKWARD_IDS)
-    rows = [
-        (
-            times[i % len(times)],
-            AWKWARD_IDS[i % n_ids],
-            AWKWARD_IDS[i // n_ids % n_ids],
-            EDGE_FLOATS[i % len(EDGE_FLOATS)],
-        )
-        for i in range(2 * _CHUNK_LINES + 3)  # rows span three chunks
-    ]
-    # As in SessionResult.sentiment_rows, one event's rows share its time and
-    # bettor objects.  -0.0 and 0.0 are equal times with different reprs.
-    events = [(t, b) for b in ("a000.rp", 'c"1') for t in (0.0, -0.0, 60, 0.5, 0.5, 1e16)]
-    odds = EDGE_FLOATS + (2, math.nan, math.inf)
-    shared = [(t, b, cid, o) for t, b in events for cid, o in zip(AWKWARD_IDS + ESCAPED_IDS[:2], odds)]
-    for table in (rows, rows[:1], [], shared):
-        write_sentiment_csv(tmp_path / "fast.csv", table)
-        reference_sentiment_csv(tmp_path / "ref.csv", table)
+    ids = AWKWARD_IDS + PERCENT_IDS + ESCAPED_IDS[:2]
+    bettors = ("a000.rp",) + AWKWARD_IDS + PERCENT_IDS
+    # an int time is written as a float; -0.0 and 0.0 are equal times with
+    # different reprs, and so are odds 0.0 and -0.0
+    times = (0, 60, 0.5, -0.0) + EDGE_FLOATS
+    odds = EDGE_FLOATS + (2, math.nan, math.inf, -math.inf, 1.5, 3.25)
+    n = len(ids)
+    lists = [[odds[(k + c) % len(odds)] for c in range(n)] for k in range(4)]
+    per_chunk = _CHUNK_LINES // n
+    spans = range(2 * per_chunk + 3)  # events over three chunks
+    at = [(times[k % len(times)], bettors[k % len(bettors)]) for k in spans]
+    shared = [(t, b, lists[k % len(lists)]) for k, (t, b) in enumerate(at)]  # as a session shares them
+    unshared = [(t, b, list(lists[k % len(lists)])) for k, (t, b) in enumerate(at)]  # one list an event
+    # lists shorter than the field (a row per odds value) and empty, between shared ones
+    ragged = [(0.5, "a001.lw", lists[0]), (1, "%s", lists[1][:3]), (2, "%%", []), (3, "%", lists[0])]
+    for events in (shared, unshared, shared[:1], [], ragged):
+        view = sentiment_view(events, ids)
+        write_sentiment_csv(tmp_path / "fast.csv", view)
+        reference_sentiment_csv(tmp_path / "ref.csv", view)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(read_rows(tmp_path / "fast.csv")) == 1 + n + 3 + 0 + n
 
 
 # zi bettors alone, waking every second on derby.json: 45,000 sentiment rows,
@@ -238,7 +252,8 @@ def test_sentiment_csv_is_streamed_from_the_session_events(tmp_path):
     agents = (replace(zi, count=STREAMED_SESSION_AGENTS, reevaluate_every=1.0, wake_jitter=1.0),)
     scfg = replace(cfg, session=replace(cfg.session, agents=agents)).session_config(master_seed=5)
     result = run_session(scfg)
-    write_sentiment_csv(tmp_path / "warm.csv", [])  # first-call imports and compiles, not traced
+    # first-call imports and compiles, not traced
+    write_sentiment_csv(tmp_path / "warm.csv", SentimentRows([], scfg.race.competitor_ids))
     tracemalloc.start()
     try:
         write_sentiment_csv(tmp_path / "sentiment.csv", result.sentiment_rows)
