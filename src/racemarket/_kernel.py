@@ -7,7 +7,8 @@ Where ``__pycache__`` is not writable it is built in a private temporary
 directory instead.  A build writes to a temporary name and then renames it
 into place, so processes building at once each load a whole library.
 
-Every race runs through one entry point, rm_races, called by Kernel.races:
+Kernel is race.engine()'s engine where it loads, and race.PYTHON_LOOP has
+the same calls.  Every race runs through rm_races, called by Kernel.races:
 a batch chunk's runs and a prediction's dry runs, which come back as finish
 ticks and orders, and run_race's one race, which Kernel.record runs with a
 record.  C seeds and primes each race; no generator state crosses from
@@ -26,11 +27,14 @@ import tempfile
 import threading
 import warnings
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from functools import cache
 from itertools import accumulate, chain
 from pathlib import Path
 from random import NV_MAGICCONST
+
+from .race import _diverged
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: No fast-math and no fused multiply-add: every double as in Python.
@@ -117,7 +121,7 @@ def load() -> "Kernel | None":
 def _load() -> "Kernel | None":
     command = compile_command()
     if command is None:
-        # _load <- load <- race.load_kernel <- a race.py entry point (or
+        # _load <- load <- race.engine <- a race.py entry point (or
         # run_batch, or write_trajectory_csv): the warning names the code
         # that called that
         warnings.warn(
@@ -140,24 +144,24 @@ def _load() -> "Kernel | None":
         shutil.rmtree(private)
 
 
-def _failure(status: int, finish, diverged) -> Exception:
-    """The error of a race the kernel stopped with status, as the Python loop raises it.
-
-    finish is the race's finish ticks (-1 while racing); diverged(finished)
-    words a divergence with the number of finished competitors.
-    """
+def _failure(status: int, finish, config) -> Exception:
+    """The error of a race of config the kernel stopped with status, as the
+    Python loop raises it; finish is the race's finish ticks (-1 while racing)."""
     if status == _DIVERGED:
-        return diverged(sum(t >= 0 for t in finish))
+        return _diverged(config, sum(t >= 0 for t in finish))
     if status == _OVERFLOW:
         return OverflowError("math range error")
     return MemoryError("race kernel scratch")
 
 
 class Kernel:
-    """The entry points of one loaded library, on RaceState, _compile and Trajectory data.
+    """The entry points of one loaded library, on RaceConfig, RaceState and Trajectory data.
 
-    Each call works in its own memory, so threads may share a Kernel.
+    Each call works in its own memory and releases the GIL, so threads may
+    share a Kernel: race batches run on threads.
     """
+
+    executor = ThreadPoolExecutor
 
     def __init__(self, lib: ctypes.CDLL):
         self._races = lib.rm_races
@@ -209,20 +213,20 @@ class Kernel:
         self._last = (runners, flat)
         return flat
 
-    def races(self, runners, length, seeds, state, stop, diverged, record=None):
-        """One race per seed, in one call: race k draws from random.Random(seeds[k]).
+    def races(self, config, seeds, state, stop, record=None):
+        """One race of config per seed, in one call: race k draws from random.Random(seeds[k]).
 
-        runners is _compile's output; seeds is run_seeds' array or a
-        sequence of ints below 2**64.  Each race starts from initial_state
-        when state is None, and otherwise from state, which is not changed;
-        it runs until the tick reaches stop.  Returns (done, ticks, orders,
-        error): the number of races finished before the first that failed;
-        two C arrays holding race k's n finish ticks and its finish order
-        (competitor indices) at [k * n : (k + 1) * n] for k < done; and None
-        or the failed race's error, as the Python loop raises it
-        (diverged(finished) for a divergence).  record, for one seed only,
-        is a _Record that the race's rows fill: see self.record.
+        seeds is run_seeds' array or a sequence of ints below 2**64.  Each
+        race starts from initial_state when state is None, and otherwise
+        from state, which is not changed; it runs until the tick reaches
+        stop.  Returns (done, ticks, orders, error): the number of races
+        finished before the first that failed; two C arrays holding race
+        k's n finish ticks and its finish order (competitor indices) at
+        [k * n : (k + 1) * n] for k < done; and None or the failed race's
+        error, as the Python loop raises it.  record, for one seed only, is
+        a _Record that the race's rows fill: see self.record.
         """
+        runners = config._runners
         n, count = len(runners), len(seeds)
         if not isinstance(seeds, ctypes.Array):
             seeds = (ctypes.c_uint64 * count)(*seeds)
@@ -235,32 +239,30 @@ class Kernel:
         orders = (ctypes.c_int32 * (count * n))()
         status = ctypes.c_int()
         done = self._races(
-            self._flat(runners), n, length, NV_MAGICCONST, seeds, count, floats, ints,
-            min(stop, _MAX_TICK), ticks, orders, record, ctypes.byref(status),
+            self._flat(runners), n, config.track_length, NV_MAGICCONST, seeds, count, floats,
+            ints, min(stop, _MAX_TICK), ticks, orders, record, ctypes.byref(status),
         )
         error = None
         if status.value != _FINISHED:
-            error = _failure(status.value, ticks[done * n : (done + 1) * n], diverged)
+            error = _failure(status.value, ticks[done * n : (done + 1) * n], config)
         return done, ticks, orders, error
 
-    def record(self, runners, length, seed, stop, diverged):
-        """The race from initial_state on random.Random(seed): one races call with a record.
+    def record(self, config, seed):
+        """The race of config from initial_state on random.Random(seed): one races call with a record.
 
         Returns (ticks, order, blocked, snapshots): the C arrays of its
         finish ticks and finish order, its blocked steps, and an array("d")
         of the positions at the start line and after each tick, one row of
-        len(runners) per tick, copied once from the C buffer.  The buffer
+        n competitors per tick, copied once from the C buffer.  The buffer
         is freed whatever happens; a race that failed raises its error, as
         races gives it.
         """
         record = _Record()
         try:
-            _, ticks, order, error = self.races(
-                runners, length, [seed], None, stop, diverged, record
-            )
+            _, ticks, order, error = self.races(config, [seed], None, config.tick_limit, record)
             if error is not None:
                 raise error
-            rows = ctypes.c_double * (record.count * len(runners))
+            rows = ctypes.c_double * (record.count * config.n_competitors)
             snapshots = array("d")
             snapshots.frombytes(memoryview(rows.from_address(record.rows)).cast("B"))
         finally:

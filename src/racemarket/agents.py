@@ -142,7 +142,7 @@ def rp_predict(state: RaceState, config: RaceConfig, d: int, rng) -> tuple[float
 
     (wins_c + 1) / (d + n), so d = 0 is the uniform prior and every
     competitor keeps nonzero probability.  The d seeds are drawn from rng
-    first, then race.win_counts runs one simulate_from continuation per seed.
+    first, then race.win_counts runs a continuation per seed in one engine call.
     """
     n = config.n_competitors
     seeds = [rng.getrandbits(64) for _ in range(d)]

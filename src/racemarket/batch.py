@@ -14,14 +14,14 @@ import multiprocessing
 import os
 import time as _time
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from statistics import fmean, stdev
 from typing import NamedTuple
 
 from .exchange import Money
-from .race import RaceConfig, batch_runs, load_kernel
+from .race import RaceConfig, batch_runs, engine
 from .race import run_race  # noqa: F401  perfbench's tracer patches it here by name
 from .seeding import Checked, FieldError, check_master_seed, derive_seed
 from .session import SessionConfig, run_session
@@ -201,11 +201,11 @@ def _worker_pool(workers: int, executor=ProcessPoolExecutor):
 def run_batch(batch: BatchConfig) -> RaceResults | list[SessionSummary]:
     """All R results in run-index order; worker count never changes them.
 
-    Race batches run in chunks of at most CHUNK_RUNS runs.  With the kernel
-    each chunk is one C call, which releases the GIL, so the chunks run on
-    threads.  Without it, and for session batches, runs go to a process
-    pool.  Each run derives its own seed where it runs, so workers are sent
-    bare run indices (a race chunk's first index and count).
+    Race batches run in chunks of at most CHUNK_RUNS runs, one race engine
+    call each, on the engine's executor: threads for the kernel, processes
+    for the Python loop.  Session batches run on processes.  Each run
+    derives its own seed where it runs, so workers are sent bare run
+    indices (a race chunk's first index and count).
     """
     runs, workers = batch.replications, batch.workers
     if isinstance(batch.base, SessionConfig):
@@ -213,7 +213,7 @@ def run_batch(batch: BatchConfig) -> RaceResults | list[SessionSummary]:
         if workers == 1:
             return [job(i) for i in range(runs)]
         # forked workers inherit the race kernel loaded here instead of each loading it
-        load_kernel()
+        engine()
         with _worker_pool(workers) as pool:
             chunksize = max(1, runs // (workers * 8))
             return list(pool.map(job, range(runs), chunksize=chunksize))
@@ -221,7 +221,7 @@ def run_batch(batch: BatchConfig) -> RaceResults | list[SessionSummary]:
     size = min(CHUNK_RUNS, -(-runs // workers))
     firsts = range(0, runs, size)
     counts = [min(size, runs - first) for first in firsts]
-    executor = ThreadPoolExecutor if load_kernel() is not None else ProcessPoolExecutor
+    executor = engine().executor
     if workers == 1:
         return _race_results(map(chunk, firsts, counts))
     with _worker_pool(workers, executor) as pool:

@@ -10,23 +10,22 @@ being boxed in behind a slower rival.  All updates within a tick are
 synchronous, computed from start-of-tick positions.  The race ends when the
 slowest competitor has crossed the finish line.
 
-This module alone chooses between the C kernel (_kernel.c, built on first
-use) and the Python loop, race_ticks, which the kernel repeats bit for bit.
-run_race (one race, each tick's positions recorded), batch_runs (a chunk of
-a batch's races) and win_counts (a prediction's dry runs) are one call each
-to the kernel's one race loop, which seeds and primes every race in C; the
-last two record only finish ticks and orders.  Without a compiler each
-falls back to race_ticks: run_race records it, batch_runs runs it from
-initial_state per run, and win_counts calls simulate_from, which is always
-the Python loop.
+This module alone chooses the race engine.  engine() returns the C kernel
+(_kernel.c, built on first use) or, without a compiler, PYTHON_LOOP: the
+Python loop, race_ticks, behind the kernel's interface, which the kernel
+repeats bit for bit.  run_race (one race, each tick's positions recorded),
+batch_runs (a chunk of a batch's races) and win_counts (a prediction's dry
+runs) are one engine call each; the last two record only finish ticks and
+orders.
 """
 
 import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 from .seeding import MASK64, Checked, FieldError, derive_seed, make_rng
 
@@ -315,8 +314,8 @@ def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator
 
     Yields, after each tick, the competitors that raced in it (index order);
     raises RaceDivergedError if the tick reaches stop first.  A session's
-    race and simulate_from step through this loop, and so do run_race and
-    batch_runs when the C kernel is not there.
+    race and simulate_from step through this loop, and so does PYTHON_LOOP,
+    the engine of run_race, batch_runs and win_counts without the kernel.
     """
     runners, racing = config._runners, _racing(state)
     while racing:
@@ -366,7 +365,7 @@ class Trajectory:
     @cached_property
     def ticks(self) -> tuple[tuple[float, ...], ...]:
         """The snapshots as one tuple of positions per tick."""
-        return tuple(_rows(self.snapshots, len(self.competitor_ids)))
+        return tuple(zip(*[iter(self.snapshots)] * len(self.competitor_ids)))
 
 
 def finalize_trajectory(state: RaceState, config: RaceConfig, snapshots: array) -> Trajectory:
@@ -386,10 +385,53 @@ def finalize_trajectory(state: RaceState, config: RaceConfig, snapshots: array) 
     )
 
 
-def load_kernel():
-    """The C race kernel (_kernel.Kernel), or None without a C compiler.
+class PythonLoop:
+    """The Python loop behind the C kernel's interface (_kernel.Kernel): the
+    same calls and tuples, with lists for C arrays.  races takes no record,
+    as record runs its own race; position_lines writes no lines, so every
+    trajectory.csv chunk is written by repr.  Its races hold the GIL, so
+    race batches run on processes."""
 
-    Its module, with ctypes, is imported at the first whole race or
+    executor = ProcessPoolExecutor
+
+    def races(self, config: RaceConfig, seeds, state: RaceState | None, stop: int):
+        """Kernel.races: one race per seed, from initial_state or a clone of state."""
+        ticks, orders = [], []
+        for done, seed in enumerate(seeds):
+            rng = make_rng(seed)
+            try:
+                race = initial_state(config, rng) if state is None else state.clone()
+                for _ in race_ticks(config, race, rng, stop):
+                    pass
+            except (RaceDivergedError, OverflowError, MemoryError) as exc:
+                return done, ticks, orders, exc
+            ticks += race.finish_ticks
+            orders += _finish_order(race, config)
+        return len(seeds), ticks, orders, None
+
+    def record(self, config: RaceConfig, seed: int):
+        """Kernel.record: each tick's positions extend the snapshots array."""
+        rng = make_rng(seed)
+        state = initial_state(config, rng)
+        snapshots = array("d", [0.0]) * config.n_competitors
+        for _ in race_ticks(config, state, rng, config.tick_limit):
+            snapshots.extend(state.positions)
+        return state.finish_ticks, _finish_order(state, config), state.blocked_steps, snapshots
+
+    def position_lines(self, prefixes, snapshots):
+        return lambda tick, count: None
+
+    def run_seeds(self, master: int, first: int, count: int) -> list[int]:
+        return [derive_seed(master, "run", i) for i in range(first, first + count)]
+
+
+PYTHON_LOOP = PythonLoop()
+
+
+def engine():
+    """The race engine: the C kernel (_kernel.Kernel), or PYTHON_LOOP without a C compiler.
+
+    The kernel's module, with ctypes, is imported at the first whole race or
     trajectory.csv, so importing the package stays as light as it was.
     Only this module's entry points, run_batch and write_trajectory_csv
     call it, so the one warning a missing compiler gives names the code
@@ -397,23 +439,12 @@ def load_kernel():
     """
     from . import _kernel
 
-    return _kernel.load()
+    return _kernel.load() or PYTHON_LOOP
 
 
 def run_race(config: RaceConfig, seed: int) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed, recording every tick."""
-    kernel = load_kernel()
-    if kernel is None:
-        snapshots = array("d", [0.0]) * config.n_competitors
-        rng = make_rng(seed)
-        state = initial_state(config, rng)
-        for _ in race_ticks(config, state, rng, config.tick_limit):
-            snapshots.extend(state.positions)
-        return finalize_trajectory(state, config, snapshots)
-    ticks, order, blocked, snapshots = kernel.record(
-        config._runners, config.track_length, seed & MASK64, config.tick_limit,
-        partial(_diverged, config),
-    )
+    ticks, order, blocked, snapshots = engine().record(config, seed & MASK64)
     ids = config.competitor_ids
     return Trajectory(ids, snapshots, tuple(ticks), tuple(map(ids.__getitem__, order)), blocked)
 
@@ -430,15 +461,10 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))
 
 
-def _rows(values, n: int) -> list[tuple]:
-    """values cut into tuples of n, in order: zip over one iterator n times."""
-    return list(zip(*[iter(values)] * n))
-
-
 def _shared_rows(values, n: int) -> list[tuple]:
-    """values cut into tuples of n, as _rows cuts them, one tuple shared by
-    equal rows: a batch's finish ticks and orders repeat, and each shared
-    row is one object fewer for the garbage collector to track."""
+    """values cut into tuples of n (zip over one iterator n times), one tuple
+    shared by equal rows: a batch's finish ticks and orders repeat, and each
+    shared row is one object fewer for the garbage collector to track."""
     shared: dict[tuple, tuple] = {}
     return [shared.setdefault(row, row) for row in zip(*[iter(values)] * n)]
 
@@ -447,8 +473,7 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
     """Runs first .. first + count - 1 of a batch on master_seed.
 
     Run i is the race run_race(config, derive_seed(master_seed, "run", i))
-    runs, without its snapshots; with the kernel all count runs are one
-    call, and without it each is race_ticks from initial_state.  Returns
+    runs, without its snapshots; all count runs are one engine call.  Returns
     (ticks, orders, error): each run's finish ticks and finish order
     (competitor ids) up to the first run that failed, and None or the error
     run_race raises on that run.  Run indices are signed 64-bit, as the
@@ -457,24 +482,9 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
     last = first + count - 1
     if first < 0 or last > 2**63 - 1:
         raise ValueError(f"run indices must be in [0, 2**63 - 1], got {first}..{last}")
-    kernel = load_kernel()
-    if kernel is None:
-        ticks, orders, ids = [], [], config.competitor_ids
-        for i in range(first, first + count):
-            try:
-                rng = make_rng(derive_seed(master_seed, "run", i))
-                state = initial_state(config, rng)
-                for _ in race_ticks(config, state, rng, config.tick_limit):
-                    pass
-            except Exception as exc:
-                return ticks, orders, exc
-            ticks.append(tuple(state.finish_ticks))
-            orders.append(tuple(map(ids.__getitem__, _finish_order(state, config))))
-        return ticks, orders, None
-    done, ticks, orders, error = kernel.races(
-        config._runners, config.track_length, kernel.run_seeds(master_seed, first, count), None,
-        config.tick_limit, partial(_diverged, config),
-    )
+    eng = engine()
+    seeds = eng.run_seeds(master_seed, first, count)
+    done, ticks, orders, error = eng.races(config, seeds, None, config.tick_limit)
     n, ids = config.n_competitors, config.competitor_ids
     ticks, orders = ticks[: done * n], map(ids.__getitem__, orders[: done * n])
     return _shared_rows(ticks, n), _shared_rows(orders, n), error
@@ -483,24 +493,15 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
 def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[int]:
     """Wins per competitor index of simulate_from(state, config, seed) over seeds.
 
-    With the kernel all continuations are one call, and a continuation's
-    winner is the first of its finish order.  The first that fails raises
+    All continuations are one engine call, and a continuation's winner is
+    the first of its finish order.  The first that fails raises
     the error simulate_from raises on it.
     """
-    wins = [0] * config.n_competitors
-    kernel = load_kernel()
-    if kernel is None:
-        index = {cid: i for i, cid in enumerate(config.competitor_ids)}
-        for seed in seeds:
-            wins[index[simulate_from(state, config, seed)[0]]] += 1
-        return wins
-    done, _, orders, error = kernel.races(
-        config._runners, config.track_length, seeds, state, state.tick + config.tick_limit,
-        partial(_diverged, config),
-    )
+    _, _, orders, error = engine().races(config, seeds, state, state.tick + config.tick_limit)
     if error is not None:
         raise error
     n = config.n_competitors
-    for winner in orders[: done * n : n]:
+    wins = [0] * n
+    for winner in orders[::n]:
         wins[winner] += 1
     return wins

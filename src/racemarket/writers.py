@@ -14,11 +14,8 @@ The three large files, `events.jsonl`, `trajectory.csv` and
 distinct string is encoded once (JSON-encoded, or for a CSV written as it
 is unless it holds `"`, `,`, `\\r`, `\\n` or NUL, and then by
 `csv.writer` itself), floats are written by repr, or by the
-kernel's digit routine, which equals it (one exact scaled product per
-position gives its 17 significant digits and, by addition, its rounding
-bounds; trailing digits are taken off while a shorter number still reads
-back as the position, and the rest are written straight into the line),
-and lines are joined into bounded chunks before each write.
+kernel's digit routine, which equals it (README, "Race kernel"), and
+lines are joined into bounded chunks before each write.
 `sentiment.csv` is written per sentiment event, read a chunk at a time
 through a session's `sentiment_rows` view: an event's lines are its
 `time,bettor,` prefix joined onto its odds list's lines, which are built
@@ -58,7 +55,7 @@ from pathlib import Path
 from . import __version__
 from .batch import ORDER_SPACE, WINNER_SPACE, BenchPoint, OutcomePMF, RaceResult, SessionSummary
 from .exchange import SettlementReport
-from .race import Trajectory, load_kernel
+from .race import Trajectory, engine
 from .seeding import RNG_ALGORITHM
 from .session import EVENT_FIELDS, SentimentRows
 
@@ -124,23 +121,22 @@ def _csv_field(value: str) -> str:
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     """tick,competitor_id,position with one row per tick per competitor.
 
-    With the race kernel a chunk's lines are written in C, straight from
-    traj.snapshots; a chunk holding a position the kernel refuses, and
-    every chunk without a kernel, is written by the f-string loop, which
-    is the reference.
+    The race engine writes each chunk's lines: the kernel in C, straight
+    from traj.snapshots.  A chunk it does not write (one holding a position
+    the kernel refuses, and every chunk on the Python loop) is written by
+    the f-string loop, which is the reference.
     """
     values, n = traj.snapshots, len(traj.competitor_ids)
     if not n or len(values) % n:
         raise ValueError(f"{len(values)} snapshot positions are not whole ticks of {n}")
     prefixes = [f",{_csv_field(cid)}," for cid in traj.competitor_ids]
-    kernel = load_kernel()
-    lines = None if kernel is None else kernel.position_lines(prefixes, values)
+    lines = engine().position_lines(prefixes, values)
     ticks, step = len(values) // n, max(1, _CHUNK_LINES // n)  # step: ticks per chunk
     with open(path, "wb") as fh:
         fh.write(b"tick,competitor_id,position\r\n")
         for start in range(0, ticks, step):
             stop = min(start + step, ticks)
-            chunk = None if lines is None else lines(start, stop - start)
+            chunk = lines(start, stop - start)
             if chunk is None:
                 chunk = "".join(
                     [

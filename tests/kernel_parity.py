@@ -6,18 +6,21 @@ through race_ticks, and compares the results by repr, which tells every
 float bit apart.  Each is one rm_races call: run_race's from the primed
 start on its one seed, with a record that its buffer's rows grow into; a
 batch chunk's from the primed start on the seeds rm_run_seeds derives; and
-a win_counts call's from a mid-race state.  On the Python loop they are
-run_race, derive_seed with run_race, and simulate_from.  rm_races seeds its
-streams in groups of 8, so a case
-draws its number of dry runs from 1 to 20, mixes seeds below 2**32 (a
-1-word key) into them, and runs chunks of 11: every case fills some group
-partly and many fill a second.
+a win_counts call's from a mid-race state.  On the Python loop they are the
+same calls to race.PYTHON_LOOP, which runs race_ticks.  rm_races seeds its
+streams in groups of 8, so a case draws its number of dry runs from 1 to
+20, mixes seeds below 2**32 (a 1-word key) into them, and runs chunks of
+11: every case fills some group partly and many fill a second.
 Each case also runs the three under tick limits that stop a race short of
 its finish (a batch chunk's, mid-group where its runs' lengths allow) and
 with a competitor added whose lognormal draws overflow now and then, and
 compares the errors, messages (with the finished count) and the runs done
-before them.  Whether a random race outgrows a record's first buffer is
-left to chance, so one fixed case, LONG_TRACK, runs the same checks on a
+before them.  The two engines, race.engine()'s kernel and PYTHON_LOOP, are
+also called directly, from the primed start and from a mid-race state, on
+seeds where a race in the middle diverges or overflows: their races calls
+must return the same count of races done, rows and error text, and their
+record calls the same snapshots and blocked steps.  Whether a random race
+outgrows a record's first buffer is left to chance, so one fixed case, LONG_TRACK, runs the same checks on a
 race whose record grows four times and which, under its failing tick
 limit, diverges after those growths: every run, sanitized ones too,
 reallocates a record and frees a failed one.  Last, rm_position_lines,
@@ -50,6 +53,7 @@ from itertools import chain
 from racemarket import _kernel
 from racemarket.batch import CHUNK_RUNS, BatchRunError, _race_chunk
 from racemarket.race import (
+    PYTHON_LOOP,
     Competitor,
     LogNormalSteps,
     RaceConfig,
@@ -59,12 +63,13 @@ from racemarket.race import (
     RaceState,
     advance_race,
     batch_runs,
+    engine,
     initial_state,
     race_ticks,
     run_race,
     win_counts,
 )
-from racemarket.seeding import make_rng
+from racemarket.seeding import MASK64, make_rng
 
 #: Seeds at the edges of CPython's seeding: one 32-bit key word or two, and
 #: negative seeds, which make_rng masks to 64 bits.
@@ -93,7 +98,8 @@ LONG_SEED = 4
 
 @contextmanager
 def python_loop():
-    """Within the block, race.py finds no kernel."""
+    """Within the block, race.engine() finds no kernel and returns PYTHON_LOOP,
+    in this process and in process pools forked in it."""
     load = _kernel.load
     _kernel.load = lambda: None
     try:
@@ -258,6 +264,60 @@ def failure_differences(
     return problems
 
 
+def engine_races(eng, config: RaceConfig, seeds: list[int], state, stop: int) -> str:
+    """repr of what eng.races returns: the races done, their rows and the error's text."""
+    done, ticks, orders, error = eng.races(config, seeds, state, stop)
+    n = config.n_competitors
+    if error is not None:
+        error = f"{type(error).__name__}: {error}"
+    return repr((done, list(ticks[: done * n]), list(orders[: done * n]), error))
+
+
+def engine_record(eng, config: RaceConfig, seed: int) -> str:
+    """repr of what eng.record returns: finish ticks, order, blocked steps, snapshots."""
+    ticks, order, blocked, snapshots = eng.record(config, seed & MASK64)
+    return repr((list(ticks), list(order), blocked, snapshots))
+
+
+def engine_differences(
+    config: RaceConfig, seed: int, ticks: int, d: int, rng: random.Random
+) -> list[str]:
+    """Where race.engine() and PYTHON_LOOP part, called directly.
+
+    races runs the d seeds of differences() from the primed start and from
+    its mid-race state: to the finish, under a stop that failing_limit picks
+    from their lengths, so that a race in the middle of the seeds diverges
+    where their lengths allow, and once more with_overflow, whose draws can
+    overflow in the primer too.  Each call is compared by all that races
+    returns, so the count of races done before a failure is compared as
+    well, where win_counts raises instead.  record runs one race from the
+    start.
+    """
+    problems, n = [], config.n_competitors
+    state = mid_race(config, seed + 1, ticks)
+    seeds = dry_run_seeds(seed, d)
+    overflow, overflow_state = with_overflow(config, state, rng)
+    for name, start, overflow_start in (("the line", None, None), ("mid-race", state, overflow_state)):
+        tick = 0 if start is None else start.tick
+        full = tick + config.tick_limit
+        _, rows, _, _ = PYTHON_LOOP.races(config, seeds, start, full)
+        lengths = [max(rows[k : k + n]) - tick for k in range(0, len(rows), n)]
+        cases = {
+            "finishing": (config, start, full),
+            "diverging": (config, start, tick + failing_limit(lengths)),
+            "overflowing": (overflow, overflow_start, full),
+        }
+        for case, (c, st, stop) in cases.items():
+            kernel, loop = (engine_races(e, c, seeds, st, stop) for e in (engine(), PYTHON_LOOP))
+            if kernel != loop:
+                where = f"races from {name}, {case}, n={c.n_competitors} seed={seed}"
+                problems.append(f"{where}: {kernel[:200]} != {loop[:200]}")
+    kernel, loop = (engine_record(e, config, seed) for e in (engine(), PYTHON_LOOP))
+    if kernel != loop:
+        problems.append(f"record n={n} seed={seed}: {kernel[:200]} != {loop[:200]}")
+    return problems
+
+
 #: The range of rm_position_lines: 0.0 and [2**-6, 2**53).
 LOWEST_POSITION, POSITION_BOUND = 2.0**-6, 2.0**53
 
@@ -399,6 +459,7 @@ def main(argv: list[str]) -> int:
         ticks, first, d = rng.randint(0, 30), rng.choice(RUN_INDICES), rng.randint(1, 20)
         problems = differences(config, seed, ticks, first, d)
         problems += failure_differences(config, seed, ticks, first, d, rng)
+        problems += engine_differences(config, seed, ticks, d, random.Random(k))
         if problems:
             print("\n".join(problems), file=sys.stderr)
             return 1
@@ -406,6 +467,7 @@ def main(argv: list[str]) -> int:
     config, n = LONG_TRACK, LONG_TRACK.n_competitors
     problems = differences(config, LONG_SEED, 40)
     problems += failure_differences(config, LONG_SEED, 40, 0, DRY_RUNS, random.Random(LONG_SEED))
+    problems += engine_differences(config, LONG_SEED, 40, DRY_RUNS, random.Random(LONG_SEED))
     if len(run_race(config, LONG_SEED).snapshots) <= 8 * _kernel._RECORD_ROWS * n:
         problems.append("LONG_TRACK's race no longer grows its record four times")
     if problems:

@@ -31,6 +31,7 @@ KERNEL = "src/racemarket/_kernel.c"
 AGENTS = "src/racemarket/agents.py"
 EXCHANGE = "src/racemarket/exchange.py"
 RACE = "src/racemarket/race.py"
+SEEDING = "src/racemarket/seeding.py"
 SESSION = "src/racemarket/session.py"
 WRITERS = "src/racemarket/writers.py"
 #: kernel_parity.py with 20 random races, which checks rm_position_lines on
@@ -40,6 +41,10 @@ GROWTHS = "tests/test_race_oracle.py::test_snapshots_across_record_growths_equal
 SEEDS_LIKE_DERIVE_SEED = "tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"
 SAME_VIEW = "tests/test_agents.py::test_race_view_predictors_reuse_a_result_only_for_the_same_view"
 FUNDS = "tests/test_agents.py::test_decide_respects_funds"
+CHECKED = "tests/test_config.py::test_a_checked_config_cannot_be_built_invalid"
+PROGRAMMING_ERROR = (
+    "tests/test_batch.py::test_a_programming_error_in_the_python_loop_reaches_the_caller_as_itself"
+)
 
 
 def pytest(*ids: str) -> tuple[str, ...]:
@@ -233,11 +238,46 @@ MUTANTS = (
         (pytest("tests/test_exchange.py::test_self_check_audits_the_accounts"),),
     ),
     Mutant(
-        "batch_runs without the kernel orders each run's finishers by index",
+        "the Python engine orders each race's finishers by index",
         RACE,
-        "orders.append(tuple(map(ids.__getitem__, _finish_order(state, config))))",
-        "orders.append(ids)",
-        (pytest("tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"),),
+        "orders += _finish_order(race, config)",
+        "orders += range(config.n_competitors)",
+        (pytest(f"{SEEDS_LIKE_DERIVE_SEED}[1-255]"),),
+    ),
+    Mutant(
+        "the Python engine counts the race that failed among the races done",
+        RACE,
+        "return done, ticks, orders, exc",
+        "return done + 1, ticks, orders, exc",
+        (pytest("tests/test_race_oracle.py::test_engines_agree_on_races_called_directly[1]"),),
+    ),
+    Mutant(
+        "the Python engine reports any exception as a failed race",
+        RACE,
+        "except (RaceDivergedError, OverflowError, MemoryError) as exc:",
+        "except Exception as exc:",
+        (pytest(f"{PROGRAMMING_ERROR}[1]"),),
+    ),
+    Mutant(
+        "win_counts counts each continuation's last finisher as its winner",
+        RACE,
+        "for winner in orders[::n]:",
+        "for winner in orders[n - 1 :: n]:",
+        (pytest("tests/test_race_oracle.py::test_dry_run_winner_by_overshoot_then_index"),),
+    ),
+    Mutant(
+        "AgentParams is built without its check",
+        AGENTS,
+        "class AgentParams(Checked):",
+        "class AgentParams:",
+        (pytest(f"{CHECKED}[AgentParams.gamma]"),),
+    ),
+    Mutant(
+        "check_master_seed lets 2**64 through",
+        SEEDING,
+        "if seed > MASK64:",
+        "if seed > MASK64 + 1:",
+        (pytest(f"{CHECKED}[ExperimentConfig.seed=18446744073709551616]"),),
     ),
     Mutant(
         "a race from the primed start draws from its stream as it was before the primer drew",

@@ -3,10 +3,11 @@ import pickle
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
-from racemarket import _kernel
+from racemarket import race
 from racemarket.agents import AgentParams
 from racemarket.batch import (
     BatchConfig,
@@ -25,10 +26,11 @@ from racemarket.batch import (
     resize_race,
     run_batch,
 )
-from racemarket.race import Competitor, LogNormalSteps, RaceConfig, UniformSteps, load_kernel
+from racemarket.race import Competitor, LogNormalSteps, RaceConfig, UniformSteps, engine
 from racemarket.session import SessionConfig
 
 from conftest import make_race
+from kernel_parity import python_loop
 
 
 def test_run_batch_race_results_in_order():
@@ -55,15 +57,15 @@ def test_race_result_is_an_immutable_record():
 def test_race_batch_results_are_built_when_read():
     # a race batch keeps its rows, and builds its RaceResults when it is first
     # read, so a running batch leaves no object per run for the garbage
-    # collector to track; with the kernel, equal rows of a chunk are one tuple
+    # collector to track; equal rows of a chunk are one tuple
     config = make_race(n=3, length=150.0)
     results = run_batch(BatchConfig(config, 300, master_seed=4))
     other = run_batch(BatchConfig(config, 300, master_seed=4, workers=2))
     assert isinstance(results, RaceResults) and len(results) == 300
     assert results == other and results._results is None and other._results is None
-    if _kernel.load() is not None:  # one chunk, and 3 runners finish in 6 orders
-        assert len({id(order) for order in results.orders}) <= 6
-        assert len({id(ticks) for ticks in results.ticks}) < 300
+    # one chunk, and 3 runners finish in 6 orders
+    assert len({id(order) for order in results.orders}) <= 6
+    assert len({id(ticks) for ticks in results.ticks}) < 300
     rows = zip(results.orders, results.ticks)
     expected = [RaceResult(i, order, ticks, max(ticks)) for i, (order, ticks) in enumerate(rows)]
     assert list(results) == expected and results == expected and expected == results
@@ -81,7 +83,7 @@ def test_run_batch_worker_count_is_invisible():
 
 
 def test_race_batches_on_threads_share_one_kernel():
-    if load_kernel() is None:
+    if engine().executor is not ThreadPoolExecutor:
         pytest.skip("race batches run on threads only with the kernel")
     # two batches at once, each on more threads than cores and switching
     # often, share the kernel and its cache of flattened runners
@@ -164,17 +166,26 @@ FAILING_BATCHES = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("loop", [False, True], ids=["kernel", "python_loop"])
 @pytest.mark.parametrize("failure", sorted(FAILING_BATCHES))
-def test_batch_run_error_carries_index_and_pickles(monkeypatch, failure, loop, workers):
+def test_batch_run_error_carries_index_and_pickles(failure, loop, workers):
     # the lowest failing run is named, whichever chunk or worker meets a failure first
-    if loop:
-        monkeypatch.setattr(_kernel, "load", lambda: None)
     config, master_seed, message = FAILING_BATCHES[failure]
-    with pytest.raises(BatchRunError) as info:
+    with pytest.raises(BatchRunError) as info, python_loop() if loop else nullcontext():
         run_batch(BatchConfig(config, 8, master_seed, workers))
     assert (info.value.run_index, str(info.value)) == (1, message)
     clone = pickle.loads(pickle.dumps(info.value))
     assert isinstance(clone, BatchRunError)
     assert (clone.run_index, str(clone)) == (1, message)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_programming_error_in_the_python_loop_reaches_the_caller_as_itself(monkeypatch, workers):
+    # the loop reports only what the kernel can: divergence, overflow, memory
+    def broken(*args):
+        raise TypeError("broken tick")
+
+    monkeypatch.setattr(race, "_tick", broken)
+    with pytest.raises(TypeError, match="^broken tick$"), python_loop():
+        run_batch(BatchConfig(make_race(n=3, length=200.0), 8, master_seed=1, workers=workers))
 
 
 def test_batch_config_validation():

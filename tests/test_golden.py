@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from racemarket import _kernel
 from racemarket.batch import BatchConfig, resize_race, run_batch
 from racemarket.cli import main as cli_main
 from racemarket.config import config_digest, config_to_dict, emit_default_config, parse_config
+
+from kernel_parity import python_loop
 
 DERBY = Path(__file__).resolve().parent.parent / "configs" / "derby.json"
 
@@ -90,14 +91,9 @@ def test_derby_session_outputs(tmp_path, capsys):
     assert got == SESSION_DIGESTS
 
 
-@pytest.fixture
-def python_loop(monkeypatch):
-    """run_race and simulate_from find no kernel, in this process and forked workers."""
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-
-
-def test_derby_session_outputs_on_the_python_loop(python_loop, tmp_path, capsys):
-    test_derby_session_outputs(tmp_path, capsys)
+def test_derby_session_outputs_on_the_python_loop(tmp_path, capsys):
+    with python_loop():
+        test_derby_session_outputs(tmp_path, capsys)
 
 
 def test_wide_field_race_trajectory(tmp_path, capsys):
@@ -111,8 +107,9 @@ def test_wide_field_race_trajectory(tmp_path, capsys):
     assert sha256((tmp_path / "out" / "trajectory.csv").read_bytes()) == WIDE_FIELD_TRAJECTORY
 
 
-def test_wide_field_race_trajectory_on_the_python_loop(python_loop, tmp_path, capsys):
-    test_wide_field_race_trajectory(tmp_path, capsys)
+def test_wide_field_race_trajectory_on_the_python_loop(tmp_path, capsys):
+    with python_loop():
+        test_wide_field_race_trajectory(tmp_path, capsys)
 
 
 def test_quoted_ids_race_outputs(tmp_path, capsys):
@@ -166,8 +163,9 @@ def test_crowd_session_outputs(tmp_path, capsys):
     assert got == CROWD_SESSION_DIGESTS
 
 
-def test_crowd_session_outputs_on_the_python_loop(python_loop, tmp_path, capsys):
-    test_crowd_session_outputs(tmp_path, capsys)
+def test_crowd_session_outputs_on_the_python_loop(tmp_path, capsys):
+    with python_loop():
+        test_crowd_session_outputs(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -179,8 +177,10 @@ def test_batch_results(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_batch_results_on_the_python_loop(python_loop, workers):
-    test_batch_results(workers)
+def test_batch_results_on_the_python_loop(workers):
+    # a 2-worker batch on the loop forks its process pool inside the block
+    with python_loop():
+        test_batch_results(workers)
 
 
 @pytest.mark.parametrize("target,replications", sorted(BATCH_PRODUCTS))

@@ -199,9 +199,11 @@ def test_batch_workers_inherit_the_kernel_the_parent_loaded(tmp_path):
 def test_the_kernel_refuses_buffers_of_the_wrong_size():
     compiler()
     kernel = _kernel.load()
-    runners = make_race(n=2)._runners
+    config = make_race(n=2)
+    runners = config._runners
+    vars(config)["_runners"] = ((*runners[0], 0.0), runners[1])  # 11 numbers, then 10
     with pytest.raises(ValueError, match="a runner is 10 numbers"):
-        kernel.record(((*runners[0], 0.0), runners[1]), 50.0, 1, 100, None)
+        kernel.record(config, 1)
     # position_lines reads a trajectory's snapshots in place
     with pytest.raises(TypeError, match="an array of doubles"):
         kernel.position_lines([",c1,"], array("f", [1.0]))

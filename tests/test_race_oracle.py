@@ -14,13 +14,13 @@ run_race runs its one race from the primed start in one C call that
 records its positions, a batch chunk runs many races from the primed start
 in one such call on seeds C derives, and rp_predict runs all its dry runs
 in one such call from its state; the last tests check the C kernel against
-the Python loop
-(race_ticks, derive_seed and simulate_from, which is always the loop), which
-stays the reference: whole trajectories, finish orders, win counts and
-errors must be identical.
+the Python loop (race.PYTHON_LOOP, race_ticks behind the kernel's
+interface), which stays the reference: whole trajectories, finish orders,
+win counts, errors and the races done before one must be identical.
 """
 
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from kernel_parity import (
     both_ways,
     chunk_start,
     differences,
+    engine_differences,
     mid_race,
 )
 from racemarket import _kernel
@@ -353,6 +354,13 @@ def test_kernel_seeds_like_random_seed(seed):
     seeds = [s & MASK64 for s in EDGE_SEEDS]
     kernel, loop = both_ways(lambda: win_counts(state, config, seeds))
     assert kernel == loop
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_engines_agree_on_races_called_directly(seed):
+    # races from the line and mid-race that finish, diverge or overflow part
+    # way through the seeds, compared by the races done, rows and error
+    assert engine_differences(derby_race(), seed, 30, DRY_RUNS, random.Random(seed)) == []
 
 
 @pytest.mark.parametrize("first", RUN_INDICES)
