@@ -213,25 +213,27 @@ class Kernel:
         self._last = (runners, flat)
         return flat
 
-    def races(self, config, seeds, state, stop, record=None):
+    def races(self, config, seeds, state, record=None):
         """One race of config per seed, in one call: race k draws from random.Random(seeds[k]).
 
         seeds is run_seeds' array or a sequence of ints below 2**64.  Each
         race starts from initial_state when state is None, and otherwise
-        from state, which is not changed; it runs until the tick reaches
-        stop.  Returns (done, ticks, orders, error): the number of races
-        finished before the first that failed; two C arrays holding race
-        k's n finish ticks and its finish order (competitor indices) at
-        [k * n : (k + 1) * n] for k < done; and None or the failed race's
-        error, as the Python loop raises it.  record, for one seed only, is
-        a _Record that the race's rows fill: see self.record.
+        from state, which is not changed; it diverges when its tick reaches
+        config.tick_limit past its start.  Returns (done, ticks, orders,
+        error): the number of races finished before the first that failed;
+        two C arrays holding race k's n finish ticks and its finish order
+        (competitor indices) at [k * n : (k + 1) * n] for k < done; and
+        None or the failed race's error, as the Python loop raises it.
+        record, for one seed only, is a _Record that the race's rows fill:
+        see self.record.
         """
         runners = config._runners
         n, count = len(runners), len(seeds)
         if not isinstance(seeds, ctypes.Array):
             seeds = (ctypes.c_uint64 * count)(*seeds)
-        floats = ints = None
+        floats, ints, stop = None, None, config.tick_limit
         if state is not None:
+            stop += state.tick
             floats = (ctypes.c_double * (2 * n))(*state.positions, *state.prev_steps)
             finish = [-1 if t is None else t for t in state.finish_ticks]
             ints = (ctypes.c_int64 * (n + 2))(*finish, state.tick, state.blocked_steps)
@@ -259,7 +261,7 @@ class Kernel:
         """
         record = _Record()
         try:
-            _, ticks, order, error = self.races(config, [seed], None, config.tick_limit, record)
+            _, ticks, order, error = self.races(config, [seed], None, record)
             if error is not None:
                 raise error
             rows = ctypes.c_double * (record.count * config.n_competitors)

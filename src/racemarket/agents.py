@@ -108,13 +108,21 @@ class AgentParams(Checked):
 
 
 class Observation(NamedTuple):
-    """Immutable market and race snapshot served to an agent on wake."""
+    """Market and race snapshot served to an agent on wake.
+
+    predictions is its one mutable part: the race-view predictions made so
+    far on this race view, by Bettor.view_key, which only Bettor.decide
+    writes.  Every observation of one race view holds the same dict, and a
+    new view a new one, so a prediction is shared for as long as its view
+    lasts and no longer.
+    """
 
     time: float
     race_tick: int
     positions: tuple[float, ...]
     finish_ticks: tuple[int | None, ...]
     step_history: tuple[tuple[float, ...], ...]
+    predictions: dict[tuple, tuple[float, ...]]
     grid: dict[str, GridRow]
     my_bets: tuple[OpenBet, ...]
     balance: Money
@@ -164,20 +172,6 @@ def _point_mass(n: int, picks: list[int]) -> tuple[float, ...]:
     return tuple(probs)
 
 
-# The race-view predictors below each keep their last call's arguments and
-# result, and hand the result back while every tuple argument is the very
-# object held and every other argument is equal: a session's agents wake
-# many times on one race view, whose tuples are rebuilt only when the race
-# ticks.  Holding the tuples keeps their ids from being reused, and a call
-# with a list, which can change in place, is not kept.  Each memo is one
-# tuple, read and replaced whole, so threads that share it can miss but
-# never read one call's arguments with another's result; results are tuples,
-# so the callers that share one cannot change it.
-_linex_last: tuple | None = None
-_lw_last: tuple | None = None
-_ud_last: tuple | None = None
-
-
 def linex_predict(
     step_history: tuple[tuple[float, ...], ...],
     positions: tuple[float, ...],
@@ -189,16 +183,6 @@ def linex_predict(
     Speed is the mean of each competitor's last window_ticks steps; a
     competitor already past the line gets finish time 0.
     """
-    global _linex_last
-    last = _linex_last
-    if (
-        last is not None
-        and step_history is last[0]
-        and positions is last[1]
-        and track_length == last[2]
-        and window_ticks == last[3]
-    ):
-        return last[4]
     n = len(positions)
     times = []
     for c in range(n):
@@ -211,41 +195,23 @@ def linex_predict(
             raise ValueError("linex_predict needs at least one tick of history")
         times.append(remaining * len(recent) / sum(recent))
     best = min(times)
-    probs = _point_mass(n, [c for c in range(n) if times[c] == best])
-    kept = type(positions) is tuple and type(step_history) is tuple
-    if kept and all(type(h) is tuple for h in step_history):
-        _linex_last = (step_history, positions, track_length, window_ticks, probs)
-    else:
-        _linex_last = None
-    return probs
+    return _point_mass(n, [c for c in range(n) if times[c] == best])
 
 
 def lw_predict(positions: tuple[float, ...]) -> tuple[float, ...]:
     """Mass on the current leader; ties split equally."""
-    global _lw_last
-    last = _lw_last
-    if last is not None and positions is last[0]:
-        return last[1]
     best = max(positions)
-    probs = _point_mass(len(positions), [c for c, p in enumerate(positions) if p == best])
-    _lw_last = (positions, probs) if type(positions) is tuple else None
-    return probs
+    return _point_mass(len(positions), [c for c, p in enumerate(positions) if p == best])
 
 
 def ud_predict(positions: tuple[float, ...], gap_threshold: float) -> tuple[float, ...]:
     """Mass on second place while it trails by strictly less than the threshold."""
-    global _ud_last
-    last = _ud_last
-    if last is not None and positions is last[0] and gap_threshold == last[1]:
-        return last[2]
     if len(positions) < 2:
         raise ValueError("ud_predict needs at least two competitors")
     ranked = sorted(range(len(positions)), key=lambda c: (-positions[c], c))
     leader, runner_up = ranked[0], ranked[1]
     pick = runner_up if positions[leader] - positions[runner_up] < gap_threshold else leader
-    probs = _point_mass(len(positions), [pick])
-    _ud_last = (positions, gap_threshold, probs) if type(positions) is tuple else None
-    return probs
+    return _point_mass(len(positions), [pick])
 
 
 def btf_predict(grid: dict[str, GridRow], competitor_ids: tuple[str, ...]) -> tuple[float, ...]:
@@ -313,6 +279,10 @@ class Bettor:
     """Base agent: one decide over a strategy's predict and _order; this _order bets on value."""
 
     strategy = "base"
+    #: For a strategy that predicts from the race view alone, what else its
+    #: prediction depends on: bettors with equal keys share one prediction
+    #: per view through Observation.predictions.  None predicts on every wake.
+    view_key: tuple | None = None
 
     def __init__(self, bettor_id: str, params: AgentParams, race_config: RaceConfig, rng):
         self.bettor_id = bettor_id
@@ -359,7 +329,11 @@ class Bettor:
 
     def decide(self, obs: Observation) -> list[Action]:
         """Stale-bet cancels plus at most one order, funds permitting."""
-        probs = self.predict(obs)
+        key = self.view_key
+        if key is None:
+            probs = self.predict(obs)
+        elif (probs := obs.predictions.get(key)) is None:
+            probs = obs.predictions[key] = self.predict(obs)
         self.last_prediction = probs
         actions = self._stale_cancels(obs)
         order = self._order(obs, probs)
@@ -391,17 +365,22 @@ class RPBettor(Bettor):
 class LinExBettor(Bettor):
     strategy = "linex"
 
+    def __init__(self, bettor_id, params, race_config, rng):
+        super().__init__(bettor_id, params, race_config, rng)
+        self.window_ticks = max(1, round(params.window / race_config.dt))
+        self.view_key = ("linex", self.window_ticks)
+
     def predict(self, obs: Observation) -> tuple[float, ...]:
         if not any(obs.step_history):  # no tick has run
             return _uniform(self.race_config.n_competitors)
-        window_ticks = max(1, round(self.params.window / self.race_config.dt))
         return linex_predict(
-            obs.step_history, obs.positions, self.race_config.track_length, window_ticks
+            obs.step_history, obs.positions, self.race_config.track_length, self.window_ticks
         )
 
 
 class LWBettor(Bettor):
     strategy = "lw"
+    view_key = ("lw",)
 
     def predict(self, obs: Observation) -> tuple[float, ...]:
         return lw_predict(obs.positions)
@@ -409,6 +388,10 @@ class LWBettor(Bettor):
 
 class UDBettor(Bettor):
     strategy = "ud"
+
+    def __init__(self, bettor_id, params, race_config, rng):
+        super().__init__(bettor_id, params, race_config, rng)
+        self.view_key = ("ud", params.gap_threshold)
 
     def predict(self, obs: Observation) -> tuple[float, ...]:
         return ud_predict(obs.positions, self.params.gap_threshold)

@@ -309,15 +309,17 @@ def _diverged(config: RaceConfig, finished: int) -> RaceDivergedError:
     return RaceDivergedError(f"race exceeded tick_limit={config.tick_limit} with {done}")
 
 
-def race_ticks(config: RaceConfig, state: RaceState, rng, stop: int) -> Iterator[list[int]]:
+def race_ticks(config: RaceConfig, state: RaceState, rng) -> Iterator[list[int]]:
     """The race loop: tick state in place until every competitor has finished.
 
     Yields, after each tick, the competitors that raced in it (index order);
-    raises RaceDivergedError if the tick reaches stop first.  A session's
-    race and simulate_from step through this loop, and so does PYTHON_LOOP,
-    the engine of run_race, batch_runs and win_counts without the kernel.
+    raises RaceDivergedError if the tick reaches config.tick_limit past
+    state's tick first.  A session's race and simulate_from step through
+    this loop, and so does PYTHON_LOOP, the engine of run_race, batch_runs
+    and win_counts without the kernel.
     """
     runners, racing = config._runners, _racing(state)
+    stop = state.tick + config.tick_limit
     while racing:
         if state.tick >= stop:
             raise _diverged(config, state.finished_count())
@@ -394,14 +396,14 @@ class PythonLoop:
 
     executor = ProcessPoolExecutor
 
-    def races(self, config: RaceConfig, seeds, state: RaceState | None, stop: int):
+    def races(self, config: RaceConfig, seeds, state: RaceState | None):
         """Kernel.races: one race per seed, from initial_state or a clone of state."""
         ticks, orders = [], []
         for done, seed in enumerate(seeds):
             rng = make_rng(seed)
             try:
                 race = initial_state(config, rng) if state is None else state.clone()
-                for _ in race_ticks(config, race, rng, stop):
+                for _ in race_ticks(config, race, rng):
                     pass
             except (RaceDivergedError, OverflowError, MemoryError) as exc:
                 return done, ticks, orders, exc
@@ -414,7 +416,7 @@ class PythonLoop:
         rng = make_rng(seed)
         state = initial_state(config, rng)
         snapshots = array("d", [0.0]) * config.n_competitors
-        for _ in race_ticks(config, state, rng, config.tick_limit):
+        for _ in race_ticks(config, state, rng):
             snapshots.extend(state.positions)
         return state.finish_ticks, _finish_order(state, config), state.blocked_steps, snapshots
 
@@ -456,7 +458,7 @@ def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str,
     repeated calls with distinct seeds give i.i.d. continuations.
     """
     st = state.clone()
-    for _ in race_ticks(config, st, make_rng(seed), state.tick + config.tick_limit):
+    for _ in race_ticks(config, st, make_rng(seed)):
         pass
     return tuple(config.competitor_ids[c] for c in _finish_order(st, config))
 
@@ -484,7 +486,7 @@ def batch_runs(config: RaceConfig, master_seed: int, first: int, count: int):
         raise ValueError(f"run indices must be in [0, 2**63 - 1], got {first}..{last}")
     eng = engine()
     seeds = eng.run_seeds(master_seed, first, count)
-    done, ticks, orders, error = eng.races(config, seeds, None, config.tick_limit)
+    done, ticks, orders, error = eng.races(config, seeds, None)
     n, ids = config.n_competitors, config.competitor_ids
     ticks, orders = ticks[: done * n], map(ids.__getitem__, orders[: done * n])
     return _shared_rows(ticks, n), _shared_rows(orders, n), error
@@ -497,7 +499,7 @@ def win_counts(state: RaceState, config: RaceConfig, seeds: list[int]) -> list[i
     the first of its finish order.  The first that fails raises
     the error simulate_from raises on it.
     """
-    _, _, orders, error = engine().races(config, seeds, state, state.tick + config.tick_limit)
+    _, _, orders, error = engine().races(config, seeds, state)
     if error is not None:
         raise error
     n = config.n_competitors

@@ -21,9 +21,9 @@ SessionResult.sentiment_rows is a view that expands them to one row per
 competitor each time it is iterated, so no session holds a row per wake and
 competitor, and write_sentiment_csv writes the events it views, one join
 of an event's prefix onto its odds list's lines.  Agents that wake between
-two race ticks share one race view, whose tuples the race-view predictors
-(agents.linex_predict, lw_predict, ud_predict) recognise by identity, so
-each predicts once per view and parameter set.
+two race ticks share one race view: its tuples and a fresh predictions
+dict, through which the bettors that predict from the view alone (linex,
+lw and ud) share one prediction per view and Bettor.view_key.
 """
 
 import heapq
@@ -228,7 +228,7 @@ class _Session:
         self.histories: list[list[float]] = [[] for _ in range(self.n)]
         self.snapshots = array("d", self.state.positions)
         self.events: list[dict] = []
-        self._obs_cache: tuple[tuple, tuple, tuple] | None = None
+        self._obs_cache: tuple[tuple, tuple, tuple, dict] | None = None
         # each distinct prediction's sentiment odds; events share the lists
         self._sentiment: dict[tuple[float, ...], list[float]] = {}
         # each competitor's last grid payload row, with the book's GridRow it was built from
@@ -247,23 +247,23 @@ class _Session:
 
     # -- observations ---------------------------------------------------------
 
-    def _race_view(self) -> tuple[tuple, tuple, tuple]:
+    def _race_view(self) -> tuple[tuple, tuple, tuple, dict]:
+        """Positions, finish ticks, step histories and predictions: built
+        once per race tick, with an empty predictions dict of its own."""
         if self._obs_cache is None:
             self._obs_cache = (
                 tuple(self.state.positions),
                 tuple(self.state.finish_ticks),
                 tuple(tuple(h) for h in self.histories),
+                {},
             )
         return self._obs_cache
 
     def _observe(self, time: float, agent: Bettor) -> Observation:
-        positions, finish_ticks, history = self._race_view()
         return Observation(
             time,
             self.state.tick,
-            positions,
-            finish_ticks,
-            history,
+            *self._race_view(),
             self.book.market_grid(),
             self.book.open_bets(agent.bettor_id),
             self.book.free_balance(agent.bettor_id),
@@ -331,7 +331,7 @@ class _Session:
         self._process_wakes(cfg.opening_period)
 
         time = cfg.opening_period
-        for ran in race_ticks(race_cfg, self.state, self.rng_race, race_cfg.tick_limit):
+        for ran in race_ticks(race_cfg, self.state, self.rng_race):
             self._obs_cache = None
             time = cfg.opening_period + self.state.tick * race_cfg.dt
             self.snapshots.extend(self.state.positions)

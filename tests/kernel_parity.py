@@ -238,7 +238,7 @@ def failure_differences(
         dry = []
         for s in seeds:
             st = state.clone()
-            for _ in race_ticks(config, st, make_rng(s), state.tick + config.tick_limit):
+            for _ in race_ticks(config, st, make_rng(s)):
                 pass
             dry.append(st.tick - state.tick)
     limits = {
@@ -264,9 +264,9 @@ def failure_differences(
     return problems
 
 
-def engine_races(eng, config: RaceConfig, seeds: list[int], state, stop: int) -> str:
+def engine_races(eng, config: RaceConfig, seeds: list[int], state) -> str:
     """repr of what eng.races returns: the races done, their rows and the error's text."""
-    done, ticks, orders, error = eng.races(config, seeds, state, stop)
+    done, ticks, orders, error = eng.races(config, seeds, state)
     n = config.n_competitors
     if error is not None:
         error = f"{type(error).__name__}: {error}"
@@ -285,10 +285,10 @@ def engine_differences(
     """Where race.engine() and PYTHON_LOOP part, called directly.
 
     races runs the d seeds of differences() from the primed start and from
-    its mid-race state: to the finish, under a stop that failing_limit picks
-    from their lengths, so that a race in the middle of the seeds diverges
-    where their lengths allow, and once more with_overflow, whose draws can
-    overflow in the primer too.  Each call is compared by all that races
+    its mid-race state: to the finish, under a tick limit that
+    failing_limit picks from their lengths, so that a race in the middle of
+    the seeds diverges where their lengths allow, and once more
+    with_overflow, whose draws can overflow in the primer too.  Each call is compared by all that races
     returns, so the count of races done before a failure is compared as
     well, where win_counts raises instead.  record runs one race from the
     start.
@@ -299,16 +299,15 @@ def engine_differences(
     overflow, overflow_state = with_overflow(config, state, rng)
     for name, start, overflow_start in (("the line", None, None), ("mid-race", state, overflow_state)):
         tick = 0 if start is None else start.tick
-        full = tick + config.tick_limit
-        _, rows, _, _ = PYTHON_LOOP.races(config, seeds, start, full)
+        _, rows, _, _ = PYTHON_LOOP.races(config, seeds, start)
         lengths = [max(rows[k : k + n]) - tick for k in range(0, len(rows), n)]
         cases = {
-            "finishing": (config, start, full),
-            "diverging": (config, start, tick + failing_limit(lengths)),
-            "overflowing": (overflow, overflow_start, full),
+            "finishing": (config, start),
+            "diverging": (replace(config, tick_limit=failing_limit(lengths)), start),
+            "overflowing": (overflow, overflow_start),
         }
-        for case, (c, st, stop) in cases.items():
-            kernel, loop = (engine_races(e, c, seeds, st, stop) for e in (engine(), PYTHON_LOOP))
+        for case, (c, st) in cases.items():
+            kernel, loop = (engine_races(e, c, seeds, st) for e in (engine(), PYTHON_LOOP))
             if kernel != loop:
                 where = f"races from {name}, {case}, n={c.n_competitors} seed={seed}"
                 problems.append(f"{where}: {kernel[:200]} != {loop[:200]}")

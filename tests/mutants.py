@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: What a copy holds: the package, the tests and the configs they read.
 COPIED = ("src", "tests", "configs")
 KERNEL = "src/racemarket/_kernel.c"
+KERNEL_PY = "src/racemarket/_kernel.py"
 AGENTS = "src/racemarket/agents.py"
 EXCHANGE = "src/racemarket/exchange.py"
 RACE = "src/racemarket/race.py"
@@ -41,6 +42,13 @@ GROWTHS = "tests/test_race_oracle.py::test_snapshots_across_record_growths_equal
 SEEDS_LIKE_DERIVE_SEED = "tests/test_race_oracle.py::test_batch_chunk_derives_seeds_like_derive_seed"
 SAME_VIEW = "tests/test_agents.py::test_race_view_predictors_reuse_a_result_only_for_the_same_view"
 FUNDS = "tests/test_agents.py::test_decide_respects_funds"
+TICK_LIMIT = (
+    "tests/test_race_oracle.py::test_a_continuation_diverges_exactly_tick_limit_ticks_after_its_start"
+)
+CACHED_VIEWS = "tests/test_exchange.py::test_self_check_audits_the_cached_views"
+GROUPS_ON_ONE_VIEW = (
+    "tests/test_session.py::test_groups_of_one_strategy_get_their_own_predictions_on_one_view"
+)
 CHECKED = "tests/test_config.py::test_a_checked_config_cannot_be_built_invalid"
 PROGRAMMING_ERROR = (
     "tests/test_batch.py::test_a_programming_error_in_the_python_loop_reaches_the_caller_as_itself"
@@ -130,7 +138,7 @@ MUTANTS = (
         EXCHANGE,
         "open_bets[bet.bettor_id].append(_view(bet))",
         "open_bets[bet.bettor_id].append(self._open[bet.bettor_id].get(bet.bet_id))",
-        (pytest("tests/test_exchange.py::test_self_check_audits_the_cached_views"),),
+        (pytest(CACHED_VIEWS),),
     ),
     Mutant(
         "the book keeps a cached grid row when the last level it shows changes",
@@ -168,25 +176,25 @@ MUTANTS = (
         (pytest(FUNDS),),
     ),
     Mutant(
-        "ud_predict's memo is keyed on the positions without the gap threshold",
+        "linex bettors share a race-view prediction whatever their windows",
         AGENTS,
-        "if last is not None and positions is last[0] and gap_threshold == last[1]:",
-        "if last is not None and positions is last[0]:",
+        'self.view_key = ("linex", self.window_ticks)',
+        'self.view_key = ("linex",)',
         (pytest(SAME_VIEW),),
     ),
     Mutant(
-        "linex_predict's memo is keyed on the positions but not the step history",
+        "ud bettors share a race-view prediction whatever their gap thresholds",
         AGENTS,
-        "        and step_history is last[0]\n",
-        "",
+        'self.view_key = ("ud", params.gap_threshold)',
+        'self.view_key = ("ud",)',
         (pytest(SAME_VIEW),),
     ),
     Mutant(
-        "linex_predict's memo is keyed without the window",
-        AGENTS,
-        "        and window_ticks == last[3]\n",
-        "",
-        (pytest(SAME_VIEW),),
+        "a session keeps one predictions dict for all its race views",
+        SESSION,
+        "                {},\n",
+        '                self.__dict__.setdefault("_predictions", {}),\n',
+        (pytest(GROUPS_ON_ONE_VIEW),),
     ),
     Mutant(
         "a grid snapshot reuses a competitor's payload row after the book rebuilt the row",
@@ -215,6 +223,36 @@ MUTANTS = (
         "odds = self._sentiment.get(prediction)",
         "odds = next(iter(self._sentiment.values()), None)",
         (pytest("tests/test_golden.py::test_derby_session_outputs"),),
+    ),
+    Mutant(
+        "check_views compares the level totals by their count only",
+        EXCHANGE,
+        "if self._totals[cid][side] != totals:",
+        "if len(self._totals[cid][side]) != len(totals):",
+        (pytest(CACHED_VIEWS),),
+    ),
+    Mutant(
+        "check_views checks only the cached back sides",
+        EXCHANGE,
+        "if shown is not None and shown != levels:",
+        "if side == BACK and shown is not None and shown != levels:",
+        (pytest(CACHED_VIEWS),),
+    ),
+    Mutant(
+        "check_views compares only the lays of a cached grid row",
+        EXCHANGE,
+        "if row is not None and row != recount:",
+        "if row is not None and row.lays != recount.lays:",
+        (pytest(CACHED_VIEWS),),
+    ),
+    Mutant(
+        "check_no_cross lets a single crossed level through",
+        EXCHANGE,
+        """            if crossed:
+                raise AssertionError(f"crossed book""",
+        """            if len(crossed) > 1:
+                raise AssertionError(f"crossed book""",
+        (pytest("tests/test_exchange.py::test_no_cross_check_fires_on_a_forced_cross"),),
     ),
     Mutant(
         "check_accounts lets a negative balance through",
@@ -257,6 +295,20 @@ MUTANTS = (
         "except (RaceDivergedError, OverflowError, MemoryError) as exc:",
         "except Exception as exc:",
         (pytest(f"{PROGRAMMING_ERROR}[1]"),),
+    ),
+    Mutant(
+        "the Python loop counts a race's tick limit from tick 0, not from its start",
+        RACE,
+        "stop = state.tick + config.tick_limit",
+        "stop = config.tick_limit",
+        (pytest(f"{TICK_LIMIT}[4]"),),
+    ),
+    Mutant(
+        "the kernel counts a continuation's tick limit from tick 0, not from its start",
+        KERNEL_PY,
+        "            stop += state.tick\n",
+        "",
+        (pytest(f"{TICK_LIMIT}[4]"),),
     ),
     Mutant(
         "win_counts counts each continuation's last finisher as its winner",

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from racemarket.agents import (
@@ -46,6 +48,7 @@ def make_obs(cfg, *, time=0.0, state=None, grid=None, my_bets=(), balance=10_000
         grid=grid if grid is not None else empty_grid(cfg),
         my_bets=tuple(my_bets),
         balance=balance,
+        predictions={},
     )
 
 
@@ -140,29 +143,57 @@ def test_ud_predict_threshold():
         ud_predict((10.0,), 5.0)
 
 
-def test_race_view_predictors_reuse_a_result_only_for_the_same_view():
-    # a result is handed back for the very same tuples and equal scalars
-    positions, history = (50.0, 46.0), ((10.0, 10.0), (0.1, 95.0))
-    assert lw_predict(positions) is lw_predict(positions)
-    assert ud_predict(positions, 5.0) is ud_predict(positions, 5.0)
-    assert linex_predict(history, positions, 100.0, 1) is linex_predict(history, positions, 100.0, 1)
-    # equal tuples that are other objects are predicted afresh, to equal results
-    first = lw_predict(positions)
-    assert lw_predict(tuple(list(positions))) is not first
-    assert lw_predict(tuple(list(positions))) == first
-    # a scalar that differs is its own prediction, on the same tuples
-    assert ud_predict(positions, 5.0) == (0.0, 1.0)
-    assert ud_predict(positions, 1.0) == (1.0, 0.0)
-    assert ud_predict(positions, 5.0) == (0.0, 1.0)
+def counted_predictions(monkeypatch, agents) -> Counter:
+    """Calls of predict per bettor id, counted from now on for agents' classes."""
+    calls: Counter = Counter()
+    for cls in {type(a) for a in agents}:
+
+        def spy(self, obs, predict=cls.predict):
+            calls[self.bettor_id] += 1
+            return predict(self, obs)
+
+        monkeypatch.setattr(cls, "predict", spy)
+    return calls
+
+
+def test_race_view_predictors_reuse_a_result_only_for_the_same_view(monkeypatch):
+    cfg = make_race(n=2, length=100.0)
+
+    def bettor(i, strategy, **params):
+        return make_bettor(f"b{i}", AgentParams(strategy, **params), cfg, make_rng(i))
+
+    # windows of 1 s and 1.4 s are both 1 tick; 2 s is 2
+    linex = [bettor(i, "linex", window=w) for i, w in enumerate((1.0, 1.4, 2.0))]
+    ud = [bettor(i, "ud", gap_threshold=g) for i, g in enumerate((5.0, 5.0, 100.0), 3)]
+    lw = [bettor(6, "lw"), bettor(7, "lw")]
+    every_wake = [bettor(8, "rp", d=2), bettor(9, "btf"), bettor(10, "zi")]
+    agents = linex + ud + lw + every_wake
+    calls = counted_predictions(monkeypatch, agents)
     # c1: 20 left at speed 10; c2: 96 left at 95 (window 1) or 47.55 (window 2)
-    positions = (80.0, 4.0)
-    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
-    assert linex_predict(history, positions, 100.0, 2) == (1.0, 0.0)
-    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
-    assert linex_predict(history, positions, 85.0, 1) == (1.0, 0.0)  # c1: 5 left at speed 10
-    # the same positions with another history
-    assert linex_predict(((10.0,), (0.1,)), positions, 100.0, 1) == (1.0, 0.0)
-    assert linex_predict(history, positions, 100.0, 1) == (0.0, 1.0)
+    state = RaceState(2, [80.0, 4.0], [10.0, 95.0], [None, None])
+    obs = make_obs(cfg, state=state, history=((10.0, 10.0), (0.1, 95.0)))
+    for agent in agents:
+        agent.decide(obs)
+    once = {"b0": 1, "b2": 1, "b3": 1, "b5": 1, "b6": 1, "b8": 1, "b9": 1, "b10": 1}
+    assert calls == once
+    # equal keys share one prediction; another window or threshold is its own
+    predictions = [a.last_prediction for a in agents]
+    c1, c2 = (1.0, 0.0), (0.0, 1.0)
+    assert predictions[:8] == [c2, c2, c1, c1, c1, c2, c1, c1]
+    for a, b in ((0, 1), (3, 4), (6, 7)):
+        assert predictions[a] is predictions[b]
+    assert set(obs.predictions) == {("linex", 1), ("linex", 2), ("ud", 5.0), ("ud", 100.0), ("lw",)}
+    # a second wake on the same view predicts only for rp, btf and zi
+    for agent in agents:
+        agent.decide(obs)
+    assert calls == {**once, "b8": 2, "b9": 2, "b10": 2}
+    # a new view's dict predicts again, with whatever it holds
+    calls.clear()
+    moved = obs._replace(positions=(80.0, 90.0), predictions={})
+    for agent in agents:
+        agent.decide(moved)
+    assert calls == once
+    assert [a.last_prediction for a in lw + ud] == [c2, c2, c2, c2, c1]
 
 
 def test_race_view_predictors_never_reuse_a_result_for_a_list():

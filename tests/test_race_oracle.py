@@ -43,6 +43,7 @@ from racemarket.agents import rp_predict
 from racemarket.batch import CHUNK_RUNS, BatchConfig, _race_chunk, resize_race, run_batch
 from racemarket.config import parse_config
 from racemarket.race import (
+    PYTHON_LOOP,
     Competitor,
     LogNormalSteps,
     RaceConfig,
@@ -51,9 +52,11 @@ from racemarket.race import (
     Responsiveness,
     UniformSteps,
     advance_race,
+    engine,
     finalize_trajectory,
     initial_state,
     preference_factor,
+    race_ticks,
     run_race,
     simulate_from,
     win_counts,
@@ -469,6 +472,26 @@ def test_kernel_divergence_raises_the_loop_message():
         "BatchRunError: run 4: RaceDivergedError('race exceeded tick_limit=2 with 0/2 finished')"
     )
     assert both_ways(lambda: _race_chunk(unfinished, 1, 4, 3)) == (expected, expected)
+
+
+@pytest.mark.parametrize("start", [1, 4, 8])
+def test_a_continuation_diverges_exactly_tick_limit_ticks_after_its_start(start):
+    # c2 finishes at tick 4 and c1 at tick 10, whatever the seed
+    field = (Competitor("c1", UniformSteps(10.0, 10.0)), Competitor("c2", UniformSteps(25.0, 25.0)))
+    config = RaceConfig(track_length=100.0, competitors=field)
+    state, left = mid_race(config, 1, start), 10 - start
+    enough, short = (replace(config, tick_limit=limit) for limit in (left, left - 1))
+    diverged = f"race exceeded tick_limit={left - 1} with 1/2 finished"
+    for eng in (engine(), PYTHON_LOOP):
+        done, ticks, _, error = eng.races(enough, [1, 2], state)
+        assert (done, list(ticks), error) == (2, [10, 4, 10, 4], None)
+        done, _, _, error = eng.races(short, [1, 2], state)
+        assert (done, str(error)) == (0, diverged)
+    race = state.clone()
+    with pytest.raises(RaceDivergedError, match=f"^{diverged}$"):
+        for _ in race_ticks(short, race, make_rng(1)):
+            pass
+    assert race.tick == start + left - 1
 
 
 def test_kernel_overflow_raises_like_math_exp():

@@ -454,14 +454,16 @@ def wake_predictions(config: SessionConfig, monkeypatch) -> list:
 
 
 def assert_predictions_are_fresh(seen) -> None:
-    """Each race-view prediction equals its bettor's predict on a copy of the
-    observation's tuples, which no predictor has seen, so none reuses a result."""
+    """Each race-view prediction, shared through its view's predictions or
+    not, equals its bettor's predict on a copy of the observation: new
+    tuples and an empty predictions dict."""
     checked = 0
     for agent, obs, prediction in seen:
         if agent.strategy in ("linex", "lw", "ud"):
             copy = obs._replace(
                 positions=tuple(list(obs.positions)),
                 step_history=tuple(tuple(list(h)) for h in obs.step_history),
+                predictions={},
             )
             assert agent.predict(copy) == prediction, (agent.bettor_id, obs.time)
             checked += 1
