@@ -26,11 +26,12 @@
  * None keeps state between calls but a record, which the caller owns, so
  * calls may run on several threads at once.
  *
- * Streams are seeded in lanes: seed_lanes runs random.seed for up to LANES
+ * Streams are seeded in lanes: seed_columns runs random.seed for LANES
  * seeds at once, each a column of one table, and lane_out hands a column to
  * the one generator a race draws from.  rm_races seeds each group of LANES
- * races in one call, and a last group of fewer (a one-seed call's, or the
- * rest of a count that is not a multiple of LANES) in only its own lanes.
+ * races in one call; a last group of fewer (a one-seed call's, or the rest
+ * of a count that is not a multiple of LANES) is padded with zero seeds,
+ * whose lanes no race draws from.
  */
 
 #include <math.h>
@@ -61,27 +62,28 @@ static void init_genrand(uint32_t *mt, uint32_t s)
  * the work is not bound by the multiply's latency. */
 enum { LANES = 8 };
 
-/* random.seed(seeds[l]) for each lane l < width (0 <= seed < 2**64), on
+/* random.seed(seeds[l]) for each lane l < LANES (0 <= seed < 2**64), on
  * start holding init_genrand's table for 19650218: init_by_array over the
  * seed's little-endian 32-bit words, one word below 2**32.  Step s adds
  * key[j] + j with j = s mod the key length: key[0] on every step for a
- * 1-word key, key[0] and key[1] + 1 in turn for a 2-word one.  Columns
- * from width on hold no stream and are not read. */
-static inline void seed_columns(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
-                                const uint64_t *seeds, int width)
+ * 1-word key, key[0] and key[1] + 1 in turn for a 2-word one.  The loops
+ * over lanes are of constant length, which the compiler turns into vector
+ * code. */
+static void seed_columns(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
+                         const uint64_t *seeds)
 {
     uint32_t add[2][LANES];
-    for (int l = 0; l < width; l++) {
+    for (int l = 0; l < LANES; l++) {
         add[0][l] = (uint32_t)seeds[l];
         add[1][l] = seeds[l] >> 32 ? (uint32_t)(seeds[l] >> 32) + 1 : (uint32_t)seeds[l];
     }
     for (int i = 0; i < N; i++)
-        for (int l = 0; l < width; l++)
+        for (int l = 0; l < LANES; l++)
             mt[i][l] = start[i];
     int i = 1;
     for (int k = 0; k < N; k++) {
         const uint32_t *a = add[k & 1];
-        for (int l = 0; l < width; l++)
+        for (int l = 0; l < LANES; l++)
             mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1664525U)) + a[l];
         if (++i >= N) {
             memcpy(mt[0], mt[N - 1], sizeof mt[0]);
@@ -89,7 +91,7 @@ static inline void seed_columns(uint32_t (*restrict mt)[LANES], const uint32_t *
         }
     }
     for (int k = 0; k < N - 1; k++) {
-        for (int l = 0; l < width; l++)
+        for (int l = 0; l < LANES; l++)
             mt[i][l] = (mt[i][l] ^ ((mt[i - 1][l] ^ (mt[i - 1][l] >> 30)) * 1566083941U)) -
                        (uint32_t)i;
         if (++i >= N) {
@@ -97,21 +99,8 @@ static inline void seed_columns(uint32_t (*restrict mt)[LANES], const uint32_t *
             i = 1;
         }
     }
-    for (int l = 0; l < width; l++)
+    for (int l = 0; l < LANES; l++)
         mt[0][l] = 0x80000000U;
-}
-
-/* seed_columns for lanes seeds, 1 <= lanes <= LANES.  A full group steps
- * all LANES columns in loops of constant length, which the compiler turns
- * into vector code; a part of one steps only its lanes, so a one-seed call
- * does not pay for eight. */
-static void seed_lanes(uint32_t (*restrict mt)[LANES], const uint32_t *restrict start,
-                       const uint64_t *seeds, int lanes)
-{
-    if (lanes == LANES)
-        seed_columns(mt, start, seeds, LANES);
-    else
-        seed_columns(mt, start, seeds, lanes);
 }
 
 /* The generator mt (N words, then the index) takes lane's stream, freshly
@@ -445,6 +434,7 @@ int64_t rm_races(const double *runners, int n, double length, double nv_magic,
                  int *status)
 {
     uint32_t table[N], mt[N + 1], lanes[N][LANES];
+    uint64_t padded[LANES] = {0}; /* a last group of fewer than LANES seeds, then zeros */
     int64_t counters[2], k = 0;
     field_t f = {0};
     double *pos = malloc(sizeof(double) * ((size_t)n * 2 + 1));
@@ -456,8 +446,12 @@ int64_t rm_races(const double *runners, int n, double length, double nv_magic,
     *status = RM_FINISHED;
     for (; k < count; k++) {
         int64_t *finish = ticks_out + (size_t)k * n;
-        if (k % LANES == 0)
-            seed_lanes(lanes, table, seeds + k, count - k < LANES ? (int)(count - k) : LANES);
+        if (k % LANES == 0) {
+            const uint64_t *group = seeds + k;
+            if (count - k < LANES)
+                group = memcpy(padded, group, sizeof(uint64_t) * (size_t)(count - k));
+            seed_columns(lanes, table, group);
+        }
         lane_out(mt, lanes, (int)(k % LANES));
         if (floats) {
             memcpy(pos, floats, sizeof(double) * (size_t)n * 2);

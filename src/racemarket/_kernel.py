@@ -30,7 +30,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from random import NV_MAGICCONST
 
@@ -157,8 +157,10 @@ def _failure(status: int, finish, config) -> Exception:
 class Kernel:
     """The entry points of one loaded library, on RaceConfig, RaceState and Trajectory data.
 
-    Each call works in its own memory and releases the GIL, so threads may
-    share a Kernel: race batches run on threads.
+    A Kernel holds only the library's entry points and, like the library,
+    keeps no state between calls: a call reads its runners from its
+    config's _flat_runners, works in its own memory and releases the GIL.
+    So threads may share a Kernel, and race batches run on threads.
     """
 
     executor = ThreadPoolExecutor
@@ -198,20 +200,6 @@ class Kernel:
             ctypes.c_char_p,  # out
         )
         self._position_lines.restype = ctypes.c_int64
-        # the last runners flattened: a dry-run predictor runs one config many times
-        self._last = (None, None)
-
-    def _flat(self, runners):
-        """runners as one C array of doubles, kept for the next call with the same tuple."""
-        last = self._last
-        if last[0] is runners:
-            return last[1]
-        values = tuple(chain.from_iterable(runners))
-        if len(values) != _RUNNER_DOUBLES * len(runners):
-            raise ValueError(f"a runner is {_RUNNER_DOUBLES} numbers for the kernel")
-        flat = (ctypes.c_double * len(values))(*values)
-        self._last = (runners, flat)
-        return flat
 
     def races(self, config, seeds, state, record=None):
         """One race of config per seed, in one call: race k draws from random.Random(seeds[k]).
@@ -227,8 +215,10 @@ class Kernel:
         record, for one seed only, is a _Record that the race's rows fill:
         see self.record.
         """
-        runners = config._runners
-        n, count = len(runners), len(seeds)
+        flat, n, count = config._flat_runners, config.n_competitors, len(seeds)
+        if len(flat) != _RUNNER_DOUBLES * n:
+            raise ValueError(f"a runner is {_RUNNER_DOUBLES} numbers for the kernel")
+        runners = (ctypes.c_double * len(flat)).from_buffer(flat)
         if not isinstance(seeds, ctypes.Array):
             seeds = (ctypes.c_uint64 * count)(*seeds)
         floats, ints, stop = None, None, config.tick_limit
@@ -241,7 +231,7 @@ class Kernel:
         orders = (ctypes.c_int32 * (count * n))()
         status = ctypes.c_int()
         done = self._races(
-            self._flat(runners), n, config.track_length, NV_MAGICCONST, seeds, count, floats,
+            runners, n, config.track_length, NV_MAGICCONST, seeds, count, floats,
             ints, min(stop, _MAX_TICK), ticks, orders, record, ctypes.byref(status),
         )
         error = None

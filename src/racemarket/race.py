@@ -26,6 +26,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .seeding import MASK64, Checked, FieldError, derive_seed, make_rng
 
@@ -160,6 +161,11 @@ class RaceConfig(Checked):
     def _runners(self) -> tuple[tuple, ...]:
         """Per-race constants of each competitor, compiled once per config."""
         return _compile(self)
+
+    @cached_property
+    def _flat_runners(self) -> array:
+        """The same numbers as one array of doubles, the kernel's runners."""
+        return array("d", chain.from_iterable(self._runners))
 
     def validate(self) -> None:
         if not self.track_length > 0.0:
@@ -370,21 +376,16 @@ class Trajectory:
         return tuple(zip(*[iter(self.snapshots)] * len(self.competitor_ids)))
 
 
-def finalize_trajectory(state: RaceState, config: RaceConfig, snapshots: array) -> Trajectory:
-    """Build the immutable race record from a fully finished state.
+def recorded_trajectory(config: RaceConfig, record) -> Trajectory:
+    """The Trajectory of an engine's record of a race of config.
 
-    snapshots is the race's flat array of positions per tick (see
-    Trajectory), kept as it is.
+    record is the tuple engine().record returns: the finish ticks, the
+    finish order as competitor indices, the blocked steps and the snapshots
+    array, which is kept as it is.
     """
-    order = _finish_order(state, config)
+    ticks, order, blocked, snapshots = record
     ids = config.competitor_ids
-    return Trajectory(
-        competitor_ids=ids,
-        snapshots=snapshots,
-        finish_ticks=tuple(state.finish_ticks),  # type: ignore[arg-type]
-        finish_order=tuple(ids[c] for c in order),
-        blocked_steps=state.blocked_steps,
-    )
+    return Trajectory(ids, snapshots, tuple(ticks), tuple(map(ids.__getitem__, order)), blocked)
 
 
 class PythonLoop:
@@ -446,9 +447,7 @@ def engine():
 
 def run_race(config: RaceConfig, seed: int) -> Trajectory:
     """Run one race to completion on a private stream seeded with seed, recording every tick."""
-    ticks, order, blocked, snapshots = engine().record(config, seed & MASK64)
-    ids = config.competitor_ids
-    return Trajectory(ids, snapshots, tuple(ticks), tuple(map(ids.__getitem__, order)), blocked)
+    return recorded_trajectory(config, engine().record(config, seed & MASK64))
 
 
 def simulate_from(state: RaceState, config: RaceConfig, seed: int) -> tuple[str, ...]:

@@ -52,7 +52,7 @@ from .exchange import (
     check_book_settings,
     odds_to_decimal,
 )
-from .race import RaceConfig, Trajectory, finalize_trajectory, initial_state, race_ticks
+from .race import RaceConfig, Trajectory, _finish_order, initial_state, race_ticks, recorded_trajectory
 from .race import advance_race  # noqa: F401  perfbench's tracer patches it here by name
 from .seeding import Checked, FieldError, check_master_seed, spawn_rng
 
@@ -349,7 +349,11 @@ class _Session:
             if self.book.state == OPEN:
                 self._process_wakes(time)
 
-        trajectory = finalize_trajectory(self.state, race_cfg, self.snapshots)
+        # the record PYTHON_LOOP.record gives, from the session's race
+        state, order = self.state, _finish_order(self.state, race_cfg)
+        trajectory = recorded_trajectory(
+            race_cfg, (state.finish_ticks, order, state.blocked_steps, self.snapshots)
+        )
         report = self.book.settle(trajectory.winner)
         rows = [[r.bettor_id, r.gross, r.commission, r.net] for r in report.rows]
         self.emit(time, "settle", report.winner, report.total_commission, rows)

@@ -22,18 +22,20 @@ through a session's `sentiment_rows` view: an event's lines are its
 once a chunk for each distinct list.  An event line is one %-format of its
 kind's template, built once from `session.EVENT_FIELDS`, which gives each
 field's JSON type.  A str, int or float is written in place, a grid payload
-by hand-written rows, and any other value (odds and positions lists,
-close's refunds, settle's rows) is the encoder's own JSON.  A session's
-grid snapshots share the row of a competitor whose book did not change,
-and its sentiment events share each distinct odds list, so the JSON of
-each grid row and other value is memoised by identity for one
-`write_events_jsonl` call, as the strings are by value.  An event the
-template would not write byte for byte goes through the encoder: one with
-a bool, a non-finite float, an int, float or str subclass in a scalar
-slot or its keys in another order, and one of an unknown kind.  The CSV
-lines need no such fallback for their fields, as `csv` quotes an id alike
-wherever it stands and never quotes a float's repr; a `trajectory.csv`
-chunk holding a position the kernel's digit routine does not write is
+as `{id: row}` with each id's string, and any other value (a grid row, odds
+and positions lists, close's refunds, settle's rows) is the encoder's own
+JSON: JSON composes, so those are the bytes the encoder writes for the value
+inside the whole event.  A session's grid snapshots share the row of a
+competitor whose book did not change, and its sentiment events share each
+distinct odds list, so the JSON of each grid row and other value is
+memoised by identity for one `write_events_jsonl` call, as the strings are
+by value.  An event the template would not write byte for byte goes
+through the encoder: one with a bool, a non-finite float, an int, float or
+str subclass in a scalar slot, a grid payload that is not a dict or has an
+id that is not a str, its keys in another order, and one of an unknown
+kind.  The CSV lines need no such fallback for their fields, as `csv`
+quotes an id alike wherever it stands and never quotes a float's repr; a
+`trajectory.csv` chunk holding a position the kernel's digit routine does not write is
 written by repr.  The kernel reads
 `trajectory.csv`'s positions in place from the trajectory's flat
 `snapshots` array and writes each chunk into one reused buffer, so no
@@ -178,37 +180,14 @@ def _by_identity(value, objects: dict, to_json) -> str:
     return hit[1]
 
 
-def _levels_json(levels: list) -> str:
-    """A grid side's [[odds, stake], ...] levels as JSON, without the outer brackets."""
-    if type(levels) is not list:
-        raise ValueError
-    out = []
-    for level in levels:
-        if type(level) is not list or len(level) != 2:
-            raise ValueError
-        odds, stake = level
-        if type(odds) is not float or type(stake) is not int or not -inf < odds < inf:
-            raise ValueError
-        out.append(f"[{odds!r},{stake}]")
-    return ",".join(out)
-
-
-def _row_json(row: dict) -> str:
-    """One competitor's grid row, {"backs": levels, "lays": levels}, as JSON."""
-    if type(row) is not dict or tuple(row) != ("backs", "lays"):
-        raise ValueError
-    backs, lays = map(_levels_json, row.values())
-    return f'{{"backs":[{backs}],"lays":[{lays}]}}'
-
-
 def _grid_json(grid: dict, strings: _Memo, objects: dict) -> str:
-    """A grid_snapshot payload, {cid: row}, as JSON; each row's JSON is
-    memoised by the row's identity (see _by_identity)."""
+    """A grid_snapshot payload, {cid: row}, as JSON; each row is the
+    encoder's JSON, memoised by the row's identity (see _by_identity)."""
     out = []
     for cid, row in grid.items():
         if type(cid) is not str:
             raise ValueError
-        out.append(f"{strings[cid]}:{_by_identity(row, objects, _row_json)}")
+        out.append(f"{strings[cid]}:{_by_identity(row, objects, _EVENT_ENCODER.encode)}")
     return "{" + ",".join(out) + "}"
 
 

@@ -404,18 +404,34 @@ MUTANTS = (
         (pytest("tests/test_race_oracle.py::test_kernel_divergence_raises_the_loop_message"),),
     ),
     Mutant(
-        "seed_lanes seeds a 1-word key as a 2-word one",
+        "seed_columns seeds a 1-word key as a 2-word one",
         KERNEL,
         "add[1][l] = seeds[l] >> 32 ? (uint32_t)(seeds[l] >> 32) + 1 : (uint32_t)seeds[l];",
         "add[1][l] = (uint32_t)(seeds[l] >> 32) + 1;",
         (pytest("tests/test_race_oracle.py::test_kernel_seeds_like_random_seed[1]"),),
     ),
     Mutant(
-        "a group of fewer than LANES seeds leaves its last lane unseeded",
+        "a group of fewer than LANES seeds is padded from one seed fewer than it holds",
         KERNEL,
-        "        seed_columns(mt, start, seeds, lanes);",
-        "        seed_columns(mt, start, seeds, lanes - 1);",
+        "memcpy(padded, group, sizeof(uint64_t) * (size_t)(count - k));",
+        "memcpy(padded, group, sizeof(uint64_t) * (size_t)(count - k - 1));",
         (pytest("tests/test_race_oracle.py::test_win_counts_in_seed_groups_equal_simulate_from"),),
+    ),
+    Mutant(
+        "Kernel.races passes a config's runners whatever their length",
+        KERNEL_PY,
+        """        if len(flat) != _RUNNER_DOUBLES * n:
+            raise ValueError(f"a runner is {_RUNNER_DOUBLES} numbers for the kernel")
+""",
+        "",
+        (pytest("tests/test_kernel.py::test_the_kernel_refuses_buffers_of_the_wrong_size"),),
+    ),
+    Mutant(
+        "a trajectory takes the field order as its finish order",
+        RACE,
+        "tuple(map(ids.__getitem__, order))",
+        "ids",
+        (pytest("tests/test_golden.py::test_quoted_ids_race_outputs"),),
     ),
     Mutant(
         "lane_out hands a race the stream of lane ^ 1",
@@ -482,6 +498,13 @@ MUTANTS = (
         '"encode": _EVENT_ENCODER.encode,',
         '"encode": json.dumps,',
         (pytest("tests/test_writers.py::test_events_jsonl_matches_the_encoder"),),
+    ),
+    Mutant(
+        "a grid row is written by json.dumps with its default separators",
+        WRITERS,
+        "_by_identity(row, objects, _EVENT_ENCODER.encode)",
+        "_by_identity(row, objects, json.dumps)",
+        (pytest("tests/test_writers.py::test_shared_grid_rows_match_the_encoder"),),
     ),
     Mutant(
         "the identity memo returns its first entry for any value",

@@ -17,7 +17,8 @@ import pytest
 
 import racemarket
 from racemarket import _kernel
-from racemarket.batch import BatchConfig, run_batch
+from racemarket.batch import BatchConfig, resize_race, run_batch
+from racemarket.config import parse_config
 from racemarket.race import batch_runs, initial_state, run_race, win_counts
 from racemarket.seeding import make_rng
 from racemarket.writers import write_trajectory_csv
@@ -209,3 +210,26 @@ def test_the_kernel_refuses_buffers_of_the_wrong_size():
         kernel.position_lines([",c1,"], array("f", [1.0]))
     with pytest.raises(ValueError, match="Buffer size too small"):
         kernel.position_lines([",c1,"], array("d", [1.0]))(1, 1)
+
+
+def test_threads_sharing_the_kernel_run_each_config_on_its_own_runners():
+    # race batches share one Kernel across threads; each call reads its
+    # runners from its own config, whichever config the last call ran
+    compiler()
+    derby = Path(__file__).resolve().parent.parent / "configs" / "derby.json"
+
+    def pair():
+        race = parse_config(derby.read_text()).race
+        return race, resize_race(race, 12)
+
+    alone = [batch_runs(config, 7, 0, 64) for config in pair()]
+    interleaved = pair() * 8  # fresh configs: threads also build their runners at once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = pool.map(lambda config: batch_runs(config, 7, 0, 64), interleaved, timeout=60)
+            together = list(runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone * 8

@@ -51,12 +51,13 @@ from racemarket.race import (
     RaceState,
     Responsiveness,
     UniformSteps,
+    _finish_order,
     advance_race,
     engine,
-    finalize_trajectory,
     initial_state,
     preference_factor,
     race_ticks,
+    recorded_trajectory,
     run_race,
     simulate_from,
     win_counts,
@@ -280,7 +281,8 @@ def test_run_race_and_simulate_from_equal_scan(config, seed):
     scan_tick(mid, config, make_rng(seed + 2))
     order = simulate_from(mid, config, seed + 3)
     rest = scan_finish(mid.clone(), config, make_rng(seed + 3))
-    assert order == finalize_trajectory(rest, config, None).finish_order
+    record = (rest.finish_ticks, _finish_order(rest, config), rest.blocked_steps, None)
+    assert order == recorded_trajectory(config, record).finish_order
 
 
 # -- the C kernel against the Python loop -------------------------------------

@@ -417,8 +417,9 @@ def test_session_events_are_written_by_their_templates():
 
 def test_shared_grid_rows_match_the_encoder(tmp_path):
     # Snapshots share the row of a competitor whose book did not change, and
-    # the writer memoises a row's JSON by identity.  A shared row the template
-    # cannot write falls back every time it is met, and a memo lasts one call.
+    # the writer memoises the encoder's JSON of a row by identity, whatever
+    # the row holds; a payload with an id that is not a str falls back to
+    # the encoder, and a memo lasts one call.
     kept = {"backs": [[2.5, 100], [2.0, 50]], "lays": [[3.0, 70]]}
     bad = {"backs": [[2.5, True]], "lays": []}
     events = []
